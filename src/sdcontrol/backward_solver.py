@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_calc import solve_drift_implicit
+from .discrete_calc import StepOperator
 from .forward_solver import Coefficients, ControlPair, ForwardSolution
 from .mesh import Mesh
 from .noise_tree import AdaptedField, ScenarioTree, time_pairing, tree_inner
@@ -53,21 +53,27 @@ class BackwardSolution:
 
 
 def backward_step(mesh: Mesh, dt: float, z_children: np.ndarray,
-                  a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose one forward step: children (2B, N) -> (z, Z) at the parents."""
-    a1_child = np.repeat(a1, 2, axis=0) if a1.shape[0] > 1 else a1
-    zhat = solve_drift_implicit(mesh, dt, a1_child, z_children, transpose=True)
-    zeta = 0.5 * (zhat[1::2] + zhat[0::2])
-    coeff = (zhat[1::2] - zhat[0::2]) / (2.0 * np.sqrt(dt))
-    return zeta + dt * a2 * coeff, coeff
+                  a1: np.ndarray, a2: np.ndarray, step: StepOperator | None = None,
+                  with_mean: bool = False):
+    """Transpose one forward step: children (2B, N) -> (z, Z) at the parents.
+
+    ``step`` is the factored matrix for ``a1``; without it one is built for
+    this call.  ``with_mean=True`` also returns the conditional mean zeta.
+    """
+    if step is None:
+        step = StepOperator.drift_implicit(mesh, dt, a1)
+    zhat = step.solve(z_children, transpose=True).reshape(-1, 2, mesh.N)
+    zeta = 0.5 * (zhat[:, 1] + zhat[:, 0])
+    coeff = (zhat[:, 1] - zhat[:, 0]) / (2.0 * np.sqrt(dt))
+    z = zeta + dt * a2 * coeff
+    return (z, coeff, zeta) if with_mean else (z, coeff)
 
 
 def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
                    mesh: Mesh) -> BackwardSolution:
     """Sweep from the leaf data down to the root; linear in the leaf data."""
-    coeffs.validate_dominance()
+    steps = coeffs.step_operators()
     zT = np.asarray(zT, dtype=float).reshape(tree.num_nodes(tree.depth), mesh.N)
-    dt = tree.dt
 
     z_levels = [None] * (tree.depth + 1)
     zeta_levels = [None] * tree.depth
@@ -76,13 +82,8 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
 
     for k in range(tree.depth - 1, -1, -1):
         a1, a2 = coeffs.at(k)
-        a1_child = np.repeat(a1, 2, axis=0) if a1.shape[0] > 1 else a1
-        zhat = solve_drift_implicit(mesh, dt, a1_child, z_levels[k + 1], transpose=True)
-        zeta = 0.5 * (zhat[1::2] + zhat[0::2])
-        coeff = (zhat[1::2] - zhat[0::2]) / (2.0 * np.sqrt(dt))
-        zeta_levels[k] = zeta
-        coeff_levels[k] = coeff
-        z_levels[k] = zeta + dt * a2 * coeff
+        z_levels[k], coeff_levels[k], zeta_levels[k] = backward_step(
+            mesh, tree.dt, z_levels[k + 1], a1, a2, steps[k], with_mean=True)
 
     return BackwardSolution(
         z=AdaptedField(tree, mesh, z_levels),

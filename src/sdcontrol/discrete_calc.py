@@ -193,42 +193,111 @@ def consistency_orders(h0: float = 1 / 16, halvings: int = 4,
             for name, errs in errors.items()}
 
 
+class StepOperator:
+    """Tridiagonal step matrices factored once and applied to many batches.
+
+    ``diag`` holds one matrix per row: shape (n,) or (1, n) is one shared
+    matrix, shape (P, n) one matrix per node; ``sub``/``sup`` broadcast
+    against it.  Thomas elimination without pivoting runs here, once, with
+    the pivot check; ``solve`` only substitutes, for any number of batches.
+
+    * One shared matrix keeps its inverse, obtained by eliminating the
+      identity, so a batched solve is a single matmul.
+    * Per-node matrices keep the multipliers and reciprocal pivots
+      space-major, shape (n, P), and are applied to right-hand sides
+      grouped by node, (P, C, n), without repeating the factors per row.
+
+    Raises SingularSystemError when a pivot falls below the dominance
+    threshold, which the drift-implicit steppers rule out up front but the
+    anti-diffusive source stepper can hit.
+    """
+
+    def __init__(self, sub, diag, sup):
+        diag = np.atleast_2d(np.asarray(diag, dtype=float))
+        nodes, n = diag.shape
+        sub = np.broadcast_to(np.asarray(sub, dtype=float), (nodes, n - 1))
+        sup = np.broadcast_to(np.asarray(sup, dtype=float), (nodes, n - 1))
+
+        scale = np.abs(diag).max()
+        piv = np.empty_like(diag)
+        piv[:, 0] = diag[:, 0]
+        for i in range(n):
+            if i:
+                piv[:, i] = diag[:, i] - sub[:, i - 1] / piv[:, i - 1] * sup[:, i - 1]
+            if np.any(np.abs(piv[:, i]) <= _PIVOT_RTOL * scale):
+                raise SingularSystemError(
+                    f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale:g})"
+                )
+        self.nodes, self.n = nodes, n
+        self._lower = (sub / piv[:, :-1]).T.copy()
+        self._upper = (sup / piv[:, :-1]).T.copy()
+        self._inv_piv = (1.0 / piv).T.copy()
+        # Row i of the eliminated identity is M^-1 e_i, so this is M^-T.
+        self._inverse_t = self._eliminate(np.eye(n)) if nodes == 1 else None
+
+    @classmethod
+    def drift_implicit(cls, mesh: Mesh, dt: float, a1) -> "StepOperator":
+        """I - dt*(second difference + a1*) on the interior, Dirichlet rows eliminated.
+
+        ``a1`` of shape (N,) or (1, N) gives one shared matrix, (P, N) one per node.
+        """
+        a1 = np.asarray(a1, dtype=float)
+        try:
+            return cls(*drift_implicit_bands(mesh, dt, a1))
+        except SingularSystemError as exc:
+            bound = float(np.abs(a1).max()) if a1.size else 0.0
+            raise SingularSystemError(
+                f"{exc} (dt={dt:g}, h={mesh.h:g}, max|a1|={bound:g})"
+            ) from exc
+
+    def solve(self, rhs, transpose: bool = False) -> np.ndarray:
+        """Solve every row of ``rhs`` (last axis is space).
+
+        With per-node matrices the rows are grouped by node: the row count
+        is P*C and row r uses node r // C.  ``transpose=True`` solves with
+        the transposed matrices.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if self._inverse_t is not None:
+            inv = self._inverse_t.T if transpose else self._inverse_t
+            return (rhs.reshape(-1, self.n) @ inv).reshape(rhs.shape)
+        return self._eliminate(rhs, transpose)
+
+    def _eliminate(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Thomas substitution with the stored factors.
+
+        Works space-major with the node axis last, x[i] of shape (C, P), so
+        every update is one contiguous vector operation over all rows.
+        """
+        lower, upper = (self._upper, self._lower) if transpose else (self._lower, self._upper)
+        x = rhs.reshape(self.nodes, -1, self.n).transpose(2, 1, 0).copy()
+        rows = list(x)
+        prev = rows[0]
+        for row, mult in zip(rows[1:], lower):
+            row -= mult * prev
+            prev = row
+        prev *= self._inv_piv[-1]
+        for row, mult, inv_piv in zip(rows[-2::-1], upper[::-1], self._inv_piv[-2::-1]):
+            row *= inv_piv
+            row -= mult * prev
+            prev = row
+        return x.transpose(2, 1, 0).reshape(rhs.shape)
+
+
 def solve_tridiagonal(sub, diag, sup, rhs, transpose: bool = False) -> np.ndarray:
-    """Thomas elimination without pivoting, vectorized over batch rows.
+    """One-off Thomas solve, vectorized over batch rows.
 
     ``sub``/``diag``/``sup`` may be 1-D (shared matrix) or carry leading
     batch axes matching ``rhs``.  ``transpose=True`` solves with the
-    transposed matrix by swapping the off-diagonals.  Raises
-    SingularSystemError when a pivot falls below the dominance threshold,
-    which the drift-implicit steppers rule out up front but the
-    anti-diffusive source stepper can hit.
+    transposed matrix.  Factors a fresh StepOperator per call; code that
+    solves with the same matrix repeatedly should keep the operator.
     """
-    if transpose:
-        sub, sup = sup, sub
     rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[-1]
-    sub = np.broadcast_to(np.asarray(sub, dtype=float), rhs.shape[:-1] + (n - 1,))
-    sup = np.broadcast_to(np.asarray(sup, dtype=float), rhs.shape[:-1] + (n - 1,))
-    diag = np.broadcast_to(np.asarray(diag, dtype=float), rhs.shape)
-
-    scale = np.abs(diag).max()
-    piv = np.empty_like(diag)
-    x = np.array(rhs, dtype=float)
-    piv[..., 0] = diag[..., 0]
-    for i in range(1, n):
-        if np.any(np.abs(piv[..., i - 1]) <= _PIVOT_RTOL * scale):
-            raise SingularSystemError(
-                f"vanishing pivot at row {i - 1} (|pivot| <= {_PIVOT_RTOL:g} * {scale:g})"
-            )
-        m = sub[..., i - 1] / piv[..., i - 1]
-        piv[..., i] = diag[..., i] - m * sup[..., i - 1]
-        x[..., i] = x[..., i] - m * x[..., i - 1]
-    if np.any(np.abs(piv[..., n - 1]) <= _PIVOT_RTOL * scale):
-        raise SingularSystemError(f"vanishing pivot at row {n - 1}")
-    x[..., n - 1] = x[..., n - 1] / piv[..., n - 1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = (x[..., i] - sup[..., i] * x[..., i + 1]) / piv[..., i]
-    return x
+    bands = [np.asarray(b, dtype=float) for b in (sub, diag, sup)]
+    if any(b.ndim > 1 for b in bands):
+        rows = rhs.shape[:-1]
+        bands = [np.broadcast_to(b, rows + b.shape[-1:]).reshape(-1, b.shape[-1]) for b in bands]
+    return StepOperator(*bands).solve(rhs, transpose)
 
 
 def drift_implicit_bands(mesh: Mesh, dt: float, a1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,7 +314,7 @@ def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs, transpose: bool = False
 
     ``a1`` is the interior reaction coefficient (length N, or batched like
     ``rhs``); ``transpose=True`` solves with the transposed matrix.  dt = 0
-    degenerates to the identity.
+    degenerates to the identity.  Factors a fresh StepOperator per call.
     """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
@@ -255,13 +324,6 @@ def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs, transpose: bool = False
     if dt == 0.0:
         return rhs.copy()
     a1 = np.asarray(a1, dtype=float)
-    if a1.ndim > 1:
-        a1 = np.broadcast_to(a1, rhs.shape)
-    sub, diag, sup = drift_implicit_bands(mesh, dt, a1)
-    try:
-        return solve_tridiagonal(sub, diag, sup, rhs, transpose=transpose)
-    except SingularSystemError as exc:
-        bound = float(np.abs(a1).max()) if a1.size else 0.0
-        raise SingularSystemError(
-            f"{exc} (dt={dt:g}, h={mesh.h:g}, max|a1|={bound:g})"
-        ) from exc
+    if a1.size != mesh.N:
+        a1 = np.broadcast_to(a1, rhs.shape).reshape(-1, mesh.N)
+    return StepOperator.drift_implicit(mesh, dt, a1).solve(rhs, transpose)

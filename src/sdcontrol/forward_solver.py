@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import Mesh
-from .discrete_calc import solve_drift_implicit
+from .discrete_calc import StepOperator
 from .noise_tree import AdaptedField, ScenarioTree
 
 
@@ -67,6 +67,7 @@ class Coefficients:
         self.mesh = mesh
         self.a1_levels = a1_levels
         self.a2_levels = a2_levels
+        self._steps: list[StepOperator] | None = None
 
     @classmethod
     def zero(cls, tree: ScenarioTree, mesh: Mesh) -> "Coefficients":
@@ -103,6 +104,19 @@ class Coefficients:
         m1 = max((np.abs(a).max() for a in self.a1_levels), default=0.0)
         m2 = max((np.abs(a).max() for a in self.a2_levels), default=0.0)
         return float(m1 + m2)
+
+    def step_operators(self) -> list[StepOperator]:
+        """Factored implicit step matrix of every level, built on first use.
+
+        Checks diagonal dominance before factoring; every later sweep with
+        these coefficients reuses the operators, which live as long as this
+        object.  The level arrays must not be modified afterwards.
+        """
+        if self._steps is None:
+            self.validate_dominance()
+            self._steps = [StepOperator.drift_implicit(self.mesh, self.tree.dt, a1)
+                           for a1 in self.a1_levels]
+        return self._steps
 
     def validate_dominance(self):
         """Diagonal dominance of the implicit step: dt * max|a1| < 1."""
@@ -143,41 +157,42 @@ class ForwardSolution:
         return self.states.levels[-1]
 
 
+_EDGE_SIGNS = np.array([[-1.0], [1.0]])
+
+
 def forward_step(mesh: Mesh, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndarray,
                  a1: np.ndarray, a2: np.ndarray, indicator: np.ndarray,
-                 sign: float) -> np.ndarray:
-    """One drift-implicit step along the edge with increment sign*sqrt(dt)."""
+                 sign: float | np.ndarray, step: StepOperator | None = None) -> np.ndarray:
+    """One drift-implicit step along the edge with increment sign*sqrt(dt).
+
+    ``sign`` may be an array of edge signs broadcasting against the state,
+    which steps several edges at once.  ``step`` is the factored matrix for
+    ``a1``; without it one is built for this call.
+    """
     rhs = y + dt * indicator * u + (a2 * y + v) * (sign * np.sqrt(dt))
-    return solve_drift_implicit(mesh, dt, a1, rhs)
+    if step is None:
+        step = StepOperator.drift_implicit(mesh, dt, a1)
+    return step.solve(rhs)
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,
                   tree: ScenarioTree, mesh: Mesh) -> ForwardSolution:
     """Propagate the state through every tree node; affine in (y0, u, v)."""
-    coeffs.validate_dominance()
+    steps = coeffs.step_operators()
     y0 = np.asarray(y0, dtype=float).reshape(mesh.N)
-    dt, root_dt = tree.dt, np.sqrt(tree.dt)
-    indicator = controls.region.indicator if controls is not None else None
+    indicator = controls.region.indicator if controls is not None else 0.0
 
     levels = [y0[np.newaxis, :].copy()]
     for k in range(tree.depth):
-        y = levels[k]
         a1, a2 = coeffs.at(k)
-        drive = a2 * y
+        u = v = 0.0
         if controls is not None:
-            drive = drive + controls.v.levels[k]
-        base = y.copy()
-        if controls is not None:
-            base += dt * indicator * controls.u.levels[k]
-        rhs_minus = base - root_dt * drive
-        rhs_plus = base + root_dt * drive
-
-        children = np.empty((2 << k, mesh.N))
-        children[0::2] = rhs_minus
-        children[1::2] = rhs_plus
-        a1_child = np.repeat(a1, 2, axis=0) if a1.shape[0] > 1 else a1
-        children = solve_drift_implicit(mesh, dt, a1_child, children)
-        levels.append(children)
+            u = controls.u.levels[k][:, np.newaxis]
+            v = controls.v.levels[k][:, np.newaxis]
+        # Children of node n are 2n (minus edge) and 2n+1 (plus edge).
+        children = forward_step(mesh, tree.dt, levels[k][:, np.newaxis], u, v, a1,
+                                a2[:, np.newaxis], indicator, _EDGE_SIGNS, steps[k])
+        levels.append(children.reshape(2 << k, mesh.N))
 
     return ForwardSolution(states=AdaptedField(tree, mesh, levels))
 

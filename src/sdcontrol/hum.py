@@ -92,7 +92,10 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int):
 
     Works in the Euclidean inner product, which equals the weighted one up
     to a constant factor and therefore produces identical iterates.
-    Returns (solution, relative-residual history).
+    Returns (solution, relative-residual history).  Raises ConvergenceError
+    with the history when the operator shows a nonpositive curvature
+    p.Ap <= 0, or a step or residual is not finite, instead of continuing
+    with a meaningless step.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
@@ -105,12 +108,23 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int):
     residuals = []
     for _ in range(maxiter):
         ap = apply_op(p)
-        alpha = rs / float(p.ravel() @ ap.ravel())
+        curvature = float(p.ravel() @ ap.ravel())
+        alpha = rs / curvature if curvature > 0 else np.nan
+        if not np.isfinite(alpha):
+            raise ConvergenceError(
+                f"conjugate gradient broke down at iteration {len(residuals) + 1}: "
+                f"p.Ap = {curvature:.3e} (operator not positive definite or not finite)",
+                residuals,
+            )
         x += alpha * p
         r -= alpha * ap
         rs_new = float(r.ravel() @ r.ravel())
         rel = float(np.sqrt(rs_new) / b_norm)
         residuals.append(rel)
+        if not np.isfinite(rel):
+            raise ConvergenceError(
+                f"conjugate gradient produced a non-finite residual at iteration "
+                f"{len(residuals)}", residuals)
         if rel <= tol:
             return x, residuals
         p = r + (rs_new / rs) * p

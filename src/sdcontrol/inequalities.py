@@ -20,7 +20,7 @@ from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion
 from .mesh import Mesh, build_mesh
 from .noise_tree import AdaptedField, ScenarioTree, build_tree
-from .discrete_calc import solve_tridiagonal
+from .discrete_calc import StepOperator
 from .weights import (CarlemanWeights, WeightParams, build_weights, delta_schedule,
                       schedule_h1, validate_regime)
 
@@ -46,26 +46,24 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
                      w0: np.ndarray | None = None) -> AdaptedField:
     """Integrate dw = -(second difference of w) dt + f dt + g dB on the tree.
 
-    The drift is handled implicitly; the matrix I + dt*D2 is indefinite
-    (this is the anti-diffusive direction), so the elimination can raise
-    SingularSystemError for unlucky dt/h combinations.
+    The drift is handled implicitly with one StepOperator for every level;
+    the matrix I + dt*D2 is indefinite (this is the anti-diffusive
+    direction), so factoring it can raise SingularSystemError for unlucky
+    dt/h combinations.
     """
     N, h, dt = mesh.N, mesh.h, tree.dt
-    root_dt = np.sqrt(dt)
-    sup = np.full(N - 1, dt / h**2)
-    diag = np.full(N, 1.0 - 2.0 * dt / h**2)
+    off = np.full(N - 1, dt / h**2)
+    step = StepOperator(off, np.full(N, 1.0 - 2.0 * dt / h**2), off)
+    edges = np.array([[-1.0], [1.0]]) * np.sqrt(dt)
 
     if w0 is None:
         w0 = np.zeros(N)
     levels = [np.asarray(w0, dtype=float).reshape(1, N).copy()]
     for k in range(tree.depth):
-        w = levels[k]
-        rhs_minus = w + dt * sources.f.levels[k] - root_dt * sources.g.levels[k]
-        rhs_plus = w + dt * sources.f.levels[k] + root_dt * sources.g.levels[k]
-        children = np.empty((2 << k, N))
-        children[0::2] = rhs_minus
-        children[1::2] = rhs_plus
-        levels.append(solve_tridiagonal(sup, diag, sup, children))
+        drift = levels[k] + dt * sources.f.levels[k]
+        # Children of node n are 2n (minus edge) and 2n+1 (plus edge).
+        children = drift[:, np.newaxis] + sources.g.levels[k][:, np.newaxis] * edges
+        levels.append(step.solve(children).reshape(2 << k, N))
     return AdaptedField(tree, mesh, levels)
 
 
@@ -344,11 +342,27 @@ def mesh_size_from_h(h: float) -> int:
     return N
 
 
+_COMPUTED_FIELDS = ("delta", "eps", "obs_C", "term_ratio", "cost_ratio", "closure_err")
+
+
+def _blank_non_finite(row: SweepRow) -> None:
+    """Blank NaN/Inf values (written as empty CSV fields); a row that was not
+    already skipped becomes skipped, naming the fields."""
+    bad = [name for name in _COMPUTED_FIELDS if not np.isfinite(getattr(row, name))]
+    for name in bad:
+        setattr(row, name, np.nan)
+    if bad and not row.skipped:
+        row.skipped = True
+        row.reason = f"non-finite values in {', '.join(bad)}"
+
+
 def h_sweep(settings: SweepSettings) -> list[SweepRow]:
     """One row per mesh size: scheduled margin, observability fit, control run.
 
-    Rows that fail validation are emitted as skipped with the reason rather
-    than aborting the sweep.
+    Rows that fail validation, whose linear solve fails, or whose computed
+    values are not finite are emitted as skipped with the reason rather
+    than aborting the sweep; a non-finite value is never written as a
+    number.
     """
     from . import hum as hum_mod
 
@@ -405,5 +419,6 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
         except ConvergenceError as exc:
             row.skipped = True
             row.reason = f"linear solve did not converge: {exc}"
+        _blank_non_finite(row)
         rows.append(row)
     return rows

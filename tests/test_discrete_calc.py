@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sdcontrol.discrete_calc import (DualGridFunction, GridFunction, apply_Ah,
-                                     apply_Dh, apply_Dh_dual,
+from sdcontrol.discrete_calc import (DualGridFunction, GridFunction, StepOperator,
+                                     apply_Ah, apply_Dh, apply_Dh_dual,
                                      apply_Dh2, consistency_orders,
                                      ibp_residuals, leibniz_residuals,
                                      solve_drift_implicit, solve_tridiagonal)
@@ -214,3 +215,85 @@ class TestTridiagonal:
         np.testing.assert_allclose(solve_tridiagonal(sub, diag, sup, rhs), np.linalg.solve(mat, rhs), rtol=1e-12)
         np.testing.assert_allclose(solve_tridiagonal(sub, diag, sup, rhs, transpose=True),
                                    np.linalg.solve(mat.T, rhs), rtol=1e-12)
+
+
+def _dominant_bands(rng, nodes, n):
+    """Strictly diagonally dominant bands (rows and columns), one matrix per node."""
+    sub = rng.uniform(-1, 1, (nodes, n - 1))
+    sup = rng.uniform(-1, 1, (nodes, n - 1))
+    diag = rng.uniform(2.5, 4.0, (nodes, n)) * rng.choice([-1.0, 1.0], (nodes, 1))
+    return sub, diag, sup
+
+
+def _dense(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+class TestStepOperator:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), nodes=st.integers(1, 5), per_node=st.integers(1, 3),
+           transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_solve(self, n, nodes, per_node, transpose, seed):
+        # nodes == 1 is the shared matrix (inverse + matmul); nodes > 1 the
+        # per-node factors applied to rows grouped by node.
+        rng = np.random.default_rng(seed)
+        sub, diag, sup = _dominant_bands(rng, nodes, n)
+        rhs = rng.standard_normal((nodes * per_node, n))
+        got = StepOperator(sub, diag, sup).solve(rhs, transpose=transpose)
+
+        def rows(band):
+            return np.repeat(band, per_node, axis=0)
+        ref = solve_tridiagonal(rows(sub), rows(diag), rows(sup), rhs, transpose=transpose)
+        tol = dict(rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(got, ref, **tol)
+        for r in range(rhs.shape[0]):
+            mat = _dense(sub[r // per_node], diag[r // per_node], sup[r // per_node])
+            np.testing.assert_allclose(got[r], np.linalg.solve(mat.T if transpose else mat, rhs[r]),
+                                       **tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 10), transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_shared_bands_keep_batch_shape(self, n, transpose, seed):
+        rng = np.random.default_rng(seed)
+        sub, diag, sup = (band[0] for band in _dominant_bands(rng, 1, n))
+        rhs = rng.standard_normal((2, 3, n))
+        got = StepOperator(sub, diag, sup).solve(rhs, transpose=transpose)
+        assert got.shape == rhs.shape
+        ref = solve_tridiagonal(np.broadcast_to(sub, (2, 3, n - 1)), np.broadcast_to(diag, rhs.shape),
+                                np.broadcast_to(sup, (2, 3, n - 1)), rhs, transpose=transpose)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_drift_implicit_matches_one_off_solve(self):
+        mesh = build_mesh(11)
+        rng = np.random.default_rng(10)
+        dt = 0.05
+        for a1 in (rng.uniform(-1, 1, (1, mesh.N)), rng.uniform(-1, 1, (4, mesh.N))):
+            op = StepOperator.drift_implicit(mesh, dt, a1)
+            rhs = rng.standard_normal((8, mesh.N))
+            for transpose in (False, True):
+                ref = solve_drift_implicit(mesh, dt, np.repeat(a1, 8 // a1.shape[0], axis=0), rhs,
+                                           transpose=transpose)
+                np.testing.assert_allclose(op.solve(rhs, transpose=transpose), ref, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_singular_shared_matrix_raises_at_build(self, n, data, seed):
+        # Prescribe the pivots with pivot k exactly zero and derive the diagonal.
+        k = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        piv = rng.uniform(1, 2, n) * rng.choice([-1.0, 1.0], n)
+        piv[k] = 0.0
+        sub = rng.uniform(0.5, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        sup = rng.uniform(0.5, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        diag = piv.copy()
+        diag[1:k + 1] += sub[:k] * sup[:k] / piv[:k]
+        with pytest.raises(SingularSystemError, match=f"vanishing pivot at row {k}"):
+            StepOperator(sub, diag, sup)
+
+    def test_singular_drift_matrix_names_the_step(self):
+        # N=2: the matrix is [[d, -c], [-c, d]] with c = dt/h^2, singular when d = c.
+        mesh = build_mesh(2)
+        dt = 0.1
+        c = dt / mesh.h**2
+        with pytest.raises(SingularSystemError, match=r"dt=0\.1, h=0\.333333, max\|a1\|=19"):
+            StepOperator.drift_implicit(mesh, dt, np.full((1, 2), (1 + c) / dt))

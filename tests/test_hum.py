@@ -101,6 +101,17 @@ class TestConjugateGradient:
             conjugate_gradient(lambda z: diag * z, b, 1e-14, 3)
         assert len(err.value.residuals) == 3
 
+    def test_indefinite_operator_raises_with_history(self):
+        diag = np.array([1.0, 2.0, 3.0, 4.0, -1.0])
+        with pytest.raises(ConvergenceError, match=r"iteration 2: p\.Ap = -") as err:
+            conjugate_gradient(lambda z: diag * z, np.ones(5), 1e-12, 50)
+        assert len(err.value.residuals) == 1
+
+    def test_non_finite_operator_raises(self):
+        with pytest.raises(ConvergenceError, match="p.Ap = nan") as err:
+            conjugate_gradient(lambda z: np.full_like(z, np.nan), np.ones(5), 1e-12, 50)
+        assert err.value.residuals == []
+
 
 class TestSolveHum:
     def test_zero_initial_state(self):

@@ -3,6 +3,7 @@ import pytest
 
 from sdcontrol.errors import RegimeError, SingularSystemError
 from sdcontrol.forward_solver import Coefficients, OmegaRegion
+from sdcontrol.harness import emit_csv
 from sdcontrol.inequalities import (SourcePair, SweepSettings, carleman_ratio_study,
                                     carleman_terms, h_sweep, mesh_size_from_h,
                                     observability_sample, solve_w_equation)
@@ -33,6 +34,17 @@ class TestSourceSolve:
         w = solve_w_equation(sources, tree, mesh)
         for arr in w.levels:
             np.testing.assert_array_equal(arr, 0.0)
+
+    @pytest.mark.parametrize("N, depth", [(2, 9), (3, 16)])
+    def test_vanishing_pivot_raises_before_stepping(self, N, depth):
+        # At T=1 the factorization of I + dt*D2 meets an exactly vanishing
+        # pivot for these (N, depth); it fails when the operator is built,
+        # before any source is read.
+        mesh = build_mesh(N)
+        tree = build_tree(depth, 1.0)
+        sources = SourcePair(f=None, g=None)
+        with pytest.raises(SingularSystemError):
+            solve_w_equation(sources, tree, mesh)
 
     def test_exactly_singular_step_raises(self):
         # N=2, T=1, depth 9: dt equals the reciprocal of the lowest
@@ -287,6 +299,27 @@ class TestSweep:
     def test_non_mesh_h_skipped(self):
         rows = h_sweep(self._settings([0.11]))
         assert rows[0].skipped
+
+    def test_non_finite_row_is_skipped_and_blank(self, tmp_path):
+        # A huge noise coefficient at the first level makes the control cost
+        # overflow while every solve stays finite.
+        def coeff_factory(tree, mesh, rng):
+            coeffs = Coefficients.constant(tree, mesh, 0.5, 0.5)
+            coeffs.a2_levels[0] = np.full((1, mesh.N), 1e155)
+            return coeffs
+        settings = self._settings([1 / 8])
+        settings.coeff_factory = coeff_factory
+        settings.cg_maxiter = 500
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = h_sweep(settings)[0]
+        assert row.skipped
+        assert row.reason == "non-finite values in cost_ratio"
+        assert np.isnan(row.cost_ratio)
+        path = tmp_path / "rows.csv"
+        emit_csv([row], str(path))
+        line = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert "inf" not in line and "nan" not in line
+        assert line[9] == "" and line[12] == "true"
 
     def test_mesh_size_from_h(self):
         assert mesh_size_from_h(1 / 8) == 7
