@@ -3,13 +3,13 @@ semi-discrete parabolic equations: staggered mesh calculus, Carleman-type
 weights, exact binary-tree noise, forward/adjoint sweeps, penalized control
 synthesis, and empirical inequality estimators."""
 
-from .mesh import Mesh, DualMesh, BoundarySample, build_mesh, dual_of, integrate
+from .mesh import Mesh, build_mesh, integrate
 from .discrete_calc import (GridFunction, DualGridFunction, apply_Dh, apply_Ah,
                             apply_Dh2, apply_Dh_dual, apply_Ah_dual,
                             leibniz_residuals, ibp_residuals, consistency_orders,
                             solve_drift_implicit, solve_tridiagonal)
 from .weights import (WeightParams, CarlemanWeights, build_weights, theta,
-                      validate_regime, delta_schedule, schedule_h1)
+                      validate_regime, delta_schedule, schedule_h1, weight_problems)
 from .noise_tree import (ScenarioTree, AdaptedField, build_tree, expectation,
                          martingale_coeff, tree_inner, time_pairing)
 from .forward_solver import (Coefficients, ControlPair, OmegaRegion,

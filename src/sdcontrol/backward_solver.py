@@ -101,7 +101,7 @@ def duality_residual(forward: ForwardSolution, backward: BackwardSolution,
     rhs_u = rhs_v = 0.0
     if controls is not None:
         rhs_u = time_pairing(tree, mesh, controls.u, backward.zeta,
-                             mask=controls.region.indicator)
+                             weight=controls.region.indicator)
         rhs_v = time_pairing(tree, mesh, controls.v, backward.Z)
     residual = (lhs_T - lhs_0) - (rhs_u + rhs_v)
     scale = max(abs(lhs_T), abs(lhs_0), abs(rhs_u), abs(rhs_v), 1e-300)

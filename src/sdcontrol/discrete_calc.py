@@ -133,25 +133,16 @@ def ibp_residuals(u: GridFunction, v: DualGridFunction) -> tuple[float, float]:
     normal; the average identity picks up -h/2 times the plain boundary sum.
     """
     mesh = u.mesh
-    left, right = mesh.boundary_samples()
-    u_bnd = np.array([u.values[0], u.values[-1]])
+    # traces of u and v at x=0 and x=1, where the outward normals are -1 and +1
+    bnd = np.array([u.values[0] * v.values[0], u.values[-1] * v.values[-1]])
 
     lhs1 = integrate(mesh, u.interior * apply_Dh_dual(v), "interior")
-    bnd1 = integrate(
-        mesh,
-        u_bnd * np.array([left.trace_of(v.values) * left.normal,
-                          right.trace_of(v.values) * right.normal]),
-        "boundary",
-    )
+    bnd1 = integrate(mesh, bnd * np.array([-1.0, 1.0]), "boundary")
     rhs1 = -integrate(mesh, apply_Dh(u).values * v.values, "star") + bnd1
 
     lhs2 = integrate(mesh, u.interior * apply_Ah_dual(v), "interior")
-    bnd2 = integrate(
-        mesh,
-        u_bnd * np.array([left.trace_of(v.values), right.trace_of(v.values)]),
-        "boundary",
-    )
-    rhs2 = integrate(mesh, apply_Ah(u).values * v.values, "star") - 0.5 * mesh.h * bnd2
+    rhs2 = (integrate(mesh, apply_Ah(u).values * v.values, "star")
+            - 0.5 * mesh.h * integrate(mesh, bnd, "boundary"))
 
     return float(abs(lhs1 - rhs1)), float(abs(lhs2 - rhs2))
 
@@ -174,7 +165,7 @@ def consistency_orders(h0: float = 1 / 16, halvings: int = 4,
         mesh = Mesh(N)
         u = GridFunction(mesh, np.sin(np.pi * mesh.closure))
         x_int = mesh.interior
-        x_star = 0.5 * (mesh.closure[1:] + mesh.closure[:-1])
+        x_star = mesh.star
         in_int = (x_int >= lo) & (x_int <= hi)
         in_star = (x_star >= lo) & (x_star <= hi)
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .mesh import Mesh
 from .discrete_calc import StepOperator
-from .noise_tree import AdaptedField, ScenarioTree
+from .noise_tree import AdaptedField, ScenarioTree, tree_inner
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,19 @@ class OmegaRegion:
         return self.mask.astype(float)
 
 
+def sampled_levels(tree: ScenarioTree, mesh: Mesh, f) -> list[np.ndarray]:
+    """Deterministic coefficient f(x, t) at each step's left endpoint, shape (1, N)."""
+    x = mesh.interior
+    return [np.asarray(f(x, k * tree.dt), dtype=float).reshape(1, mesh.N)
+            for k in range(tree.depth)]
+
+
+def uniform_levels(tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
+                   magnitude: float) -> list[np.ndarray]:
+    """Nodewise uniform coefficient in [-magnitude, magnitude], shape (2^k, N)."""
+    return [magnitude * rng.uniform(-1, 1, size=(1 << k, mesh.N)) for k in range(tree.depth)]
+
+
 class Coefficients:
     """Reaction coefficients per time level, optionally per node.
 
@@ -57,12 +70,14 @@ class Coefficients:
         if len(a1_levels) != tree.depth or len(a2_levels) != tree.depth:
             raise ConfigurationError("coefficients must provide one array per time step")
         for k, (a1, a2) in enumerate(zip(a1_levels, a2_levels)):
-            for arr in (a1, a2):
+            for name, arr in (("a1", a1), ("a2", a2)):
                 if arr.ndim != 2 or arr.shape[1] != mesh.N or arr.shape[0] not in (1, 1 << k):
                     raise ConfigurationError(
                         f"coefficient at level {k} must have shape (1, {mesh.N}) or "
                         f"({1 << k}, {mesh.N}), got {arr.shape}"
                     )
+                if not np.isfinite(arr).all():
+                    raise ConfigurationError(f"coefficient {name} at level {k} is not finite")
         self.tree = tree
         self.mesh = mesh
         self.a1_levels = a1_levels
@@ -77,10 +92,7 @@ class Coefficients:
     @classmethod
     def from_functions(cls, tree: ScenarioTree, mesh: Mesh, f1, f2) -> "Coefficients":
         """Deterministic coefficients a(x, t) sampled at left endpoints."""
-        x = mesh.interior
-        a1 = [np.asarray(f1(x, k * tree.dt), dtype=float).reshape(1, mesh.N) for k in range(tree.depth)]
-        a2 = [np.asarray(f2(x, k * tree.dt), dtype=float).reshape(1, mesh.N) for k in range(tree.depth)]
-        return cls(tree, mesh, a1, a2)
+        return cls(tree, mesh, sampled_levels(tree, mesh, f1), sampled_levels(tree, mesh, f2))
 
     @classmethod
     def constant(cls, tree: ScenarioTree, mesh: Mesh, c1: float, c2: float) -> "Coefficients":
@@ -91,9 +103,8 @@ class Coefficients:
     def adapted_random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
                        mag1: float, mag2: float) -> "Coefficients":
         """Nodewise uniform coefficients in [-mag, mag], adapted by construction."""
-        a1 = [mag1 * rng.uniform(-1, 1, size=(1 << k, mesh.N)) for k in range(tree.depth)]
-        a2 = [mag2 * rng.uniform(-1, 1, size=(1 << k, mesh.N)) for k in range(tree.depth)]
-        return cls(tree, mesh, a1, a2)
+        a1 = uniform_levels(tree, mesh, rng, mag1)
+        return cls(tree, mesh, a1, uniform_levels(tree, mesh, rng, mag2))
 
     def at(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         return self.a1_levels[level], self.a2_levels[level]
@@ -197,25 +208,19 @@ def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coeffici
     return ForwardSolution(states=AdaptedField(tree, mesh, levels))
 
 
-def expected_energy(tree: ScenarioTree, mesh: Mesh, level_values: np.ndarray) -> float:
-    """E of the squared mesh norm of a level's node values."""
-    vals = np.asarray(level_values, dtype=float)
-    return float(mesh.h * (vals * vals).sum() / vals.shape[0])
-
-
 def energy_growth_rate(sol: ForwardSolution, coeffs: Coefficients) -> float:
     """Measured constant c with E||y(t)||^2 <= e^(c*(1+A)*t) * E||y0||^2.
 
     Returns 0 when the initial energy is zero or no growth occurs.
     """
     tree, mesh = sol.states.tree, sol.states.mesh
-    e0 = expected_energy(tree, mesh, sol.states.levels[0])
+    e0 = tree_inner(tree, mesh, 0, sol.states.levels[0], sol.states.levels[0])
     if e0 == 0.0:
         return 0.0
     a_norm = coeffs.sup_norm
     worst = 0.0
     for k in range(1, tree.depth + 1):
-        ek = expected_energy(tree, mesh, sol.states.levels[k])
+        ek = tree_inner(tree, mesh, k, sol.states.levels[k], sol.states.levels[k])
         t = k * tree.dt
         if ek > e0:
             worst = max(worst, np.log(ek / e0) / ((1.0 + a_norm) * t))

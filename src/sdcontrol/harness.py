@@ -18,10 +18,11 @@ from . import inequalities as ineq
 from . import noise_tree as nt
 from .backward_solver import duality_residual, solve_backward
 from .errors import (ConfigurationError, ConvergenceError, SingularSystemError)
-from .forward_solver import Coefficients, ControlPair, OmegaRegion, solve_forward
-from .mesh import build_mesh, dual_of, integrate, is_regular
+from .forward_solver import (Coefficients, ControlPair, OmegaRegion, sampled_levels,
+                             solve_forward, uniform_levels)
+from .mesh import build_mesh, integrate
 from .weights import (WeightParams, build_weights, delta_schedule, schedule_h1,
-                      theta_bound_margins)
+                      theta_bound_margins, weight_problems)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,26 +111,16 @@ class ExperimentConfig:
             problems.append(f"N must be >= 2, got {self.N}")
         if not 1 <= self.depth <= nt.DEFAULT_DEPTH_CAP:
             problems.append(f"depth must be in 1..{nt.DEFAULT_DEPTH_CAP}, got {self.depth}")
-        if self.T <= 0:
-            problems.append(f"T must be positive, got {self.T}")
+        w = self.weights
         if len(self.omega) != 2 or len(self.omega0) != 2:
             problems.append(f"omega and omega0 must be two-element intervals, "
                             f"got {self.omega}, {self.omega0}")
         else:
-            a, b = self.omega
-            a0, b0 = self.omega0
-            if not (0 <= a < a0 < b0 < b <= 1):
-                problems.append(f"need 0 <= omega[0] < omega0 < omega[1] <= 1, "
-                                f"got {self.omega}, {self.omega0}")
-        w = self.weights
-        if w["lam"] <= 1:
-            problems.append(f"weights.lam must exceed 1, got {w['lam']}")
-        if w["mu"] <= 1:
-            problems.append(f"weights.mu must exceed 1, got {w['mu']}")
-        if not 0 < w["delta0"] < 0.5:
-            problems.append(f"weights.delta0 must lie in (0, 1/2), got {w['delta0']}")
-        if not 0 < w["eps0"] <= 1:
-            problems.append(f"weights.eps0 must lie in (0, 1], got {w['eps0']}")
+            if not (0 <= self.omega[0] and self.omega[1] <= 1):
+                problems.append(f"omega must lie in [0, 1], got {self.omega}")
+            # the weights' own rules, with the margin at the coarsest mesh
+            problems.extend(weight_problems(self.T, w["lam"], w["mu"], w["delta0"], w["x0"],
+                                            w["eps0"], self.omega0, self.omega))
         if w["c_eps"] <= 0:
             problems.append(f"weights.c_eps must be positive, got {w['c_eps']}")
         if self.hum["cg_tol"] <= 0 or self.hum["cg_maxiter"] < 1:
@@ -182,24 +173,18 @@ def _coeff_function(spec: dict):
     raise ConfigurationError(f"no deterministic builder for coefficient kind {kind!r}")
 
 
+def _coeff_levels(spec: dict, tree, mesh, rng) -> list[np.ndarray]:
+    if spec["kind"] == "adapted_random":
+        return uniform_levels(tree, mesh, rng, float(spec.get("magnitude", 0.0)))
+    return sampled_levels(tree, mesh, _coeff_function(spec))
+
+
 def build_coefficients(cfg: ExperimentConfig, tree, mesh, rng) -> Coefficients:
-    spec1, spec2 = cfg.coefficients["a1"], cfg.coefficients["a2"]
-    if spec1["kind"] == "adapted_random" or spec2["kind"] == "adapted_random":
-        mag1 = float(spec1.get("magnitude", 0.0))
-        mag2 = float(spec2.get("magnitude", 0.0))
-        if spec1["kind"] == "adapted_random" and spec2["kind"] == "adapted_random":
-            return Coefficients.adapted_random(tree, mesh, rng, mag1, mag2)
-        random_coeffs = Coefficients.adapted_random(tree, mesh, rng, mag1, mag2)
-        det = Coefficients.from_functions(tree, mesh, _coeff_function(spec1)
-                                          if spec1["kind"] != "adapted_random"
-                                          else (lambda x, t: np.zeros_like(x)),
-                                          _coeff_function(spec2)
-                                          if spec2["kind"] != "adapted_random"
-                                          else (lambda x, t: np.zeros_like(x)))
-        a1 = random_coeffs.a1_levels if spec1["kind"] == "adapted_random" else det.a1_levels
-        a2 = random_coeffs.a2_levels if spec2["kind"] == "adapted_random" else det.a2_levels
-        return Coefficients(tree, mesh, a1, a2)
-    return Coefficients.from_functions(tree, mesh, _coeff_function(spec1), _coeff_function(spec2))
+    """a1 then a2, each random or deterministic on its own; random levels
+    draw from ``rng`` in that order."""
+    a1 = _coeff_levels(cfg.coefficients["a1"], tree, mesh, rng)
+    a2 = _coeff_levels(cfg.coefficients["a2"], tree, mesh, rng)
+    return Coefficients(tree, mesh, a1, a2)
 
 
 def build_y0(cfg: ExperimentConfig, mesh, rng=None) -> np.ndarray:
@@ -256,17 +241,16 @@ def run_identity_checks(seed: int = 1234) -> list[tuple[str, bool, str]]:
     root = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in root.spawn(4)]
 
-    # mesh regularity and dual cardinalities
-    ok, detail = True, []
+    # dual meshes: star = closure midpoints, prime = interior midpoints
+    bad = []
     for N in (2, 3, 8, 16, 64):
         mesh = build_mesh(N)
-        dual = dual_of(mesh)
-        if not is_regular(mesh.interior_idx):
-            ok, detail = False, [f"N={N} not regular"]
-        if len(dual.star_idx) != N + 1 or len(dual.prime_idx) != N - 1:
-            ok = False
-            detail.append(f"N={N} dual sizes {len(dual.star_idx)}, {len(dual.prime_idx)}")
-    results.append(("mesh regularity + dual cardinalities", ok, "; ".join(detail) or "N in {2,3,8,16,64}"))
+        for name, got, points in (("star", mesh.star, mesh.closure),
+                                  ("prime", mesh.prime, mesh.interior)):
+            mids = 0.5 * (points[:-1] + points[1:])
+            if got.shape != mids.shape or np.abs(got - mids).max() > 1e-15:
+                bad.append(f"N={N} {name}")
+    results.append(("dual meshes", not bad, "; ".join(bad) or "N in {2,3,8,16,64}"))
 
     # integrate linearity
     worst = 0.0

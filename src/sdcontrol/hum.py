@@ -19,7 +19,7 @@ from .backward_solver import BackwardSolution, solve_backward
 from .errors import ConfigurationError, ConvergenceError
 from .forward_solver import Coefficients, ControlPair, OmegaRegion, solve_forward
 from .mesh import Mesh
-from .noise_tree import AdaptedField, ScenarioTree, tree_inner
+from .noise_tree import AdaptedField, ScenarioTree, time_pairing, tree_inner
 
 
 def epsilon_from_mesh(c_eps: float, h: float) -> float:
@@ -145,15 +145,10 @@ def evaluate_functional(problem: HumProblem, zT: np.ndarray) -> float:
     """Quadratic cost of a candidate terminal datum."""
     tree, mesh = problem.tree, problem.mesh
     bwd = solve_backward(zT, problem.coeffs, tree, mesh)
-    indicator = problem.region.indicator
-    quad = 0.0
-    for k in range(tree.depth):
-        n = tree.num_nodes(k)
-        quad += tree.dt * mesh.h * (bwd.Z.levels[k] ** 2).sum() / n
-        quad += tree.dt * mesh.h * (indicator * bwd.zeta.levels[k] ** 2).sum() / n
+    quad = (time_pairing(tree, mesh, bwd.Z, bwd.Z)
+            + time_pairing(tree, mesh, bwd.zeta, bwd.zeta, problem.region.indicator))
     penalty = problem.epsilon * tree_inner(tree, mesh, tree.depth, zT, zT)
-    linear = tree_inner(tree, mesh, 0, problem.y0[np.newaxis, :],
-                        bwd.z0[np.newaxis, :])
+    linear = tree_inner(tree, mesh, 0, problem.y0, bwd.z0)
     return float(0.5 * quad + 0.5 * penalty - linear)
 
 
@@ -212,15 +207,11 @@ def report_bounds(sol: HumSolution, problem: HumProblem) -> CostReport:
     Ratios are reported as 0 when the initial state vanishes.
     """
     tree, mesh = problem.tree, problem.mesh
-    indicator = problem.region.indicator
-    cost = 0.0
-    for k in range(tree.depth):
-        n = tree.num_nodes(k)
-        cost += tree.dt * mesh.h * (sol.controls.v.levels[k] ** 2).sum() / n
-        cost += tree.dt * mesh.h * (indicator * sol.controls.u.levels[k] ** 2).sum() / n
-    e0 = float(mesh.h * (problem.y0**2).sum())
+    controls = sol.controls
+    cost = (time_pairing(tree, mesh, controls.v, controls.v)
+            + time_pairing(tree, mesh, controls.u, controls.u, problem.region.indicator))
+    e0 = tree_inner(tree, mesh, 0, problem.y0, problem.y0)
     eT = tree_inner(tree, mesh, tree.depth, sol.terminal, sol.terminal)
-    cost = float(cost)
     if e0 == 0.0:
         return CostReport(cost, 0.0, 0.0, eT, 0.0, 0.0)
     return CostReport(

@@ -19,7 +19,7 @@ from .backward_solver import solve_backward
 from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion
 from .mesh import Mesh, build_mesh
-from .noise_tree import AdaptedField, ScenarioTree, build_tree
+from .noise_tree import AdaptedField, ScenarioTree, build_tree, time_pairing, tree_inner
 from .discrete_calc import StepOperator
 from .weights import (CarlemanWeights, WeightParams, build_weights, delta_schedule,
                       schedule_h1, validate_regime)
@@ -112,10 +112,10 @@ class CarlemanTerms:
         }
 
 
-def _gradient_squared(level_values: np.ndarray, h: float) -> np.ndarray:
-    """Squared staggered differences with Dirichlet padding, per node."""
+def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
+    """Staggered differences with Dirichlet padding, per node (star points)."""
     padded = np.pad(level_values, ((0, 0), (1, 1)))
-    return (np.diff(padded, axis=1) / h) ** 2
+    return np.diff(padded, axis=1) / h
 
 
 def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeights,
@@ -125,40 +125,31 @@ def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeight
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
 
-    dt = tree.dt
-    times = np.arange(tree.depth) * dt
-    x_int = mesh.interior
-    x_star = np.arange(0, mesh.N + 1) * mesh.h + mesh.h / 2
-    phi_int = weights.phi(x_int)
-    phi_star = weights.phi(x_star)
+    times = np.arange(tree.depth) * tree.dt
+    phi_int = weights.phi(mesh.interior)
+    phi_star = weights.phi(mesh.star)
     s_quad = weights.s(times)
     s_ends = np.array([weights.s(0.0), weights.s(weights.params.T)])
+    exp_int = np.outer(s_quad, phi_int)
+    exp_star = np.outer(s_quad, phi_star)
+    exp_ends = np.outer(s_ends, phi_int)
+    log_shift = max(float(exp_int.max()), float(exp_star.max()), float(exp_ends.max()))
 
-    log_shift = max(
-        float((np.outer(s_quad, phi_int)).max()),
-        float((np.outer(s_quad, phi_star)).max()),
-        float((np.outer(s_ends, phi_int)).max()),
-    )
+    # one row per level: the squared weight, times each term's power of s below
+    w2_int = np.exp(2.0 * (exp_int - log_shift))
+    w2_star = np.exp(2.0 * (exp_star - log_shift))
+    s = s_quad[:, np.newaxis]
+    grads = [_gradient(wk, mesh.h) for wk in w.levels[:tree.depth]]
+    lhs_state = time_pairing(tree, mesh, w, w, s**3 * w2_int)
+    lhs_grad = time_pairing(tree, mesh, grads, grads, s * w2_star)
+    rhs_window = time_pairing(tree, mesh, w, w, s**3 * region.indicator * w2_int)
+    rhs_diff = time_pairing(tree, mesh, sources.g, sources.g, s**2 * w2_int)
+    rhs_drift = time_pairing(tree, mesh, sources.f, sources.f, w2_int)
 
-    mask = region.indicator
-    lhs_state = lhs_grad = rhs_window = rhs_diff = rhs_drift = 0.0
-    for k in range(tree.depth):
-        n = tree.num_nodes(k)
-        s = s_quad[k]
-        w2_int = np.exp(2.0 * (s * phi_int - log_shift))
-        w2_star = np.exp(2.0 * (s * phi_star - log_shift))
-        wk = w.levels[k]
-        lhs_state += dt * s**3 * mesh.h * (w2_int * wk**2).sum() / n
-        lhs_grad += dt * s * mesh.h * (w2_star * _gradient_squared(wk, mesh.h)).sum() / n
-        rhs_window += dt * s**3 * mesh.h * (mask * w2_int * wk**2).sum() / n
-        rhs_diff += dt * s**2 * mesh.h * (w2_int * sources.g.levels[k] ** 2).sum() / n
-        rhs_drift += dt * mesh.h * (w2_int * sources.f.levels[k] ** 2).sum() / n
-
-    w2_t0 = np.exp(2.0 * (s_ends[0] * phi_int - log_shift))
-    w2_tT = np.exp(2.0 * (s_ends[1] * phi_int - log_shift))
-    rhs_t0 = mesh.h * (w2_t0 * w.levels[0] ** 2).sum() / mesh.h**2
+    w2_t0, w2_tT = np.exp(2.0 * (exp_ends - log_shift))
     leaves = w.levels[tree.depth]
-    rhs_tT = mesh.h * (w2_tT * leaves**2).sum() / leaves.shape[0] / mesh.h**2
+    rhs_t0 = tree_inner(tree, mesh, 0, w.levels[0], w.levels[0], w2_t0) / mesh.h**2
+    rhs_tT = tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2
 
     return CarlemanTerms(
         lhs_state=float(lhs_state),
@@ -234,7 +225,6 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
 
-    dt = tree.dt
     eps_factor = np.exp(-c_eps / mesh.h)
     if terminal_h_scaling:
         eps_factor /= mesh.h**2
@@ -251,15 +241,10 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
         else:
             zT = np.asarray(terminal_data[i], dtype=float).reshape(leaves, mesh.N)
         sol = solve_backward(zT, coeffs, tree, mesh)
-        lhs[i] = mesh.h * (sol.z0**2).sum()
-        acc_diff = acc_win = 0.0
-        for k in range(tree.depth):
-            n = tree.num_nodes(k)
-            acc_diff += dt * mesh.h * (sol.Z.levels[k] ** 2).sum() / n
-            acc_win += dt * mesh.h * (mask * sol.z.levels[k] ** 2).sum() / n
-        rhs_diffusion[i] = acc_diff
-        rhs_window[i] = acc_win
-        rhs_terminal[i] = eps_factor * mesh.h * (zT**2).sum() / leaves
+        lhs[i] = tree_inner(tree, mesh, 0, sol.z0, sol.z0)
+        rhs_diffusion[i] = time_pairing(tree, mesh, sol.Z, sol.Z)
+        rhs_window[i] = time_pairing(tree, mesh, sol.z, sol.z, mask)
+        rhs_terminal[i] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
 
     rhs = rhs_diffusion + rhs_window + rhs_terminal
     keep = rhs > 0

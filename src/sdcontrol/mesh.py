@@ -1,9 +1,9 @@
 """Uniform 1-D mesh on (0, 1), its staggered dual meshes, and discrete integration.
 
-Points are tracked as integers on the half-step lattice (index j stands for
-the coordinate j*h/2), so the dual-mesh set algebra (shifts, unions,
-intersections) is exact.  Even indices are primal points, odd indices are
-half-points.  Coordinates are materialized on demand.
+The dual meshes of a uniform mesh have closed forms: the star mesh is the
+N+1 midpoints of neighbouring closure points, the prime mesh the N-1
+midpoints of neighbouring interior points.  Coordinates are materialized
+on demand.
 """
 
 from __future__ import annotations
@@ -11,39 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def shift_plus(points: frozenset[int]) -> frozenset[int]:
-    """Shift a half-step index set by +h/2."""
-    return frozenset(j + 1 for j in points)
-
-
-def shift_minus(points: frozenset[int]) -> frozenset[int]:
-    """Shift a half-step index set by -h/2."""
-    return frozenset(j - 1 for j in points)
-
-
-def star_set(points: frozenset[int]) -> frozenset[int]:
-    """Union of the two half-step shifts."""
-    return shift_plus(points) | shift_minus(points)
-
-
-def prime_set(points: frozenset[int]) -> frozenset[int]:
-    """Intersection of the two half-step shifts."""
-    return shift_plus(points) & shift_minus(points)
-
-
-def bar_set(points: frozenset[int]) -> frozenset[int]:
-    return star_set(star_set(points))
-
-
-def ring_set(points: frozenset[int]) -> frozenset[int]:
-    return prime_set(prime_set(points))
-
-
-def is_regular(points: frozenset[int]) -> bool:
-    """A point set is regular when ring-of-bar reproduces it exactly."""
-    return ring_set(bar_set(points)) == points
 
 
 @dataclass(frozen=True)
@@ -68,22 +35,6 @@ class Mesh:
     def h(self) -> float:
         return 1.0 / (self.N + 1)
 
-    # -- integer index sets (half-step lattice, j <-> j*h/2) --
-
-    @property
-    def interior_idx(self) -> frozenset[int]:
-        return frozenset(range(2, 2 * self.N + 1, 2))
-
-    @property
-    def closure_idx(self) -> frozenset[int]:
-        return frozenset(range(0, 2 * self.N + 3, 2))
-
-    @property
-    def boundary_idx(self) -> frozenset[int]:
-        return frozenset({0, 2 * self.N + 2})
-
-    # -- coordinates --
-
     @property
     def interior(self) -> np.ndarray:
         return np.arange(1, self.N + 1) * self.h
@@ -96,67 +47,15 @@ class Mesh:
     def boundary(self) -> np.ndarray:
         return np.array([0.0, 1.0])
 
-    def boundary_samples(self) -> tuple["BoundarySample", "BoundarySample"]:
-        star = star_set(self.interior_idx)
-        samples = []
-        for j in sorted(self.boundary_idx):
-            below, above = j - 1 in star, j + 1 in star
-            if below and not above:
-                normal = 1
-            elif above and not below:
-                normal = -1
-            else:
-                normal = 0
-            samples.append(BoundarySample(point=j * self.h / 2, normal=normal))
-        return samples[0], samples[1]
-
-
-@dataclass(frozen=True)
-class DualMesh:
-    """Half-point meshes derived from the interior mesh.
-
-    ``star`` is the union of the two half-shifts of the interior (N+1
-    points straddling every interior point), ``prime`` the intersection
-    (N-1 points strictly between interior points).
-    """
-
-    mesh: Mesh
-
-    @property
-    def star_idx(self) -> frozenset[int]:
-        return star_set(self.mesh.interior_idx)
-
-    @property
-    def prime_idx(self) -> frozenset[int]:
-        return prime_set(self.mesh.interior_idx)
-
     @property
     def star(self) -> np.ndarray:
-        return np.array(sorted(self.star_idx)) * (self.mesh.h / 2)
+        """Midpoints of neighbouring closure points (N+1 half-points)."""
+        return (np.arange(self.N + 1) + 0.5) * self.h
 
     @property
     def prime(self) -> np.ndarray:
-        return np.array(sorted(self.prime_idx)) * (self.mesh.h / 2)
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """One boundary point with its outward normal.
-
-    ``normal`` is +1 at x=1, -1 at x=0 (and would be 0 for a point with
-    both or neither half-shift in the dual star set).
-    """
-
-    point: float
-    normal: int
-
-    def trace_of(self, dual_values: np.ndarray) -> float:
-        """Trace of a star-mesh function at this boundary point."""
-        if self.normal == 1:
-            return float(dual_values[-1])
-        if self.normal == -1:
-            return float(dual_values[0])
-        return 0.0
+        """Midpoints of neighbouring interior points (N-1 half-points)."""
+        return (np.arange(1, self.N) + 0.5) * self.h
 
 
 def build_mesh(N: int) -> Mesh:
@@ -164,10 +63,6 @@ def build_mesh(N: int) -> Mesh:
     mesh = Mesh(N)
     assert abs(mesh.h * (N + 1) - 1.0) <= 1e-15
     return mesh
-
-
-def dual_of(mesh: Mesh) -> DualMesh:
-    return DualMesh(mesh)
 
 
 _PART_SIZES = {

@@ -77,16 +77,9 @@ def build_tree(depth: int, T: float, depth_cap: int = DEFAULT_DEPTH_CAP) -> Scen
 
 
 def expectation(tree: ScenarioTree, level: int, values) -> float:
-    """Equal-weight average over the level's nodes.
-
-    ``values`` is either an array whose first axis enumerates the nodes or
-    a callable on node indices.
-    """
+    """Equal-weight average over the level's nodes (the first axis of ``values``)."""
     count = tree.num_nodes(level)
-    if callable(values):
-        values = np.array([values(n) for n in range(count)], dtype=float)
-    else:
-        values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape[0] != count:
         raise ValueError(f"level {level} has {count} nodes, got {values.shape[0]} values")
     return float(values.mean(axis=0)) if values.ndim == 1 else values.mean(axis=0)
@@ -163,22 +156,32 @@ class AdaptedField:
         return AdaptedField(self.tree, self.mesh, [arr.copy() for arr in self.levels])
 
 
-def tree_inner(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.ndarray) -> float:
-    """Probability-weighted mesh inner product of two level-k node arrays."""
+def tree_inner(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.ndarray,
+               weight=1.0) -> float:
+    """Probability-weighted mesh inner product E[h * sum(weight*a*b)] of two
+    level-k node arrays; ``weight`` is a scalar or a pointwise array."""
     count = tree.num_nodes(level)
     a = np.asarray(a, dtype=float).reshape(count, mesh.N)
     b = np.asarray(b, dtype=float).reshape(count, mesh.N)
-    return float(mesh.h * (a * b).sum() / count)
+    return float(mesh.h * (weight * a * b).sum() / count)
 
 
-def time_pairing(tree: ScenarioTree, mesh: Mesh, a: AdaptedField, b: AdaptedField,
-                 mask=None) -> float:
-    """Left-endpoint time quadrature of the expected mesh pairing of two fields."""
-    steps = min(a.num_levels, b.num_levels, tree.depth)
+def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None) -> float:
+    """Left-endpoint tree-time quadrature sum_k dt * E[h * sum(weight_k*a_k*b_k)]
+    over levels 0..depth-1.
+
+    ``a`` and ``b`` are adapted fields or lists of level arrays (2^k, M),
+    where M need not be N (staggered values work too).  ``weight`` is None,
+    one pointwise array used at every level, or a (depth, M) array with one
+    row per level.
+    """
+    a_levels = a.levels if isinstance(a, AdaptedField) else a
+    b_levels = b.levels if isinstance(b, AdaptedField) else b
+    per_level = weight is not None and np.ndim(weight) == 2
     total = 0.0
-    for k in range(steps):
-        prod = a.levels[k] * b.levels[k]
-        if mask is not None:
-            prod = prod * mask
-        total += tree.dt * mesh.h * prod.sum() / tree.num_nodes(k)
-    return float(total)
+    for k in range(min(len(a_levels), len(b_levels), tree.depth)):
+        prod = a_levels[k] * b_levels[k]
+        if weight is not None:
+            prod = (weight[k] if per_level else weight) * prod
+        total += prod.sum() / (1 << k)
+    return float(tree.dt * mesh.h * total)

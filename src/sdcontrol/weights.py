@@ -43,24 +43,34 @@ class WeightParams:
     omega: tuple[float, float] = (0.3, 0.7)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise WeightConfigError(f"final time must be positive, got {self.T}")
-        if self.lam <= 1:
-            raise WeightConfigError(f"lambda must exceed 1, got {self.lam}")
-        if self.mu <= 1:
-            raise WeightConfigError(f"mu must exceed 1, got {self.mu}")
-        if not 0 < self.delta < 0.5:
-            raise WeightConfigError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not 0 < self.eps0 <= 1:
-            raise WeightConfigError(f"eps0 must lie in (0, 1], got {self.eps0}")
-        a0, b0 = self.omega0
-        a, b = self.omega
-        if not (a < a0 < b0 < b):
-            raise WeightConfigError(
-                f"omega0={self.omega0} must be strictly inside omega={self.omega}"
-            )
-        if not a0 < self.x0 < b0:
-            raise WeightConfigError(f"x0={self.x0} must lie inside omega0={self.omega0}")
+        problems = weight_problems(self.T, self.lam, self.mu, self.delta, self.x0,
+                                   self.eps0, self.omega0, self.omega)
+        if problems:
+            raise WeightConfigError(problems[0])
+
+
+def weight_problems(T: float, lam: float, mu: float, delta: float, x0: float,
+                    eps0: float, omega0: tuple[float, float],
+                    omega: tuple[float, float]) -> list[str]:
+    """Violated constraints of the weight parameters (empty when admissible)."""
+    problems = []
+    if T <= 0:
+        problems.append(f"T must be positive, got {T}")
+    if lam <= 1:
+        problems.append(f"lam must exceed 1, got {lam}")
+    if mu <= 1:
+        problems.append(f"mu must exceed 1, got {mu}")
+    if not 0 < delta < 0.5:
+        problems.append(f"delta must lie in (0, 1/2), got {delta}")
+    if not 0 < eps0 <= 1:
+        problems.append(f"eps0 must lie in (0, 1], got {eps0}")
+    a0, b0 = omega0
+    a, b = omega
+    if not (a < a0 < b0 < b):
+        problems.append(f"omega0={tuple(omega0)} must be strictly inside omega={tuple(omega)}")
+    if not a0 < x0 < b0:
+        problems.append(f"x0={x0} must lie inside omega0={tuple(omega0)}")
+    return problems
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@ import pytest
 
 from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
-                                      energy_growth_rate, expected_energy,
-                                      forward_step, solve_forward)
+                                      energy_growth_rate, forward_step, solve_forward)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree
+from sdcontrol.noise_tree import AdaptedField, build_tree, tree_inner
 
 
 def region_controls(tree, mesh, region, rng):
@@ -165,6 +164,16 @@ class TestSolveForward:
         with pytest.raises(ConfigurationError):
             solve_forward(first_mode(mesh), None, coeffs, tree, mesh)
 
+    @pytest.mark.parametrize("name,value", [("a1", np.nan), ("a2", np.inf)])
+    def test_non_finite_coefficient_names_level(self, name, value):
+        mesh = build_mesh(5)
+        tree = build_tree(3, 1.0)
+        levels = {"a1": [np.zeros((1, mesh.N)) for _ in range(3)],
+                  "a2": [np.zeros((1, mesh.N)) for _ in range(3)]}
+        levels[name][2][0, 1] = value
+        with pytest.raises(ConfigurationError, match=f"coefficient {name} at level 2 is not finite"):
+            Coefficients(tree, mesh, levels["a1"], levels["a2"])
+
     def test_control_support_validated(self):
         mesh = build_mesh(6)
         tree = build_tree(2, 1.0)
@@ -194,4 +203,4 @@ class TestEnergyGrowth:
         coeffs = Coefficients.zero(tree, mesh)
         sol = solve_forward(np.zeros(mesh.N), None, coeffs, tree, mesh)
         assert energy_growth_rate(sol, coeffs) == 0.0
-        assert expected_energy(tree, mesh, sol.terminal) == 0.0
+        assert tree_inner(tree, mesh, tree.depth, sol.terminal, sol.terminal) == 0.0

@@ -44,6 +44,14 @@ class TestConfig:
         assert any("N must be" in p for p in problems)
         assert any("lam" in p for p in problems)
 
+    def test_validate_applies_weight_rules(self):
+        cfg = ExperimentConfig.from_dict({"weights": {"x0": 0.35, "delta0": 0.6}})
+        problems = cfg.validate()
+        assert any("x0=0.35 must lie inside omega0" in p for p in problems)
+        assert any("delta must lie in (0, 1/2), got 0.6" in p for p in problems)
+        cfg = ExperimentConfig.from_dict({"omega": [-0.1, 0.7]})
+        assert cfg.validate() == ["omega must lie in [0, 1], got [-0.1, 0.7]"]
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/config.json")
@@ -84,6 +92,22 @@ class TestCoefficientBuilders:
         c2 = build_coefficients(cfg, tree, mesh, np.random.default_rng(5))
         for a, b in zip(c1.a1_levels, c2.a1_levels):
             np.testing.assert_array_equal(a, b)
+
+    def test_random_a1_draws_come_first(self):
+        # a1 random: its levels are the first draws, whatever a2 is
+        mesh = build_mesh(4)
+        tree = build_tree(3, 1.0)
+        both = Coefficients.adapted_random(tree, mesh, np.random.default_rng(5), 0.5, 0.3)
+        for a2 in ({"kind": "adapted_random", "magnitude": 0.3}, {"kind": "zero"}):
+            cfg = ExperimentConfig.from_dict(
+                {"coefficients": {"a1": {"kind": "adapted_random", "magnitude": 0.5},
+                                  "a2": a2}})
+            built = build_coefficients(cfg, tree, mesh, np.random.default_rng(5))
+            for a, b in zip(built.a1_levels, both.a1_levels):
+                np.testing.assert_array_equal(a, b)
+            if a2["kind"] == "adapted_random":
+                for a, b in zip(built.a2_levels, both.a2_levels):
+                    np.testing.assert_array_equal(a, b)
 
     def test_y0_builders(self):
         mesh = build_mesh(5)

@@ -321,6 +321,17 @@ class TestSweep:
         assert "inf" not in line and "nan" not in line
         assert line[9] == "" and line[12] == "true"
 
+    def test_nan_coefficient_row_is_skipped_naming_it(self):
+        def coeff_factory(tree, mesh, rng):
+            a1 = [np.full((1, mesh.N), np.nan) for _ in range(tree.depth)]
+            a2 = [np.zeros((1, mesh.N)) for _ in range(tree.depth)]
+            return Coefficients(tree, mesh, a1, a2)
+        settings = self._settings([1 / 8])
+        settings.coeff_factory = coeff_factory
+        row = h_sweep(settings)[0]
+        assert row.skipped
+        assert row.reason == "coefficient a1 at level 0 is not finite"
+
     def test_mesh_size_from_h(self):
         assert mesh_size_from_h(1 / 8) == 7
         assert mesh_size_from_h(1 / 20) == 19

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdcontrol.mesh import (BoundarySample, build_mesh, dual_of, integrate,
-                            is_regular, bar_set, ring_set)
+from sdcontrol.mesh import build_mesh, integrate
 
 
 def test_build_mesh_n3():
@@ -25,13 +24,13 @@ def test_build_mesh_rejects_small_n():
 
 
 def test_dual_of_n3():
-    dual = dual_of(build_mesh(3))
+    dual = build_mesh(3)
     np.testing.assert_allclose(dual.star, [0.125, 0.375, 0.625, 0.875])
     np.testing.assert_allclose(dual.prime, [0.375, 0.625])
 
 
 def test_dual_of_n2():
-    dual = dual_of(build_mesh(2))
+    dual = build_mesh(2)
     np.testing.assert_allclose(dual.star, [1 / 6, 1 / 2, 5 / 6])
     np.testing.assert_allclose(dual.prime, [0.5])
 
@@ -39,24 +38,16 @@ def test_dual_of_n2():
 @given(st.integers(min_value=2, max_value=80))
 @settings(max_examples=30, deadline=None)
 def test_dual_cardinalities_and_containment(N):
-    dual = dual_of(build_mesh(N))
-    assert len(dual.star_idx) == N + 1
-    assert len(dual.prime_idx) == N - 1
-    assert dual.prime_idx <= dual.star_idx
-
-
-@given(st.integers(min_value=2, max_value=80))
-@settings(max_examples=30, deadline=None)
-def test_interior_mesh_is_regular(N):
     mesh = build_mesh(N)
-    assert is_regular(mesh.interior_idx)
-    # bar adds a layer and ring strips it back off
-    assert ring_set(bar_set(mesh.interior_idx)) == mesh.interior_idx
+    assert mesh.star.shape == (N + 1,)
+    assert mesh.prime.shape == (N - 1,)
+    # prime points are the star points strictly inside (0, 1), bit for bit
+    np.testing.assert_array_equal(mesh.prime, mesh.star[1:-1])
 
 
 def test_star_points_are_midpoints_of_closure_neighbors():
     mesh = build_mesh(5)
-    star = dual_of(mesh).star
+    star = mesh.star
     mids = 0.5 * (mesh.closure[:-1] + mesh.closure[1:])
     np.testing.assert_allclose(star, mids, rtol=0, atol=1e-15)
 
@@ -94,13 +85,3 @@ def test_integrate_linearity():
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) <= 1e-14 * scale
 
-
-def test_boundary_normals_and_trace():
-    mesh = build_mesh(4)
-    left, right = mesh.boundary_samples()
-    assert (left.point, left.normal) == (0.0, -1)
-    assert (right.point, right.normal) == (1.0, 1)
-    star_vals = np.arange(5, dtype=float)
-    assert left.trace_of(star_vals) == 0.0
-    assert right.trace_of(star_vals) == 4.0
-    assert BoundarySample(0.5, 0).trace_of(star_vals) == 0.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sdcontrol.errors import ResourceLimitError
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import (AdaptedField, build_tree, expectation,
-                                  martingale_coeff, tree_inner)
+                                  martingale_coeff, time_pairing, tree_inner)
 
 
 class TestTreeConstruction:
@@ -60,7 +60,7 @@ class TestExactness:
 class TestExpectation:
     def test_constant(self):
         tree = build_tree(4, 1.0)
-        assert expectation(tree, 4, lambda n: 3.25) == 3.25
+        assert expectation(tree, 4, np.full(16, 3.25)) == 3.25
 
     def test_single_step_average(self):
         tree = build_tree(1, 1.0)
@@ -128,3 +128,40 @@ class TestAdaptedField:
         tree = build_tree(2, 1.0)
         ones = np.ones((4, mesh.N))
         assert tree_inner(tree, mesh, 2, ones, ones) == pytest.approx(mesh.h * mesh.N)
+
+
+class TestQuadrature:
+    """The tree-time helpers against sums written out on a depth-2 tree."""
+
+    def setup_method(self):
+        self.mesh = build_mesh(3)
+        self.tree = build_tree(2, 0.5)
+        rng = np.random.default_rng(4)
+        self.a = AdaptedField.random(self.tree, self.mesh, rng)
+        self.b = AdaptedField.random(self.tree, self.mesh, rng)
+        self.w = rng.uniform(0.5, 2.0, size=(2, self.mesh.N))
+
+    def test_tree_inner_with_weight(self):
+        a, b, w = self.a.levels[2], self.b.levels[2], self.w[0]
+        by_hand = self.mesh.h * sum(w[i] * a[n, i] * b[n, i]
+                                    for n in range(4) for i in range(3)) / 4
+        got = tree_inner(self.tree, self.mesh, 2, a, b, w)
+        assert got == pytest.approx(by_hand, rel=1e-14)
+
+    def test_time_pairing_single_mask(self):
+        mask = np.array([0.0, 1.0, 1.0])
+        a, b, h, dt = self.a.levels, self.b.levels, self.mesh.h, self.tree.dt
+        by_hand = (dt * h * (a[0][0, 1] * b[0][0, 1] + a[0][0, 2] * b[0][0, 2])
+                   + dt * h * sum(a[1][n, i] * b[1][n, i]
+                                  for n in range(2) for i in (1, 2)) / 2)
+        got = time_pairing(self.tree, self.mesh, self.a, self.b, mask)
+        assert got == pytest.approx(by_hand, rel=1e-14)
+
+    def test_time_pairing_per_level_weight_on_level_lists(self):
+        a, b, w, h, dt = self.a.levels, self.b.levels, self.w, self.mesh.h, self.tree.dt
+        by_hand = sum(dt * h * w[k, i] * a[k][n, i] * b[k][n, i] / 2**k
+                      for k in range(2) for n in range(2**k) for i in range(3))
+        got = time_pairing(self.tree, self.mesh, list(a), list(b), w)
+        assert got == pytest.approx(by_hand, rel=1e-14)
+        # the leaf level lies beyond the left-endpoint sum
+        assert time_pairing(self.tree, self.mesh, a[:2], b[:2], w) == got
