@@ -36,7 +36,8 @@ class BackwardSolution:
 
     ``z`` spans levels 0..depth (first component, terminal datum at the
     leaves); ``zeta`` and ``Z`` span levels 0..depth-1 and are the exact
-    dual pairings of the drift and diffusion controls.
+    dual pairings of the drift and diffusion controls.  A batched sweep
+    keeps its leading sample axes on every level.
     """
 
     z: AdaptedField
@@ -45,7 +46,7 @@ class BackwardSolution:
 
     @property
     def z0(self) -> np.ndarray:
-        return self.z.levels[0][0]
+        return self.z.levels[0][..., 0, :]
 
     @property
     def zT(self) -> np.ndarray:
@@ -55,25 +56,33 @@ class BackwardSolution:
 def backward_step(mesh: Mesh, dt: float, z_children: np.ndarray,
                   a1: np.ndarray, a2: np.ndarray, step: StepOperator | None = None,
                   with_mean: bool = False):
-    """Transpose one forward step: children (2B, N) -> (z, Z) at the parents.
+    """Transpose one forward step: children (..., 2B, N) -> (z, Z) at the parents.
 
-    ``step`` is the factored matrix for ``a1``; without it one is built for
-    this call.  ``with_mean=True`` also returns the conditional mean zeta.
+    Leading axes of ``z_children`` (samples) are kept.  ``step`` is the
+    factored matrix for ``a1``; without it one is built for this call.
+    ``with_mean=True`` also returns the conditional mean zeta.
     """
     if step is None:
         step = StepOperator.drift_implicit(mesh, dt, a1)
-    zhat = step.solve(z_children, transpose=True).reshape(-1, 2, mesh.N)
-    zeta = 0.5 * (zhat[:, 1] + zhat[:, 0])
-    coeff = (zhat[:, 1] - zhat[:, 0]) / (2.0 * np.sqrt(dt))
+    zhat = step.solve(z_children, transpose=True)
+    zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, mesh.N))
+    zeta = 0.5 * (zhat[..., 1, :] + zhat[..., 0, :])
+    coeff = (zhat[..., 1, :] - zhat[..., 0, :]) / (2.0 * np.sqrt(dt))
     z = zeta + dt * a2 * coeff
     return (z, coeff, zeta) if with_mean else (z, coeff)
 
 
 def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
                    mesh: Mesh) -> BackwardSolution:
-    """Sweep from the leaf data down to the root; linear in the leaf data."""
+    """Sweep from the leaf data down to the root; linear in the leaf data.
+
+    ``zT`` has shape (2^depth, N), or (..., 2^depth, N) for a batch of
+    samples swept at once; every level keeps the leading axes.
+    """
     steps = coeffs.step_operators()
-    zT = np.asarray(zT, dtype=float).reshape(tree.num_nodes(tree.depth), mesh.N)
+    zT = np.asarray(zT, dtype=float)
+    leaves = (tree.num_nodes(tree.depth), mesh.N)
+    zT = zT.reshape(zT.shape[:-2] + leaves if zT.ndim > 2 else leaves)
 
     z_levels = [None] * (tree.depth + 1)
     zeta_levels = [None] * tree.depth

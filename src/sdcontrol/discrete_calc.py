@@ -196,7 +196,7 @@ class StepOperator:
       identity, so a batched solve is a single matmul.
     * Per-node matrices keep the multipliers and reciprocal pivots
       space-major, shape (n, P), and are applied to right-hand sides
-      grouped by node, (P, C, n), without repeating the factors per row.
+      grouped by node, (..., P*C, n), without repeating the factors per row.
 
     Raises SingularSystemError when a pivot falls below the dominance
     threshold, which the drift-implicit steppers rule out up front but the
@@ -244,9 +244,10 @@ class StepOperator:
     def solve(self, rhs, transpose: bool = False) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).
 
-        With per-node matrices the rows are grouped by node: the row count
-        is P*C and row r uses node r // C.  ``transpose=True`` solves with
-        the transposed matrices.
+        With per-node matrices ``rhs`` has shape (..., P*C, n): along the
+        row axis the rows are grouped by node, row r using node r // C, and
+        any leading axes (samples) share the factors.  ``transpose=True``
+        solves with the transposed matrices.
         """
         rhs = np.asarray(rhs, dtype=float)
         if self._inverse_t is not None:
@@ -257,11 +258,13 @@ class StepOperator:
     def _eliminate(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Thomas substitution with the stored factors.
 
-        Works space-major with the node axis last, x[i] of shape (C, P), so
-        every update is one contiguous vector operation over all rows.
+        Works space-major with the node axis last, x[i] of shape (S, C, P),
+        so every update is one contiguous vector operation over all rows of
+        all samples.
         """
         lower, upper = (self._upper, self._lower) if transpose else (self._lower, self._upper)
-        x = rhs.reshape(self.nodes, -1, self.n).transpose(2, 1, 0).copy()
+        per_node = rhs.shape[-2] // self.nodes
+        x = rhs.reshape(-1, self.nodes, per_node, self.n).transpose(3, 0, 2, 1).copy()
         rows = list(x)
         prev = rows[0]
         for row, mult in zip(rows[1:], lower):
@@ -272,7 +275,7 @@ class StepOperator:
             row *= inv_piv
             row -= mult * prev
             prev = row
-        return x.transpose(2, 1, 0).reshape(rhs.shape)
+        return x.transpose(1, 3, 2, 0).reshape(rhs.shape)
 
 
 def solve_tridiagonal(sub, diag, sup, rhs, transpose: bool = False) -> np.ndarray:
@@ -288,7 +291,8 @@ def solve_tridiagonal(sub, diag, sup, rhs, transpose: bool = False) -> np.ndarra
     if any(b.ndim > 1 for b in bands):
         rows = rhs.shape[:-1]
         bands = [np.broadcast_to(b, rows + b.shape[-1:]).reshape(-1, b.shape[-1]) for b in bands]
-    return StepOperator(*bands).solve(rhs, transpose)
+    rows = rhs.reshape(-1, rhs.shape[-1])
+    return StepOperator(*bands).solve(rows, transpose).reshape(rhs.shape)
 
 
 def drift_implicit_bands(mesh: Mesh, dt: float, a1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,4 +321,5 @@ def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs, transpose: bool = False
     a1 = np.asarray(a1, dtype=float)
     if a1.size != mesh.N:
         a1 = np.broadcast_to(a1, rhs.shape).reshape(-1, mesh.N)
-    return StepOperator.drift_implicit(mesh, dt, a1).solve(rhs, transpose)
+    rows = rhs.reshape(-1, mesh.N)
+    return StepOperator.drift_implicit(mesh, dt, a1).solve(rows, transpose).reshape(rhs.shape)

@@ -9,6 +9,7 @@ Coefficients are sampled at the left endpoint of each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,10 @@ from .noise_tree import AdaptedField, ScenarioTree, tree_inner
 
 @dataclass(frozen=True)
 class OmegaRegion:
-    """Control window: the interior points falling in an open interval."""
+    """Control window: the interior points falling in an open interval.
+
+    ``mask`` and ``indicator`` are computed once per region and read-only.
+    """
 
     mesh: Mesh
     interval: tuple[float, float]
@@ -34,15 +38,19 @@ class OmegaRegion:
                 f"control interval {self.interval} contains no interior points at N={self.mesh.N}"
             )
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
         x = self.mesh.interior
         a, b = self.interval
-        return (x > a) & (x < b)
+        mask = (x > a) & (x < b)
+        mask.flags.writeable = False
+        return mask
 
-    @property
+    @cached_property
     def indicator(self) -> np.ndarray:
-        return self.mask.astype(float)
+        indicator = self.mask.astype(float)
+        indicator.flags.writeable = False
+        return indicator
 
 
 def sampled_levels(tree: ScenarioTree, mesh: Mesh, f) -> list[np.ndarray]:
@@ -154,6 +162,21 @@ class ControlPair:
                 raise ConfigurationError(f"drift control has support outside the window at level {k}")
 
     @classmethod
+    def windowed(cls, drift: AdaptedField, v: AdaptedField, region: OmegaRegion,
+                 sign: float = 1.0) -> "ControlPair":
+        """Pair whose drift control is sign * indicator * drift.
+
+        The drift control is masked to the window here, so the support scan
+        of the constructor is skipped; the Gramian builds its controls this
+        way on every apply.
+        """
+        weight = sign * region.indicator
+        pair = cls.__new__(cls)
+        pair.u = AdaptedField(drift.tree, drift.mesh, [weight * arr for arr in drift.levels])
+        pair.v, pair.region = v, region
+        return pair
+
+    @classmethod
     def zero(cls, tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> "ControlPair":
         return cls(AdaptedField.zeros(tree, mesh, tree.depth),
                    AdaptedField.zeros(tree, mesh, tree.depth), region)
@@ -177,13 +200,14 @@ def forward_step(mesh: Mesh, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndar
     """One drift-implicit step along the edge with increment sign*sqrt(dt).
 
     ``sign`` may be an array of edge signs broadcasting against the state,
-    which steps several edges at once.  ``step`` is the factored matrix for
-    ``a1``; without it one is built for this call.
+    which steps several edges at once; all axes but the last are rows, in
+    node order.  ``step`` is the factored matrix for ``a1``; without it one
+    is built for this call.
     """
     rhs = y + dt * indicator * u + (a2 * y + v) * (sign * np.sqrt(dt))
     if step is None:
         step = StepOperator.drift_implicit(mesh, dt, a1)
-    return step.solve(rhs)
+    return step.solve(rhs.reshape(-1, mesh.N)).reshape(rhs.shape)
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,

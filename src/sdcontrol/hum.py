@@ -66,12 +66,8 @@ class HumSolution:
 
 def _controls_from_backward(bwd: BackwardSolution, region: OmegaRegion,
                             sign: float) -> ControlPair:
-    indicator = region.indicator
-    u = AdaptedField(bwd.zeta.tree, bwd.zeta.mesh,
-                     [sign * indicator * arr for arr in bwd.zeta.levels])
-    v = AdaptedField(bwd.Z.tree, bwd.Z.mesh,
-                     [sign * arr for arr in bwd.Z.levels])
-    return ControlPair(u=u, v=v, region=region)
+    v = AdaptedField(bwd.Z.tree, bwd.Z.mesh, [sign * arr for arr in bwd.Z.levels])
+    return ControlPair.windowed(bwd.zeta, v, region, sign)
 
 
 def gramian_apply(zT: np.ndarray, problem: HumProblem) -> np.ndarray:

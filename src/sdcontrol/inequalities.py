@@ -19,15 +19,32 @@ from .backward_solver import solve_backward
 from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion
 from .mesh import Mesh, build_mesh
-from .noise_tree import AdaptedField, ScenarioTree, build_tree, time_pairing, tree_inner
+from .noise_tree import (AdaptedField, ScenarioTree, build_tree, random_levels, time_pairing,
+                         tree_inner)
 from .discrete_calc import StepOperator
 from .weights import (CarlemanWeights, WeightParams, build_weights, delta_schedule,
                       schedule_h1, validate_regime)
 
+# The estimators sweep their samples in batches of at most this many leaf
+# values (samples * 2^depth * N), and at least one sample.  Memory sets the
+# cap: one batch for a whole 400-sample fit nearly doubled peak memory,
+# larger caps bought little time for more memory, half this cap lost a third
+# of the speed (measurements in README.md, "Sample batching").
+_BATCH_LEAF_VALUES = 1 << 14
+
+
+def _batches(total: int, tree: ScenarioTree, mesh: Mesh) -> list[tuple[int, int]]:
+    """Consecutive sample ranges [start, stop) of at most _BATCH_LEAF_VALUES leaf values."""
+    size = max(1, _BATCH_LEAF_VALUES // (tree.num_nodes(tree.depth) * mesh.N))
+    return [(start, min(start + size, total)) for start in range(0, total, size)]
+
 
 @dataclass
 class SourcePair:
-    """Drift and diffusion sources driving the weighted-estimate solutions."""
+    """Drift and diffusion sources driving the weighted-estimate solutions.
+
+    Both fields may carry leading sample axes (a batch of source pairs).
+    """
 
     f: AdaptedField
     g: AdaptedField
@@ -36,10 +53,16 @@ class SourcePair:
     def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
                modes: int = 3, scale: float = 1.0) -> "SourcePair":
         """Adapted low-mode random sources, comparable across mesh refinements."""
-        return cls(
-            f=AdaptedField.random(tree, mesh, rng, tree.depth, modes=modes, scale=scale),
-            g=AdaptedField.random(tree, mesh, rng, tree.depth, modes=modes, scale=scale),
-        )
+        return cls._random_batch(tree, mesh, rng, (), modes, scale)
+
+    @classmethod
+    def _random_batch(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
+                      shape: tuple[int, ...], modes: int = 3,
+                      scale: float = 1.0) -> "SourcePair":
+        """``shape`` samples of ``random`` from one draw: per sample, f before g."""
+        levels = random_levels(mesh, rng, tuple(shape) + (2,), tree.depth, modes, scale)
+        return cls(f=AdaptedField(tree, mesh, [lv[..., 0, :, :] for lv in levels]),
+                   g=AdaptedField(tree, mesh, [lv[..., 1, :, :] for lv in levels]))
 
 
 def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
@@ -49,7 +72,8 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
     The drift is handled implicitly with one StepOperator for every level;
     the matrix I + dt*D2 is indefinite (this is the anti-diffusive
     direction), so factoring it can raise SingularSystemError for unlucky
-    dt/h combinations.
+    dt/h combinations.  Sources with leading sample axes give a solution
+    with the same leading axes, all samples starting from ``w0``.
     """
     N, h, dt = mesh.N, mesh.h, tree.dt
     off = np.full(N - 1, dt / h**2)
@@ -58,12 +82,13 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
 
     if w0 is None:
         w0 = np.zeros(N)
-    levels = [np.asarray(w0, dtype=float).reshape(1, N).copy()]
+    batch = sources.f.levels[0].shape[:-2]
+    levels = [np.broadcast_to(np.asarray(w0, dtype=float).reshape(1, N), batch + (1, N)).copy()]
     for k in range(tree.depth):
         drift = levels[k] + dt * sources.f.levels[k]
         # Children of node n are 2n (minus edge) and 2n+1 (plus edge).
-        children = drift[:, np.newaxis] + sources.g.levels[k][:, np.newaxis] * edges
-        levels.append(step.solve(children).reshape(2 << k, N))
+        children = drift[..., np.newaxis, :] + sources.g.levels[k][..., np.newaxis, :] * edges
+        levels.append(step.solve(children.reshape(batch + (2 << k, N))))
     return AdaptedField(tree, mesh, levels)
 
 
@@ -72,35 +97,38 @@ class CarlemanTerms:
     """Each side of the weighted estimate, term by term.
 
     All terms share the normalizing factor exp(-2*log_shift); ratios are
-    unaffected.
+    unaffected.  For a batch of samples every term is an array over the
+    samples.
     """
 
-    lhs_state: float
-    lhs_gradient: float
-    rhs_window: float
-    rhs_diffusion: float
-    rhs_drift: float
-    rhs_initial: float
-    rhs_terminal: float
+    lhs_state: float | np.ndarray
+    lhs_gradient: float | np.ndarray
+    rhs_window: float | np.ndarray
+    rhs_diffusion: float | np.ndarray
+    rhs_drift: float | np.ndarray
+    rhs_initial: float | np.ndarray
+    rhs_terminal: float | np.ndarray
     log_shift: float
     regime_ratio: float
 
     @property
-    def lhs_total(self) -> float:
+    def lhs_total(self) -> float | np.ndarray:
         return self.lhs_state + self.lhs_gradient
 
     @property
-    def rhs_total(self) -> float:
+    def rhs_total(self) -> float | np.ndarray:
         return (self.rhs_window + self.rhs_diffusion + self.rhs_drift
                 + self.rhs_initial + self.rhs_terminal)
 
     @property
-    def ratio(self) -> float:
-        if self.rhs_total == 0.0:
-            return 0.0 if self.lhs_total == 0.0 else np.inf
-        return self.lhs_total / self.rhs_total
+    def ratio(self) -> float | np.ndarray:
+        """lhs/rhs; 0 where both sides vanish, inf where only the rhs does."""
+        lhs, rhs = np.asarray(self.lhs_total), np.asarray(self.rhs_total)
+        zero = rhs == 0.0
+        ratio = np.where(zero, np.where(lhs == 0.0, 0.0, np.inf), lhs / np.where(zero, 1.0, rhs))
+        return float(ratio) if ratio.ndim == 0 else ratio
 
-    def all_terms(self) -> dict[str, float]:
+    def all_terms(self) -> dict[str, float | np.ndarray]:
         return {
             "lhs_state": self.lhs_state,
             "lhs_gradient": self.lhs_gradient,
@@ -114,13 +142,14 @@ class CarlemanTerms:
 
 def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
     """Staggered differences with Dirichlet padding, per node (star points)."""
-    padded = np.pad(level_values, ((0, 0), (1, 1)))
-    return np.diff(padded, axis=1) / h
+    padded = np.pad(level_values, [(0, 0)] * (level_values.ndim - 1) + [(1, 1)])
+    return np.diff(padded, axis=-1) / h
 
 
-def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeights,
-                   tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> CarlemanTerms:
-    """Tree-weighted left-endpoint quadrature of every term in the estimate."""
+def _term_evaluator(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mesh,
+                    region: OmegaRegion) -> Callable[[AdaptedField, SourcePair], CarlemanTerms]:
+    """Check the regime and evaluate the weights once; the returned function
+    gives the terms of any solution, or batch of solutions, and its sources."""
     ok, ratio = validate_regime(weights, mesh.h)
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
@@ -135,44 +164,54 @@ def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeight
     exp_ends = np.outer(s_ends, phi_int)
     log_shift = max(float(exp_int.max()), float(exp_star.max()), float(exp_ends.max()))
 
-    # one row per level: the squared weight, times each term's power of s below
+    # one row per level: the squared weight, times each term's power of s
     w2_int = np.exp(2.0 * (exp_int - log_shift))
     w2_star = np.exp(2.0 * (exp_star - log_shift))
-    s = s_quad[:, np.newaxis]
-    grads = [_gradient(wk, mesh.h) for wk in w.levels[:tree.depth]]
-    lhs_state = time_pairing(tree, mesh, w, w, s**3 * w2_int)
-    lhs_grad = time_pairing(tree, mesh, grads, grads, s * w2_star)
-    rhs_window = time_pairing(tree, mesh, w, w, s**3 * region.indicator * w2_int)
-    rhs_diff = time_pairing(tree, mesh, sources.g, sources.g, s**2 * w2_int)
-    rhs_drift = time_pairing(tree, mesh, sources.f, sources.f, w2_int)
-
     w2_t0, w2_tT = np.exp(2.0 * (exp_ends - log_shift))
-    leaves = w.levels[tree.depth]
-    rhs_t0 = tree_inner(tree, mesh, 0, w.levels[0], w.levels[0], w2_t0) / mesh.h**2
-    rhs_tT = tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2
+    s = s_quad[:, np.newaxis]
+    state, gradient, diffusion = s**3 * w2_int, s * w2_star, s**2 * w2_int
+    window = s**3 * region.indicator * w2_int
 
-    return CarlemanTerms(
-        lhs_state=float(lhs_state),
-        lhs_gradient=float(lhs_grad),
-        rhs_window=float(rhs_window),
-        rhs_diffusion=float(rhs_diff),
-        rhs_drift=float(rhs_drift),
-        rhs_initial=float(rhs_t0),
-        rhs_terminal=float(rhs_tT),
-        log_shift=float(log_shift),
-        regime_ratio=float(ratio),
-    )
+    def evaluate(w: AdaptedField, sources: SourcePair) -> CarlemanTerms:
+        grads = [_gradient(wk, mesh.h) for wk in w.levels[:tree.depth]]
+        leaves = w.levels[tree.depth]
+        return CarlemanTerms(
+            lhs_state=time_pairing(tree, mesh, w, w, state),
+            lhs_gradient=time_pairing(tree, mesh, grads, grads, gradient),
+            rhs_window=time_pairing(tree, mesh, w, w, window),
+            rhs_diffusion=time_pairing(tree, mesh, sources.g, sources.g, diffusion),
+            rhs_drift=time_pairing(tree, mesh, sources.f, sources.f, w2_int),
+            rhs_initial=tree_inner(tree, mesh, 0, w.levels[0], w.levels[0], w2_t0) / mesh.h**2,
+            rhs_terminal=tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2,
+            log_shift=float(log_shift),
+            regime_ratio=float(ratio),
+        )
+    return evaluate
+
+
+def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeights,
+                   tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> CarlemanTerms:
+    """Tree-weighted left-endpoint quadrature of every term in the estimate.
+
+    ``w`` and ``sources`` may carry leading sample axes; the terms are then
+    arrays over the samples.
+    """
+    return _term_evaluator(weights, tree, mesh, region)(w, sources)
 
 
 def carleman_ratio_study(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mesh,
                          region: OmegaRegion, rng: np.random.Generator,
                          samples: int, modes: int = 3) -> np.ndarray:
-    """Ratios lhs/rhs over seeded random source pairs."""
+    """Ratios lhs/rhs over seeded random source pairs.
+
+    The samples are drawn, solved and evaluated in batches; the draws are
+    the same as for ``SourcePair.random`` called once per sample.
+    """
+    evaluate = _term_evaluator(weights, tree, mesh, region)
     ratios = np.empty(samples)
-    for i in range(samples):
-        sources = SourcePair.random(tree, mesh, rng, modes=modes)
-        w = solve_w_equation(sources, tree, mesh)
-        ratios[i] = carleman_terms(w, sources, weights, tree, mesh, region).ratio
+    for start, stop in _batches(samples, tree, mesh):
+        sources = SourcePair._random_batch(tree, mesh, rng, (stop - start,), modes)
+        ratios[start:stop] = evaluate(solve_w_equation(sources, tree, mesh), sources).ratio
     return ratios
 
 
@@ -214,7 +253,8 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     and exp(-c_eps/h) times the terminal energy (times h^-2 when
     ``terminal_h_scaling`` is set, matching the sharper variant).  The
     family defaults to seeded leafwise Gaussian data; all-zero samples are
-    excluded (they satisfy the inequality for every constant).
+    excluded (they satisfy the inequality for every constant).  Samples
+    are swept in batches; the draws are the same as one sample at a time.
     """
     total = train + holdout
     if total < 2:
@@ -234,17 +274,19 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     rhs_window = np.empty(total)
     rhs_terminal = np.empty(total)
     mask = region.indicator
-    leaves = tree.num_nodes(tree.depth)
-    for i in range(total):
+    leaves = (tree.num_nodes(tree.depth), mesh.N)
+    for start, stop in _batches(total, tree, mesh):
         if terminal_data is None:
-            zT = rng.standard_normal((leaves, mesh.N))
+            zT = rng.standard_normal((stop - start,) + leaves)
         else:
-            zT = np.asarray(terminal_data[i], dtype=float).reshape(leaves, mesh.N)
+            zT = np.stack([np.asarray(data, dtype=float).reshape(leaves)
+                           for data in terminal_data[start:stop]])
         sol = solve_backward(zT, coeffs, tree, mesh)
-        lhs[i] = tree_inner(tree, mesh, 0, sol.z0, sol.z0)
-        rhs_diffusion[i] = time_pairing(tree, mesh, sol.Z, sol.Z)
-        rhs_window[i] = time_pairing(tree, mesh, sol.z, sol.z, mask)
-        rhs_terminal[i] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
+        z0 = sol.z.levels[0]
+        lhs[start:stop] = tree_inner(tree, mesh, 0, z0, z0)
+        rhs_diffusion[start:stop] = time_pairing(tree, mesh, sol.Z, sol.Z)
+        rhs_window[start:stop] = time_pairing(tree, mesh, sol.z, sol.z, mask)
+        rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
 
     rhs = rhs_diffusion + rhs_window + rhs_terminal
     keep = rhs > 0

@@ -101,7 +101,8 @@ def martingale_coeff(z_plus, z_minus, dt: float):
 class AdaptedField:
     """Tree-indexed grid values: one interior vector per node, per level.
 
-    ``levels[k]`` has shape (2^k, N).  Adaptedness is structural: the entry
+    ``levels[k]`` has shape (2^k, N), or (..., 2^k, N) for a batch of
+    samples held along leading axes.  Adaptedness is structural: the entry
     for node n at level k is a single value, so it cannot depend on signs
     drawn after level k.
     """
@@ -113,7 +114,7 @@ class AdaptedField:
     def __post_init__(self):
         for k, arr in enumerate(self.levels):
             expected = (1 << k, self.mesh.N)
-            if arr.shape != expected:
+            if arr.shape[-2:] != expected:
                 raise ValueError(f"level {k} values must have shape {expected}, got {arr.shape}")
 
     @classmethod
@@ -133,16 +134,7 @@ class AdaptedField:
         """
         if num_levels is None:
             num_levels = tree.depth + 1
-        levels = []
-        if modes > 0:
-            basis = np.sin(np.outer(np.arange(1, modes + 1) * np.pi, mesh.interior))
-        for k in range(num_levels):
-            if modes > 0:
-                coeff = rng.standard_normal((1 << k, modes))
-                levels.append(scale * coeff @ basis)
-            else:
-                levels.append(scale * rng.standard_normal((1 << k, mesh.N)))
-        return cls(tree, mesh, levels)
+        return cls(tree, mesh, random_levels(mesh, rng, (), num_levels, modes, scale))
 
     @property
     def num_levels(self) -> int:
@@ -156,24 +148,60 @@ class AdaptedField:
         return AdaptedField(self.tree, self.mesh, [arr.copy() for arr in self.levels])
 
 
+def random_levels(mesh: Mesh, rng: np.random.Generator, shape: tuple[int, ...],
+                  num_levels: int, modes: int = 0, scale: float = 1.0) -> list[np.ndarray]:
+    """Seeded nodewise values of levels 0..num_levels-1, each of shape
+    ``shape`` + (2^k, N), drawn in one call.
+
+    The draw runs over ``shape``, then level, node and point (or mode), so a
+    batch consumes the generator exactly like its samples drawn one at a
+    time.  ``modes=0`` draws independent values per point; ``modes=J``
+    draws per-node coefficients of the first J Dirichlet sine modes.
+    """
+    width = modes if modes > 0 else mesh.N
+    values = scale * rng.standard_normal(tuple(shape) + ((1 << num_levels) - 1, width))
+    if modes > 0:
+        basis = np.sin(np.outer(np.arange(1, modes + 1) * np.pi, mesh.interior))
+        values = (values.reshape(-1, modes) @ basis).reshape(values.shape[:-1] + (mesh.N,))
+    return [values[..., (1 << k) - 1:(2 << k) - 1, :] for k in range(num_levels)]
+
+
+def _node_sum(prod: np.ndarray):
+    """Sum over the node and space axes (the last two); keeps leading axes."""
+    return prod.sum() if prod.ndim <= 2 else prod.sum(axis=(-2, -1))
+
+
+def _scalar_or_array(total):
+    """A float for an unbatched result, an array over the sample axes otherwise."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def tree_inner(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.ndarray,
-               weight=1.0) -> float:
+               weight=1.0):
     """Probability-weighted mesh inner product E[h * sum(weight*a*b)] of two
-    level-k node arrays; ``weight`` is a scalar or a pointwise array."""
+    level-k node arrays; ``weight`` is a scalar or a pointwise array.
+
+    ``a`` and ``b`` have shape (2^k, N) (a level-0 vector may be (N,)); with
+    leading sample axes, (..., 2^k, N), the result is an array over them.
+    """
     count = tree.num_nodes(level)
-    a = np.asarray(a, dtype=float).reshape(count, mesh.N)
-    b = np.asarray(b, dtype=float).reshape(count, mesh.N)
-    return float(mesh.h * (weight * a * b).sum() / count)
+    prod = weight * np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+    shaped = prod.shape[-2:] == (count, mesh.N) if prod.ndim >= 2 else prod.size == count * mesh.N
+    if not shaped:
+        raise ValueError(f"level {level} values must have shape ({count}, {mesh.N}), "
+                         f"got {prod.shape}")
+    return _scalar_or_array(mesh.h * _node_sum(prod) / count)
 
 
-def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None) -> float:
+def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None):
     """Left-endpoint tree-time quadrature sum_k dt * E[h * sum(weight_k*a_k*b_k)]
     over levels 0..depth-1.
 
     ``a`` and ``b`` are adapted fields or lists of level arrays (2^k, M),
-    where M need not be N (staggered values work too).  ``weight`` is None,
-    one pointwise array used at every level, or a (depth, M) array with one
-    row per level.
+    where M need not be N (staggered values work too); leading sample axes,
+    (..., 2^k, M), give an array over them instead of a float.  ``weight``
+    is None, one pointwise array used at every level, or a (depth, M) array
+    with one row per level.
     """
     a_levels = a.levels if isinstance(a, AdaptedField) else a
     b_levels = b.levels if isinstance(b, AdaptedField) else b
@@ -183,5 +211,5 @@ def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None) -> float:
         prod = a_levels[k] * b_levels[k]
         if weight is not None:
             prod = (weight[k] if per_level else weight) * prod
-        total += prod.sum() / (1 << k)
-    return float(tree.dt * mesh.h * total)
+        total += _node_sum(prod) / (1 << k)
+    return _scalar_or_array(tree.dt * mesh.h * total)

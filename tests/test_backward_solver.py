@@ -92,6 +92,25 @@ class TestSolveBackward:
             scale = max(1.0, np.abs(combined).max())
             assert np.abs(sab.z.levels[k] - combined).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_sample_batch_equals_separate_solves(self, adapted):
+        mesh = build_mesh(7)
+        tree = build_tree(5, 1.0)
+        rng = np.random.default_rng(11)
+        coeffs = (Coefficients.adapted_random(tree, mesh, rng, 0.6, 0.8) if adapted
+                  else Coefficients.constant(tree, mesh, 0.5, 0.7))
+        zT = rng.standard_normal((3, tree.num_nodes(tree.depth), mesh.N))
+        batch = solve_backward(zT, coeffs, tree, mesh)
+        for s in range(zT.shape[0]):
+            single = solve_backward(zT[s], coeffs, tree, mesh)
+            for name in ("z", "zeta", "Z"):
+                got, ref = getattr(batch, name).levels, getattr(single, name).levels
+                assert len(got) == len(ref)
+                for k, (g, r) in enumerate(zip(got, ref)):
+                    assert g.shape == (3,) + r.shape, (name, k)
+                    np.testing.assert_allclose(g[s], r, rtol=1e-13, atol=1e-13 * np.abs(r).max())
+            np.testing.assert_allclose(batch.z0[s], single.z0, rtol=1e-13)
+
     def test_deterministic_terminal_data_gives_zero_diffusion_component(self):
         mesh = build_mesh(7)
         tree = build_tree(4, 1.0)

@@ -232,24 +232,27 @@ def _dense(sub, diag, sup):
 class TestStepOperator:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), nodes=st.integers(1, 5), per_node=st.integers(1, 3),
-           transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_solve(self, n, nodes, per_node, transpose, seed):
+           samples=st.integers(1, 3), transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_solve(self, n, nodes, per_node, samples, transpose, seed):
         # nodes == 1 is the shared matrix (inverse + matmul); nodes > 1 the
-        # per-node factors applied to rows grouped by node.
+        # per-node factors applied to rows grouped by node, for every sample
+        # along the leading axis.
         rng = np.random.default_rng(seed)
         sub, diag, sup = _dominant_bands(rng, nodes, n)
-        rhs = rng.standard_normal((nodes * per_node, n))
+        rhs = rng.standard_normal((samples, nodes * per_node, n))
         got = StepOperator(sub, diag, sup).solve(rhs, transpose=transpose)
+        assert got.shape == rhs.shape
 
         def rows(band):
             return np.repeat(band, per_node, axis=0)
-        ref = solve_tridiagonal(rows(sub), rows(diag), rows(sup), rhs, transpose=transpose)
-        tol = dict(rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        np.testing.assert_allclose(got, ref, **tol)
-        for r in range(rhs.shape[0]):
-            mat = _dense(sub[r // per_node], diag[r // per_node], sup[r // per_node])
-            np.testing.assert_allclose(got[r], np.linalg.solve(mat.T if transpose else mat, rhs[r]),
-                                       **tol)
+        for s in range(samples):
+            ref = solve_tridiagonal(rows(sub), rows(diag), rows(sup), rhs[s], transpose=transpose)
+            tol = dict(rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            np.testing.assert_allclose(got[s], ref, **tol)
+            for r in range(rhs.shape[1]):
+                mat = _dense(sub[r // per_node], diag[r // per_node], sup[r // per_node])
+                np.testing.assert_allclose(
+                    got[s, r], np.linalg.solve(mat.T if transpose else mat, rhs[s, r]), **tol)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 10), transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))

@@ -29,6 +29,15 @@ class TestOmegaRegion:
         region = OmegaRegion(mesh, (0.3, 0.7))
         np.testing.assert_array_equal(region.mask, (mesh.interior > 0.3) & (mesh.interior < 0.7))
 
+    def test_mask_computed_once_and_read_only(self):
+        region = OmegaRegion(build_mesh(10), (0.3, 0.7))
+        assert region.mask is region.mask
+        assert region.indicator is region.indicator
+        with pytest.raises(ValueError):
+            region.indicator[0] = 1.0
+        with pytest.raises(ValueError):
+            region.mask[0] = True
+
     def test_empty_window_rejected(self):
         mesh = build_mesh(2)
         with pytest.raises(ConfigurationError):
@@ -182,6 +191,22 @@ class TestSolveForward:
         u.levels[0][0, 0] = 1.0  # x_1 lies outside (0.3, 0.7)
         with pytest.raises(ConfigurationError):
             ControlPair(u=u, v=AdaptedField.zeros(tree, mesh, tree.depth), region=region)
+
+
+    def test_windowed_pair_masks_the_drift_control(self):
+        mesh = build_mesh(6)
+        tree = build_tree(3, 1.0)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        rng = np.random.default_rng(12)
+        drift = AdaptedField.random(tree, mesh, rng, tree.depth)
+        v = AdaptedField.random(tree, mesh, rng, tree.depth)
+        pair = ControlPair.windowed(drift, v, region, sign=-1.0)
+        checked = ControlPair(
+            u=AdaptedField(tree, mesh, [-region.indicator * a for a in drift.levels]),
+            v=v, region=region)
+        for got, ref in zip(pair.u.levels, checked.u.levels):
+            np.testing.assert_array_equal(got, ref)
+        assert pair.v is v and pair.region is region
 
 
 class TestEnergyGrowth:

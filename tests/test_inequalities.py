@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from sdcontrol.backward_solver import solve_backward
 from sdcontrol.errors import RegimeError, SingularSystemError
 from sdcontrol.forward_solver import Coefficients, OmegaRegion
 from sdcontrol.harness import emit_csv
-from sdcontrol.inequalities import (SourcePair, SweepSettings, carleman_ratio_study,
+from sdcontrol.inequalities import (SourcePair, SweepSettings, _batches, carleman_ratio_study,
                                     carleman_terms, h_sweep, mesh_size_from_h,
                                     observability_sample, solve_w_equation)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree
+from sdcontrol.noise_tree import AdaptedField, build_tree, time_pairing, tree_inner
 from sdcontrol.weights import WeightParams, build_weights, delta_schedule, schedule_h1
 
 
@@ -190,6 +191,43 @@ class TestCarlemanTerms:
         assert max(maxima) <= 5.0 * min(maxima)
 
 
+    @pytest.mark.parametrize("N, samples", [(8, 1), (8, 32), (8, 33), (17, 16)])
+    def test_batched_study_equals_per_sample_loop(self, N, samples):
+        # depth 6: 32 samples fill one batch at N=8, 15 at N=17
+        mesh = build_mesh(N)
+        tree = build_tree(6, 1.0)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        weights = scheduled_weights(mesh)
+        ratios = carleman_ratio_study(weights, tree, mesh, region,
+                                      np.random.default_rng(21), samples)
+        rng = np.random.default_rng(21)
+        ref = []
+        for _ in range(samples):
+            sources = SourcePair.random(tree, mesh, rng)
+            w = solve_w_equation(sources, tree, mesh)
+            ref.append(carleman_terms(w, sources, weights, tree, mesh, region).ratio)
+        np.testing.assert_allclose(ratios, ref, rtol=1e-12)
+
+    def test_batched_terms_match_single_terms(self):
+        mesh = build_mesh(6)
+        tree = build_tree(3, 1.0)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        weights = mild_weights()
+        rng = np.random.default_rng(8)
+        singles = [SourcePair.random(tree, mesh, rng) for _ in range(3)]
+        batch = SourcePair(
+            f=AdaptedField(tree, mesh, [np.stack(lv) for lv in zip(*(p.f.levels for p in singles))]),
+            g=AdaptedField(tree, mesh, [np.stack(lv) for lv in zip(*(p.g.levels for p in singles))]))
+        terms = carleman_terms(solve_w_equation(batch, tree, mesh), batch, weights, tree, mesh,
+                               region)
+        for i, sources in enumerate(singles):
+            single = carleman_terms(solve_w_equation(sources, tree, mesh), sources, weights,
+                                    tree, mesh, region)
+            for name, value in single.all_terms().items():
+                assert terms.all_terms()[name][i] == pytest.approx(value, rel=1e-12), name
+            assert terms.ratio[i] == pytest.approx(single.ratio, rel=1e-12)
+
+
 class TestObservability:
     def _setup(self, N=8, depth=5, omega=(0.3, 0.7), a2=0.5, seed=0):
         mesh = build_mesh(N)
@@ -252,6 +290,46 @@ class TestObservability:
                                       terminal_data=data, terminal_h_scaling=True)
         np.testing.assert_allclose(scaled.rhs_terms["terminal"],
                                    plain.rhs_terms["terminal"] / mesh.h**2, rtol=1e-12)
+
+    @pytest.mark.parametrize("depth, train, holdout", [
+        (5, 1, 1),     # two samples, one batch
+        (5, 32, 32),   # exactly one batch of 64 at N=8, depth 5
+        (5, 32, 33),   # one batch and one sample
+        (11, 2, 1),    # one sample fills a batch at N=8, depth 11
+    ])
+    def test_batched_fit_equals_per_sample_loop(self, depth, train, holdout):
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=depth)
+        total = train + holdout
+        fit = observability_sample(coeffs, weights, tree, mesh, region,
+                                   np.random.default_rng(6), train, holdout, 1.0)
+        rng = np.random.default_rng(6)
+        data = [rng.standard_normal((tree.num_nodes(depth), mesh.N)) for _ in range(total)]
+        lhs, diffusion, window, terminal = (np.empty(total) for _ in range(4))
+        eps_factor = np.exp(-1.0 / mesh.h)
+        for i, zT in enumerate(data):
+            sol = solve_backward(zT, coeffs, tree, mesh)
+            lhs[i] = tree_inner(tree, mesh, 0, sol.z0, sol.z0)
+            diffusion[i] = time_pairing(tree, mesh, sol.Z, sol.Z)
+            window[i] = time_pairing(tree, mesh, sol.z, sol.z, region.indicator)
+            terminal[i] = eps_factor * tree_inner(tree, mesh, depth, zT, zT)
+        ratios = lhs / (diffusion + window + terminal)
+        fitted = ratios[:train].max()
+
+        np.testing.assert_allclose(fit.lhs, lhs, rtol=1e-12)
+        for name, ref in (("diffusion", diffusion), ("window", window), ("terminal", terminal)):
+            np.testing.assert_allclose(fit.rhs_terms[name], ref, rtol=1e-12)
+        assert fit.fitted_C == pytest.approx(fitted, rel=1e-12)
+        assert fit.holdout_violations == int((ratios[train:] > 2.0 * fitted).sum())
+        from_data = observability_sample(coeffs, weights, tree, mesh, region, None, train,
+                                         holdout, 1.0, terminal_data=data)
+        np.testing.assert_array_equal(from_data.lhs, fit.lhs)
+        assert from_data.fitted_C == fit.fitted_C
+        assert from_data.holdout_violations == fit.holdout_violations
+
+    def test_batches_respect_the_leaf_value_cap(self):
+        assert _batches(5, build_tree(11, 1.0), build_mesh(8)) == [(i, i + 1) for i in range(5)]
+        assert _batches(65, build_tree(5, 1.0), build_mesh(8)) == [(0, 64), (64, 65)]
+        assert _batches(0, build_tree(5, 1.0), build_mesh(8)) == []
 
     def test_regime_must_hold(self):
         mesh = build_mesh(2)

@@ -123,6 +123,21 @@ class TestAdaptedField:
         for a, b in zip(f1.levels, f2.levels):
             np.testing.assert_array_equal(a, b)
 
+    def test_random_draws_level_by_level(self):
+        # One draw for all levels consumes the generator like per-level draws.
+        mesh = build_mesh(6)
+        tree = build_tree(3, 1.0)
+        basis = np.sin(np.outer(np.arange(1, 4) * np.pi, mesh.interior))
+        field = AdaptedField.random(tree, mesh, np.random.default_rng(9), modes=3, scale=2.0)
+        rng = np.random.default_rng(9)
+        for k, arr in enumerate(field.levels):
+            np.testing.assert_allclose(arr, 2.0 * rng.standard_normal((1 << k, 3)) @ basis,
+                                       rtol=1e-14, atol=1e-14)
+        plain = AdaptedField.random(tree, mesh, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for k, arr in enumerate(plain.levels):
+            np.testing.assert_array_equal(arr, rng.standard_normal((1 << k, mesh.N)))
+
     def test_tree_inner_weighting(self):
         mesh = build_mesh(4)
         tree = build_tree(2, 1.0)
@@ -165,3 +180,20 @@ class TestQuadrature:
         assert got == pytest.approx(by_hand, rel=1e-14)
         # the leaf level lies beyond the left-endpoint sum
         assert time_pairing(self.tree, self.mesh, a[:2], b[:2], w) == got
+
+    def test_sample_axes_give_one_value_per_sample(self):
+        rng = np.random.default_rng(5)
+        a = [rng.standard_normal((2, 3, 1 << k, self.mesh.N)) for k in range(3)]
+        b = [rng.standard_normal((2, 3, 1 << k, self.mesh.N)) for k in range(3)]
+        paired = time_pairing(self.tree, self.mesh, a, b, self.w)
+        inner = tree_inner(self.tree, self.mesh, 2, a[2], b[2], self.w[1])
+        assert paired.shape == inner.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert paired[i, j] == pytest.approx(time_pairing(
+                    self.tree, self.mesh, [x[i, j] for x in a], [x[i, j] for x in b], self.w),
+                    rel=1e-14)
+                assert inner[i, j] == pytest.approx(tree_inner(
+                    self.tree, self.mesh, 2, a[2][i, j], b[2][i, j], self.w[1]), rel=1e-14)
+        with pytest.raises(ValueError):
+            tree_inner(self.tree, self.mesh, 2, a[1], b[1])
