@@ -16,6 +16,8 @@ from .errors import SingularSystemError
 from .mesh import Mesh, integrate
 
 _PIVOT_RTOL = 1e-13
+# Magnitudes allowed for the prefix products of the per-node substitution.
+_PREFIX_RANGE = (1e-150, 1e150)
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,19 @@ class StepOperator:
     ``diag`` holds one matrix per row: shape (n,) or (1, n) is one shared
     matrix, shape (P, n) one matrix per node; ``sub``/``sup`` broadcast
     against it.  Thomas elimination without pivoting runs here, once, with
-    the pivot check; ``solve`` only substitutes, for any number of batches.
+    a pivot check against each node's own max|diag|; ``solve`` only
+    substitutes, for any number of batches.
 
     * One shared matrix keeps its inverse, obtained by eliminating the
       identity, so a batched solve is a single matmul.
-    * Per-node matrices keep the multipliers and reciprocal pivots
-      space-major, shape (n, P), and are applied to right-hand sides
-      grouped by node, (..., P*C, n), without repeating the factors per row.
+    * Per-node matrices keep the prefix-product form of the substitution
+      (Stone, J. ACM 20, 1973), node-major with shape (P, 1, n), applied to
+      right-hand sides grouped by node, (..., P*C, n): five whole-array
+      calls per solve.  It needs every prefix product of the negated
+      multipliers to lie in [1e-150, 1e150]; otherwise (a zero off-diagonal
+      entry, or multipliers decaying or growing too fast over many rows)
+      the multipliers and reciprocal pivots are kept space-major, (n, P),
+      and the Thomas substitution runs row by row.
 
     Raises SingularSystemError when a pivot falls below the dominance
     threshold, which the drift-implicit steppers rule out up front but the
@@ -209,20 +217,26 @@ class StepOperator:
         sub = np.broadcast_to(np.asarray(sub, dtype=float), (nodes, n - 1))
         sup = np.broadcast_to(np.asarray(sup, dtype=float), (nodes, n - 1))
 
-        scale = np.abs(diag).max()
+        scale = np.abs(diag).max(axis=1)
         piv = np.empty_like(diag)
         piv[:, 0] = diag[:, 0]
         for i in range(n):
             if i:
                 piv[:, i] = diag[:, i] - sub[:, i - 1] / piv[:, i - 1] * sup[:, i - 1]
-            if np.any(np.abs(piv[:, i]) <= _PIVOT_RTOL * scale):
+            small = np.abs(piv[:, i]) <= _PIVOT_RTOL * scale
+            if np.any(small):
                 raise SingularSystemError(
-                    f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale:g})"
+                    f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small][0]:g})"
                 )
         self.nodes, self.n = nodes, n
-        self._lower = (sub / piv[:, :-1]).T.copy()
-        self._upper = (sup / piv[:, :-1]).T.copy()
-        self._inv_piv = (1.0 / piv).T.copy()
+        lower, upper = sub / piv[:, :-1], sup / piv[:, :-1]
+        self._prefix = None
+        if nodes > 1:
+            self._prefix = _prefix_factors(lower, upper, piv, np.array_equal(sub, sup))
+        if self._prefix is None:
+            self._lower = lower.T.copy()
+            self._upper = upper.T.copy()
+            self._inv_piv = (1.0 / piv).T.copy()
         # Row i of the eliminated identity is M^-1 e_i, so this is M^-T.
         self._inverse_t = self._eliminate(np.eye(n)) if nodes == 1 else None
 
@@ -231,6 +245,10 @@ class StepOperator:
         """I - dt*(second difference + a1*) on the interior, Dirichlet rows eliminated.
 
         ``a1`` of shape (N,) or (1, N) gives one shared matrix, (P, N) one per node.
+        With dt*a1 < 1 the matrix is symmetric with off-diagonal -dt/h^2 and
+        pivots above dt/h^2, so every negated multiplier lies in (0, 1) and
+        the prefix products only decay; per-node operators take the prefix
+        form unless they fall below 1e-150, which needs dt below about 3e-5.
         """
         a1 = np.asarray(a1, dtype=float)
         try:
@@ -241,6 +259,11 @@ class StepOperator:
                 f"{exc} (dt={dt:g}, h={mesh.h:g}, max|a1|={bound:g})"
             ) from exc
 
+    @property
+    def prefix_form(self) -> bool:
+        """Whether per-node solves use the prefix-product substitution."""
+        return self._prefix is not None
+
     def solve(self, rhs, transpose: bool = False) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).
 
@@ -250,10 +273,25 @@ class StepOperator:
         solves with the transposed matrices.
         """
         rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[-1:] != (self.n,):
+            raise ValueError(f"rhs must have {self.n} values along its last axis, got shape {rhs.shape}")
         if self._inverse_t is not None:
             inv = self._inverse_t.T if transpose else self._inverse_t
             return (rhs.reshape(-1, self.n) @ inv).reshape(rhs.shape)
-        return self._eliminate(rhs, transpose)
+        if rhs.ndim < 2 or rhs.shape[-2] % self.nodes:
+            raise ValueError(
+                f"rhs rows must be grouped by node, a multiple of {self.nodes}, got shape {rhs.shape}"
+            )
+        if self._prefix is None:
+            return self._eliminate(rhs, transpose)
+        inv_pf, mid, pb = self._prefix[transpose]
+        y = rhs.reshape(-1, self.nodes, rhs.shape[-2] // self.nodes, self.n) * inv_pf
+        np.cumsum(y, axis=-1, out=y)
+        y *= mid
+        rev = y[..., ::-1]
+        np.cumsum(rev, axis=-1, out=rev)
+        y *= pb
+        return y.reshape(rhs.shape)
 
     def _eliminate(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Thomas substitution with the stored factors.
@@ -278,8 +316,37 @@ class StepOperator:
         return x.transpose(1, 3, 2, 0).reshape(rhs.shape)
 
 
+
+def _prefix_factors(lower, upper, piv, symmetric: bool):
+    """Prefix-product factors of the plain and the transposed solve, or None.
+
+    With pf[i] = prod(-lower[:i]) and pb[i] = prod(-upper[i:]), the forward
+    sweep y[i] = r[i] - lower[i-1]*y[i-1] is y = pf * cumsum(r / pf) and the
+    back substitution x[i] = y[i]/piv[i] - upper[i]*x[i+1] is
+    x = pb * revcumsum(y / (piv*pb)).  Each orientation is stored as
+    (1/pf, pf/(piv*pb), pb) with shape (nodes, 1, n); the transposed matrix
+    swaps the multipliers, so a symmetric one shares its arrays.  None when
+    a product is zero, non-finite or outside _PREFIX_RANGE.
+    """
+    ones = np.ones((len(piv), 1))
+    lo, hi = _PREFIX_RANGE
+    factors = []
+    for low, up in [(lower, upper)] if symmetric else [(lower, upper), (upper, lower)]:
+        pf = np.hstack([ones, np.cumprod(-low, axis=1)])
+        pb = np.hstack([np.cumprod(-up[:, ::-1], axis=1)[:, ::-1], ones])
+        size = np.abs(np.hstack([pf, pb]))
+        # Comparisons with NaN are false, so a non-finite product also fails here.
+        if not (lo <= size.min() and size.max() <= hi):
+            return None
+        mid = pf / (piv * pb)
+        if not np.isfinite(mid).all():
+            return None
+        factors.append(tuple(f[:, np.newaxis, :] for f in (1.0 / pf, mid, pb)))
+    return factors[0], factors[-1]
+
+
 def solve_tridiagonal(sub, diag, sup, rhs, transpose: bool = False) -> np.ndarray:
-    """One-off Thomas solve, vectorized over batch rows.
+    """One-off tridiagonal solve, vectorized over batch rows.
 
     ``sub``/``diag``/``sup`` may be 1-D (shared matrix) or carry leading
     batch axes matching ``rhs``.  ``transpose=True`` solves with the

@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from sdcontrol.discrete_calc import (DualGridFunction, GridFunction, StepOperator,
                                      apply_Ah, apply_Dh, apply_Dh_dual,
-                                     apply_Dh2, consistency_orders,
+                                     apply_Dh2, consistency_orders, drift_implicit_bands,
                                      ibp_residuals, leibniz_residuals,
                                      solve_drift_implicit, solve_tridiagonal)
 from sdcontrol.errors import SingularSystemError
 from sdcontrol.mesh import build_mesh, integrate
+from sdcontrol.noise_tree import ScenarioTree
 
 
 def grid(mesh, f):
@@ -225,34 +226,111 @@ def _dominant_bands(rng, nodes, n):
     return sub, diag, sup
 
 
+def _bands_with_zero_entry(rng, nodes, n):
+    """Dominant bands with one off-diagonal entry exactly zero: a reducible matrix."""
+    sub, diag, sup = _dominant_bands(rng, nodes, n)
+    band = sub if rng.random() < 0.5 else sup
+    band[rng.integers(nodes), rng.integers(n - 1)] = 0.0
+    return sub, diag, sup
+
+
+def _tiny_multiplier_bands(rng, nodes, n):
+    """Dominant bands whose multipliers are near 1e-20, so prefix products underflow."""
+    sub, diag, sup = _dominant_bands(rng, nodes, n)
+    return 1e-20 * sub, diag, 1e-20 * sup
+
+
 def _dense(sub, diag, sup):
     return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
+def _assert_matches_dense(got, rhs, bands, transpose):
+    """Each node's rows of ``got`` (..., P*C, n) against np.linalg.solve at rtol 1e-12."""
+    sub, diag, sup = bands
+    nodes = len(diag)
+    grouped_got = got.reshape(-1, nodes, got.shape[-2] // nodes, got.shape[-1])
+    grouped_rhs = rhs.reshape(grouped_got.shape)
+    for p in range(nodes):
+        mat = _dense(sub[p], diag[p], sup[p])
+        rows = grouped_rhs[:, p].reshape(-1, rhs.shape[-1])
+        ref = np.linalg.solve(mat.T if transpose else mat, rows.T).T
+        np.testing.assert_allclose(grouped_got[:, p].reshape(ref.shape), ref,
+                                   rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+# (smallest n, band builder, whether per-node operators take the prefix form)
+_BAND_KINDS = {
+    "dominant": (2, _dominant_bands, True),
+    "zero_entry": (2, _bands_with_zero_entry, False),
+    "tiny_multipliers": (16, _tiny_multiplier_bands, False),
+}
+
+
 class TestStepOperator:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 12), nodes=st.integers(1, 5), per_node=st.integers(1, 3),
-           samples=st.integers(1, 3), transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_solve(self, n, nodes, per_node, samples, transpose, seed):
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(sorted(_BAND_KINDS)), extra=st.integers(0, 10),
+           nodes=st.integers(1, 5), per_node=st.integers(1, 3), samples=st.integers(1, 3),
+           transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_solve(self, kind, extra, nodes, per_node, samples, transpose, seed):
         # nodes == 1 is the shared matrix (inverse + matmul); nodes > 1 the
-        # per-node factors applied to rows grouped by node, for every sample
-        # along the leading axis.
+        # per-node factors, prefix form or Thomas substitution by the band
+        # kind, applied to rows grouped by node, for every sample along the
+        # leading axis.
+        n_min, build, prefix = _BAND_KINDS[kind]
+        n = n_min + extra
         rng = np.random.default_rng(seed)
-        sub, diag, sup = _dominant_bands(rng, nodes, n)
+        sub, diag, sup = build(rng, nodes, n)
         rhs = rng.standard_normal((samples, nodes * per_node, n))
-        got = StepOperator(sub, diag, sup).solve(rhs, transpose=transpose)
+        op = StepOperator(sub, diag, sup)
+        assert op.prefix_form == (prefix and nodes > 1)
+        got = op.solve(rhs, transpose=transpose)
         assert got.shape == rhs.shape
 
         def rows(band):
             return np.repeat(band, per_node, axis=0)
         for s in range(samples):
             ref = solve_tridiagonal(rows(sub), rows(diag), rows(sup), rhs[s], transpose=transpose)
-            tol = dict(rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-            np.testing.assert_allclose(got[s], ref, **tol)
-            for r in range(rhs.shape[1]):
-                mat = _dense(sub[r // per_node], diag[r // per_node], sup[r // per_node])
-                np.testing.assert_allclose(
-                    got[s, r], np.linalg.solve(mat.T if transpose else mat, rhs[s, r]), **tol)
+            np.testing.assert_allclose(got[s], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        _assert_matches_dense(got, rhs, (sub, diag, sup), transpose)
+
+    def test_pivot_threshold_is_per_node(self):
+        # A well-conditioned node at scale 1e-14 batched with an O(1) node
+        # factors as it would on its own.
+        rng = np.random.default_rng(11)
+        scale = np.array([[1e-14], [1.0]])
+        bands = tuple(band * scale for band in _dominant_bands(rng, 2, 6))
+        op = StepOperator(*bands)
+        rhs = rng.standard_normal((3, 4, 6))
+        for transpose in (False, True):
+            _assert_matches_dense(op.solve(rhs, transpose=transpose), rhs, bands, transpose)
+
+    def test_rejects_misgrouped_rhs(self):
+        rng = np.random.default_rng(12)
+        per_node = StepOperator(*_dominant_bands(rng, 2, 4))
+        for shape in [(2, 3, 4), (3, 4), (4,), (2, 5), (2, 2, 3)]:
+            with pytest.raises(ValueError, match=r"rhs"):
+                per_node.solve(np.ones(shape))
+        shared = StepOperator(*(band[0] for band in _dominant_bands(rng, 1, 4)))
+        assert shared.solve(np.ones((3, 4))).shape == (3, 4)
+        with pytest.raises(ValueError, match=r"last axis"):
+            shared.solve(np.ones((2, 6)))
+
+    @pytest.mark.parametrize("N", [2, 15, 63, 255])
+    def test_drift_implicit_takes_prefix_form(self, N):
+        mesh = build_mesh(N)
+        rng = np.random.default_rng(N)
+        for T in (0.01, 1.0, 10.0):
+            for depth in (1, 10, 20):
+                dt = ScenarioTree(depth, T).dt
+                # dt*a1 at both ends of the dominance range, and mixed.
+                dt_a1 = np.stack([np.full(N, 0.99), np.full(N, -0.99), rng.uniform(-0.99, 0.99, N)])
+                op = StepOperator.drift_implicit(mesh, dt, dt_a1 / dt)
+                assert op.prefix_form, (N, T, depth)
+                bands = tuple(np.broadcast_to(b, (3, len(b) if b.ndim == 1 else N))
+                              for b in drift_implicit_bands(mesh, dt, dt_a1 / dt))
+                rhs = rng.standard_normal((2, 6, N))
+                for transpose in (False, True):
+                    _assert_matches_dense(op.solve(rhs, transpose=transpose), rhs, bands, transpose)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 10), transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
