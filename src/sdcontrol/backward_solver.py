@@ -27,7 +27,8 @@ import numpy as np
 from .discrete_calc import StepOperator
 from .forward_solver import Coefficients, ControlPair, ForwardSolution
 from .mesh import Mesh
-from .noise_tree import AdaptedField, ScenarioTree, time_pairing, tree_inner
+from .noise_tree import (AdaptedField, ScenarioTree, martingale_coeff, time_pairing,
+                         tree_inner)
 
 
 @dataclass
@@ -53,23 +54,18 @@ class BackwardSolution:
         return self.z.levels[-1]
 
 
-def backward_step(mesh: Mesh, dt: float, z_children: np.ndarray,
-                  a1: np.ndarray, a2: np.ndarray, step: StepOperator | None = None,
-                  with_mean: bool = False):
-    """Transpose one forward step: children (..., 2B, N) -> (z, Z) at the parents.
+def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
+                  a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transpose one forward step: children (..., 2B, N) -> (z, Z, zeta) at the parents.
 
-    Leading axes of ``z_children`` (samples) are kept.  ``step`` is the
-    factored matrix for ``a1``; without it one is built for this call.
-    ``with_mean=True`` also returns the conditional mean zeta.
+    ``step`` is the level's factored step matrix; leading axes of
+    ``z_children`` (samples) are kept.  Returns the adjoint z, the
+    martingale coefficient Z and the conditional mean zeta.
     """
-    if step is None:
-        step = StepOperator.drift_implicit(mesh, dt, a1)
     zhat = step.solve(z_children, transpose=True)
-    zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, mesh.N))
-    zeta = 0.5 * (zhat[..., 1, :] + zhat[..., 0, :])
-    coeff = (zhat[..., 1, :] - zhat[..., 0, :]) / (2.0 * np.sqrt(dt))
-    z = zeta + dt * a2 * coeff
-    return (z, coeff, zeta) if with_mean else (z, coeff)
+    zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, step.n))
+    zeta, coeff = martingale_coeff(zhat[..., 1, :], zhat[..., 0, :], dt)
+    return zeta + dt * a2 * coeff, coeff, zeta
 
 
 def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
@@ -79,6 +75,7 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
     ``zT`` has shape (2^depth, N), or (..., 2^depth, N) for a batch of
     samples swept at once; every level keeps the leading axes.
     """
+    coeffs.check_grid(tree, mesh)
     steps = coeffs.step_operators()
     zT = np.asarray(zT, dtype=float)
     leaves = (tree.num_nodes(tree.depth), mesh.N)
@@ -90,9 +87,8 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
     z_levels[tree.depth] = zT.copy()
 
     for k in range(tree.depth - 1, -1, -1):
-        a1, a2 = coeffs.at(k)
         z_levels[k], coeff_levels[k], zeta_levels[k] = backward_step(
-            mesh, tree.dt, z_levels[k + 1], a1, a2, steps[k], with_mean=True)
+            steps[k], tree.dt, z_levels[k + 1], coeffs.a2_levels[k])
 
     return BackwardSolution(
         z=AdaptedField(tree, mesh, z_levels),

@@ -95,17 +95,6 @@ def apply_Dh2(u: GridFunction) -> np.ndarray:
     return (w[2:] - 2.0 * w[1:-1] + w[:-2]) / u.mesh.h**2
 
 
-def laplacian_interior(interior: np.ndarray, h: float) -> np.ndarray:
-    """Second difference of interior values with homogeneous Dirichlet padding.
-
-    Vectorized over leading batch axes; the last axis is space.
-    """
-    out = -2.0 * interior
-    out[..., :-1] += interior[..., 1:]
-    out[..., 1:] += interior[..., :-1]
-    return out / h**2
-
-
 def leibniz_residuals(u: GridFunction, v: GridFunction) -> tuple[float, float, float]:
     """Max-abs residuals of the three product identities.
 

@@ -137,6 +137,17 @@ class Coefficients:
                            for a1 in self.a1_levels]
         return self._steps
 
+    def check_grid(self, tree: ScenarioTree, mesh: Mesh) -> None:
+        """Raise ConfigurationError unless these coefficients were built on
+        ``tree`` and ``mesh``: a sweep on another grid would factor with one
+        dt and step the explicit terms with another."""
+        if self.tree != tree or self.mesh != mesh:
+            raise ConfigurationError(
+                f"coefficients built for depth {self.tree.depth}, T={self.tree.T:g}, "
+                f"N={self.mesh.N} cannot drive a sweep with depth {tree.depth}, "
+                f"T={tree.T:g}, N={mesh.N}"
+            )
+
     def validate_dominance(self):
         """Diagonal dominance of the implicit step: dt * max|a1| < 1."""
         m1 = max((np.abs(a).max() for a in self.a1_levels), default=0.0)
@@ -176,11 +187,6 @@ class ControlPair:
         pair.v, pair.region = v, region
         return pair
 
-    @classmethod
-    def zero(cls, tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> "ControlPair":
-        return cls(AdaptedField.zeros(tree, mesh, tree.depth),
-                   AdaptedField.zeros(tree, mesh, tree.depth), region)
-
 
 @dataclass
 class ForwardSolution:
@@ -191,42 +197,41 @@ class ForwardSolution:
         return self.states.levels[-1]
 
 
+# Increment signs of a node's two children: child 2n takes -sqrt(dt), 2n+1 takes +sqrt(dt).
 _EDGE_SIGNS = np.array([[-1.0], [1.0]])
 
 
-def forward_step(mesh: Mesh, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 a1: np.ndarray, a2: np.ndarray, indicator: np.ndarray,
-                 sign: float | np.ndarray, step: StepOperator | None = None) -> np.ndarray:
-    """One drift-implicit step along the edge with increment sign*sqrt(dt).
+def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 a2: np.ndarray, indicator: np.ndarray | float,
+                 sign: float | np.ndarray) -> np.ndarray:
+    """One implicit step along the edge with increment sign*sqrt(dt).
 
-    ``sign`` may be an array of edge signs broadcasting against the state,
-    which steps several edges at once; all axes but the last are rows, in
-    node order.  ``step`` is the factored matrix for ``a1``; without it one
-    is built for this call.
+    ``step`` is the level's factored step matrix.  ``sign`` may be an array
+    of edge signs broadcasting against the state, which steps several edges
+    at once: the right-hand side then has shape (..., nodes, edges, N) and
+    its node and edge axes are merged into rows in node order, while any
+    leading axes (samples) are kept.
     """
     rhs = y + dt * indicator * u + (a2 * y + v) * (sign * np.sqrt(dt))
-    if step is None:
-        step = StepOperator.drift_implicit(mesh, dt, a1)
-    return step.solve(rhs.reshape(-1, mesh.N)).reshape(rhs.shape)
+    return step.solve(rhs.reshape(rhs.shape[:-3] + (-1, step.n))).reshape(rhs.shape)
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,
                   tree: ScenarioTree, mesh: Mesh) -> ForwardSolution:
     """Propagate the state through every tree node; affine in (y0, u, v)."""
+    coeffs.check_grid(tree, mesh)
     steps = coeffs.step_operators()
     y0 = np.asarray(y0, dtype=float).reshape(mesh.N)
     indicator = controls.region.indicator if controls is not None else 0.0
 
     levels = [y0[np.newaxis, :].copy()]
     for k in range(tree.depth):
-        a1, a2 = coeffs.at(k)
         u = v = 0.0
         if controls is not None:
             u = controls.u.levels[k][:, np.newaxis]
             v = controls.v.levels[k][:, np.newaxis]
-        # Children of node n are 2n (minus edge) and 2n+1 (plus edge).
-        children = forward_step(mesh, tree.dt, levels[k][:, np.newaxis], u, v, a1,
-                                a2[:, np.newaxis], indicator, _EDGE_SIGNS, steps[k])
+        children = forward_step(steps[k], tree.dt, levels[k][:, np.newaxis], u, v,
+                                coeffs.a2_levels[k][:, np.newaxis], indicator, _EDGE_SIGNS)
         levels.append(children.reshape(2 << k, mesh.N))
 
     return ForwardSolution(states=AdaptedField(tree, mesh, levels))

@@ -56,11 +56,6 @@ class ScenarioTree:
         idx = np.arange(1 << level)
         return np.where(idx % 2 == 1, 1.0, -1.0)
 
-    def parents(self, level: int) -> np.ndarray:
-        if not 1 <= level <= self.depth:
-            raise ValueError(f"level must be in 1..{self.depth}, got {level}")
-        return np.arange(1 << level) // 2
-
     def _check_level(self, level: int):
         if not 0 <= level <= self.depth:
             raise ValueError(f"level must be in 0..{self.depth}, got {level}")
@@ -135,14 +130,6 @@ class AdaptedField:
         if num_levels is None:
             num_levels = tree.depth + 1
         return cls(tree, mesh, random_levels(mesh, rng, (), num_levels, modes, scale))
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
-    def total_values(self) -> int:
-        return sum(arr.size for arr in self.levels)
 
     def copy(self) -> "AdaptedField":
         return AdaptedField(self.tree, self.mesh, [arr.copy() for arr in self.levels])

@@ -3,11 +3,19 @@ import pytest
 
 from sdcontrol.backward_solver import (backward_step, duality_residual,
                                        solve_backward)
-from sdcontrol.discrete_calc import solve_drift_implicit
+from sdcontrol.discrete_calc import StepOperator
+from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
                                       solve_forward)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import AdaptedField, build_tree
+
+
+def dense_step(mesh, dt, a1):
+    """I - dt*(second difference + a1) as a dense matrix on the interior."""
+    ones = np.ones(mesh.N - 1)
+    lap = (np.diag(ones, -1) - 2 * np.eye(mesh.N) + np.diag(ones, 1)) / mesh.h**2
+    return np.eye(mesh.N) - dt * (lap + np.diag(a1))
 
 
 def random_controls(tree, mesh, region, rng):
@@ -31,11 +39,11 @@ class TestBackwardStep:
         dt = 0.1
         c = 2.0
         children = np.full((2, mesh.N), c)
-        z, coeff = backward_step(mesh, dt, children,
-                                 np.zeros((1, mesh.N)), np.zeros((1, mesh.N)))
+        step = StepOperator.drift_implicit(mesh, dt, np.zeros((1, mesh.N)))
+        z, coeff, zeta = backward_step(step, dt, children, np.zeros((1, mesh.N)))
         np.testing.assert_array_equal(coeff, 0.0)
-        oracle = solve_drift_implicit(mesh, dt, np.zeros(mesh.N),
-                                      np.full(mesh.N, c), transpose=True)
+        np.testing.assert_array_equal(z, zeta)
+        oracle = np.linalg.solve(dense_step(mesh, dt, np.zeros(mesh.N)).T, np.full(mesh.N, c))
         np.testing.assert_allclose(z[0], oracle, rtol=1e-14)
 
     def test_hand_duality_one_level(self):
@@ -124,8 +132,16 @@ class TestSolveBackward:
         det = zT_single.copy()
         for k in range(tree.depth - 1, -1, -1):
             a1, _ = coeffs.at(k)
-            det = solve_drift_implicit(mesh, tree.dt, a1[0], det, transpose=True)
+            det = np.linalg.solve(dense_step(mesh, tree.dt, a1[0]).T, det)
         np.testing.assert_allclose(sol.z0, det, rtol=1e-12)
+
+    @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
+    def test_coefficients_of_another_grid_rejected(self, tree_args, N):
+        # Built for dt = 1/4 on N = 6; the sweep runs with dt = 1/2 or on N = 5.
+        mesh = build_mesh(6)
+        coeffs = Coefficients.constant(build_tree(4, 1.0), mesh, 0.5, 0.5)
+        with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
+            solve_backward(np.ones((16, N)), coeffs, build_tree(*tree_args), build_mesh(N))
 
     def test_root_value_is_deterministic_scalar_node(self):
         mesh = build_mesh(5)
@@ -145,9 +161,9 @@ class TestSolveBackward:
         root_dt = np.sqrt(tree.dt)
         for k in range(tree.depth):
             a1, _ = coeffs.at(k)
-            a1_child = np.repeat(a1, 2, axis=0) if a1.shape[0] > 1 else a1
-            zhat = solve_drift_implicit(mesh, tree.dt, a1_child,
-                                        sol.z.levels[k + 1], transpose=True)
+            a1_child = np.repeat(a1, (2 << k) // a1.shape[0], axis=0)
+            zhat = np.array([np.linalg.solve(dense_step(mesh, tree.dt, a).T, z)
+                             for a, z in zip(a1_child, sol.z.levels[k + 1])])
             recon_plus = sol.zeta.levels[k] + sol.Z.levels[k] * root_dt
             recon_minus = sol.zeta.levels[k] - sol.Z.levels[k] * root_dt
             np.testing.assert_allclose(zhat[1::2], recon_plus, rtol=0, atol=1e-13)

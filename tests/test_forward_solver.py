@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.errors import ConfigurationError
-from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
+from sdcontrol.forward_solver import (_EDGE_SIGNS, Coefficients, ControlPair, OmegaRegion,
                                       energy_growth_rate, forward_step, solve_forward)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import AdaptedField, build_tree, tree_inner
@@ -21,6 +22,17 @@ def first_mode(mesh):
 
 def first_eigenvalue(h):
     return (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
+
+
+def dense_step(mesh, dt, a1):
+    """I - dt*(second difference + a1) as a dense matrix on the interior."""
+    ones = np.ones(mesh.N - 1)
+    lap = (np.diag(ones, -1) - 2 * np.eye(mesh.N) + np.diag(ones, 1)) / mesh.h**2
+    return np.eye(mesh.N) - dt * (lap + np.diag(a1))
+
+
+def heat_step(mesh, dt):
+    return StepOperator.drift_implicit(mesh, dt, np.zeros(mesh.N))
 
 
 class TestOmegaRegion:
@@ -53,16 +65,17 @@ class TestForwardStep:
     def test_zero_state_stays_zero(self):
         mesh = build_mesh(6)
         z = np.zeros(mesh.N)
-        out = forward_step(mesh, 0.1, z, z, z, z, z, np.ones(mesh.N), 1.0)
+        out = forward_step(heat_step(mesh, 0.1), 0.1, z, z, z, z, np.ones(mesh.N), 1.0)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_pure_heat_step_is_contraction(self):
         mesh = build_mesh(8)
         rng = np.random.default_rng(0)
         z = np.zeros(mesh.N)
+        step = heat_step(mesh, 0.05)
         for _ in range(20):
             y = rng.standard_normal(mesh.N)
-            out = forward_step(mesh, 0.05, y, z, z, z, z, np.ones(mesh.N), 1.0)
+            out = forward_step(step, 0.05, y, z, z, z, np.ones(mesh.N), 1.0)
             assert np.sqrt(mesh.h) * np.linalg.norm(out) <= np.sqrt(mesh.h) * np.linalg.norm(y) + 1e-15
 
     def test_single_noise_source(self):
@@ -72,12 +85,27 @@ class TestForwardStep:
         e_j = np.zeros(mesh.N)
         e_j[j] = c
         zeros = np.zeros(mesh.N)
-        out = forward_step(mesh, dt, zeros, zeros, e_j, zeros, zeros, np.ones(mesh.N), 1.0)
+        out = forward_step(heat_step(mesh, dt), dt, zeros, zeros, e_j, zeros, np.ones(mesh.N), 1.0)
         # oracle: dense solve of (I - dt*D2) x = c*sqrt(dt)*e_j
-        lap = (np.diag(np.full(mesh.N - 1, 1.0), -1) - 2 * np.eye(mesh.N)
-               + np.diag(np.full(mesh.N - 1, 1.0), 1)) / mesh.h**2
-        oracle = np.linalg.solve(np.eye(mesh.N) - dt * lap, np.sqrt(dt) * e_j)
+        oracle = np.linalg.solve(dense_step(mesh, dt, zeros), np.sqrt(dt) * e_j)
         np.testing.assert_allclose(out, oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_sample_batch_equals_per_sample_steps(self, nodes):
+        # nodes == 1: one shared matrix (matmul); nodes == 4: one matrix per
+        # node (prefix form).  The edge axis steps both children at once.
+        mesh = build_mesh(7)
+        dt = 0.1
+        rng = np.random.default_rng(13)
+        step = StepOperator.drift_implicit(mesh, dt, rng.uniform(-1, 1, (nodes, mesh.N)))
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        y, u, v = (rng.standard_normal((3, 4, 1, mesh.N)) for _ in range(3))
+        a2 = rng.uniform(-1, 1, (4, 1, mesh.N))
+        batch = forward_step(step, dt, y, u, v, a2, region.indicator, _EDGE_SIGNS)
+        assert batch.shape == (3, 4, 2, mesh.N)
+        for s in range(3):
+            single = forward_step(step, dt, y[s], u[s], v[s], a2, region.indicator, _EDGE_SIGNS)
+            np.testing.assert_array_equal(batch[s], single)
 
 
 class TestSolveForward:
@@ -139,16 +167,15 @@ class TestSolveForward:
         controls = ControlPair(u=AdaptedField.zeros(tree, mesh, tree.depth), v=v, region=region)
         sol = solve_forward(first_mode(mesh), controls, coeffs, tree, mesh)
 
-        det = first_mode(mesh)[np.newaxis, :]
-        from sdcontrol.discrete_calc import solve_drift_implicit
+        det = first_mode(mesh)
         for k in range(tree.depth):
             a1, _ = coeffs.at(k)
-            det = solve_drift_implicit(mesh, tree.dt, a1, det)
+            det = np.linalg.solve(dense_step(mesh, tree.dt, a1[0]), det)
             # each child pair cancels its increment, so only the drift
             # survives in the mean
             leaf_mean = sol.states.levels[k + 1].mean(axis=0)
             scale = max(1.0, np.abs(det).max())
-            assert np.abs(leaf_mean - det[0]).max() <= 1e-12 * scale * (k + 1)
+            assert np.abs(leaf_mean - det).max() <= 1e-12 * scale * (k + 1)
 
     def test_adaptedness_late_controls_do_not_touch_early_states(self):
         mesh = build_mesh(6)
@@ -172,6 +199,15 @@ class TestSolveForward:
         coeffs = Coefficients.constant(tree, mesh, 2.5, 0.0)
         with pytest.raises(ConfigurationError):
             solve_forward(first_mode(mesh), None, coeffs, tree, mesh)
+
+    @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
+    def test_coefficients_of_another_grid_rejected(self, tree_args, N):
+        # Built for dt = 1/4 on N = 6; the sweep runs with dt = 1/2 or on N = 5.
+        mesh = build_mesh(6)
+        coeffs = Coefficients.constant(build_tree(4, 1.0), mesh, 0.5, 0.5)
+        other = build_mesh(N)
+        with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
+            solve_forward(first_mode(other), None, coeffs, build_tree(*tree_args), other)
 
     @pytest.mark.parametrize("name,value", [("a1", np.nan), ("a2", np.inf)])
     def test_non_finite_coefficient_names_level(self, name, value):

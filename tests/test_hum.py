@@ -159,6 +159,16 @@ class TestSolveHum:
             ratios.append(report_bounds(sol, problem).cost_ratio)
         assert max(ratios) <= 10.0 * min(ratios)
 
+    def test_coefficients_of_another_tree_rejected(self):
+        # Coefficients built for dt = 1/4 driving a problem on a tree with dt = 1/2.
+        mesh = build_mesh(4)
+        coeffs = Coefficients.constant(build_tree(4, 1.0), mesh, 0.5, 0.5)
+        problem = HumProblem(y0=np.ones(mesh.N), coeffs=coeffs,
+                             region=OmegaRegion(mesh, (0.3, 0.7)), tree=build_tree(4, 2.0),
+                             mesh=mesh, epsilon=1e-3)
+        with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
+            solve_hum(problem)
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             small_problem(eps=0.0)

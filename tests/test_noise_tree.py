@@ -29,10 +29,6 @@ class TestTreeConstruction:
         # explicit cap override is allowed
         assert build_tree(5, 1.0, depth_cap=5).depth == 5
 
-    def test_parents(self):
-        tree = build_tree(2, 1.0)
-        np.testing.assert_array_equal(tree.parents(2), [0, 0, 1, 1])
-
 
 class TestExactness:
     @pytest.mark.parametrize("depth", range(1, 11))
@@ -103,12 +99,6 @@ class TestMartingaleCoeff:
 
 
 class TestAdaptedField:
-    def test_storage_count(self):
-        mesh = build_mesh(5)
-        tree = build_tree(6, 1.0)
-        field = AdaptedField.zeros(tree, mesh)
-        assert field.total_values == mesh.N * (2 ** (tree.depth + 1) - 1)
-
     def test_shape_validation(self):
         mesh = build_mesh(3)
         tree = build_tree(2, 1.0)
