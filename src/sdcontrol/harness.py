@@ -21,8 +21,7 @@ from .errors import (ConfigurationError, ConvergenceError, SingularSystemError)
 from .forward_solver import (Coefficients, ControlPair, OmegaRegion, sampled_levels,
                              solve_forward, uniform_levels)
 from .mesh import build_mesh, integrate
-from .weights import (WeightParams, build_weights, delta_schedule, schedule_h1,
-                      theta_bound_margins, weight_problems)
+from .weights import WeightParams, build_weights, theta_bound_margins, weight_problems
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,11 +133,21 @@ class ExperimentConfig:
             problems.append(f"y0.kind must be sine or random, got {self.y0.get('kind')!r}")
         if self.observability["train"] < 1 or self.observability["holdout"] < 1:
             problems.append("observability.train and .holdout must be >= 1")
+        if self.observability["safety"] <= 0:
+            problems.append(f"observability.safety must be positive, "
+                            f"got {self.observability['safety']}")
         if self.carleman["samples"] < 1:
             problems.append("carleman.samples must be >= 1")
+        if not 1 <= self.carleman["depth"] <= nt.DEFAULT_DEPTH_CAP:
+            problems.append(f"carleman.depth must be in 1..{nt.DEFAULT_DEPTH_CAP}, "
+                            f"got {self.carleman['depth']}")
         for h in self.sweep["h_values"]:
             if h <= 0:
                 problems.append(f"sweep.h_values entries must be positive, got {h}")
+        if self.sweep["cg_maxiter"] < 1:
+            problems.append(f"sweep.cg_maxiter must be >= 1, got {self.sweep['cg_maxiter']}")
+        if self.sweep["obs_train"] < 1 or self.sweep["obs_holdout"] < 1:
+            problems.append("sweep.obs_train and .obs_holdout must be >= 1")
         return problems
 
     @property
@@ -203,21 +212,24 @@ def build_y0(cfg: ExperimentConfig, mesh, rng=None) -> np.ndarray:
     raise ConfigurationError(f"unknown y0 kind {kind!r}")
 
 
+def _weight_family(cfg: ExperimentConfig) -> WeightParams:
+    """The config's weight family at the coarsest scheduled mesh (delta = delta0)."""
+    w = cfg.weights
+    return WeightParams(T=cfg.T, lam=w["lam"], mu=w["mu"], delta=w["delta0"],
+                        x0=w["x0"], K=w["K"], eps0=w["eps0"],
+                        omega0=tuple(cfg.omega0), omega=tuple(cfg.omega))
+
+
 def scheduled_weights(cfg: ExperimentConfig, h: float | None = None) -> WeightParams:
     """Weight parameters with the margin tied to the mesh size."""
-    w = cfg.weights
-    h = cfg.h if h is None else h
-    h1 = schedule_h1(w["lam"], w["eps0"], w["delta0"], cfg.T)
+    family = _weight_family(cfg)
     try:
-        delta = delta_schedule(h, h1, w["delta0"])
+        return family.at_mesh(cfg.h if h is None else h)
     except ValueError as exc:
         raise ConfigurationError(
             f"mesh too coarse for the margin schedule: {exc} "
             f"(raise N, lower weights.lam, or raise weights.delta0)"
         ) from exc
-    return WeightParams(T=cfg.T, lam=w["lam"], mu=w["mu"], delta=delta,
-                        x0=w["x0"], K=w["K"], eps0=w["eps0"],
-                        omega0=tuple(cfg.omega0), omega=tuple(cfg.omega))
 
 
 def resolve_epsilon(cfg: ExperimentConfig) -> float:
@@ -385,16 +397,37 @@ def _cmd_identities(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_NUMERICAL
 
 
-def _hum_problem(cfg: ExperimentConfig):
+def _seeded_setup(cfg: ExperimentConfig):
+    """Mesh, tree, window and coefficients of ``cfg``, plus the generator of
+    the seed's second stream: y0's for ``hum``, the plain samples' for
+    ``observability``."""
     mesh = build_mesh(cfg.N)
     tree = nt.build_tree(cfg.depth, cfg.T)
     region = OmegaRegion(mesh, tuple(cfg.omega))
     seq = np.random.SeedSequence(cfg.seed)
-    rng_coeff, rng_y0 = [np.random.default_rng(s) for s in seq.spawn(2)]
-    coeffs = build_coefficients(cfg, tree, mesh, rng_coeff)
-    y0 = build_y0(cfg, mesh, rng_y0)
+    rng_coeff, rng = [np.random.default_rng(s) for s in seq.spawn(2)]
+    return mesh, tree, region, build_coefficients(cfg, tree, mesh, rng_coeff), rng
+
+
+def _emit_payload(payload: dict, out: str | None) -> None:
+    """Print one ``key: value`` line per entry (``section.key`` inside a
+    nested section) and write the payload as JSON to ``out`` when given."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            for sub_key, item in value.items():
+                print(f"{key}.{sub_key}: {item}")
+        else:
+            print(f"{key}: {value}")
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+
+
+def _hum_problem(cfg: ExperimentConfig):
+    mesh, tree, region, coeffs, rng_y0 = _seeded_setup(cfg)
     return hum_mod.HumProblem(
-        y0=y0, coeffs=coeffs, region=region, tree=tree, mesh=mesh,
+        y0=build_y0(cfg, mesh, rng_y0), coeffs=coeffs, region=region, tree=tree, mesh=mesh,
         epsilon=resolve_epsilon(cfg),
         cg_tol=cfg.hum["cg_tol"], cg_maxiter=cfg.hum["cg_maxiter"],
     )
@@ -404,7 +437,7 @@ def _cmd_hum(cfg: ExperimentConfig, args) -> int:
     problem = _hum_problem(cfg)
     sol = hum_mod.solve_hum(problem)
     report = hum_mod.report_bounds(sol, problem)
-    payload = {
+    _emit_payload({
         "N": cfg.N, "depth": cfg.depth, "epsilon": problem.epsilon,
         "cg_iterations": sol.cg_iterations,
         "cg_final_residual": sol.cg_residuals[-1] if sol.cg_residuals else 0.0,
@@ -415,45 +448,28 @@ def _cmd_hum(cfg: ExperimentConfig, args) -> int:
         "cost_ratio": report.cost_ratio,
         "terminal_ratio": report.terminal_ratio,
         "terminal_to_penalty_ratio": report.terminal_to_penalty_ratio,
-    }
-    for key, value in payload.items():
-        print(f"{key}: {value}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    }, args.out)
     return EXIT_OK
 
 
 def _cmd_observability(cfg: ExperimentConfig, args) -> int:
-    mesh = build_mesh(cfg.N)
-    tree = nt.build_tree(cfg.depth, cfg.T)
-    region = OmegaRegion(mesh, tuple(cfg.omega))
     weights = build_weights(scheduled_weights(cfg))
-    seq = np.random.SeedSequence(cfg.seed)
-    rng_coeff, rng_samples = [np.random.default_rng(s) for s in seq.spawn(2)]
-    coeffs = build_coefficients(cfg, tree, mesh, rng_coeff)
+    mesh, tree, region, coeffs, rng_plain = _seeded_setup(cfg)
+    rng_scaled = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
     obs = cfg.observability
     payload = {}
-    for label, h_scaling in (("plain", False), ("h_scaled", True)):
-        rng = np.random.default_rng(seq.spawn(1)[0]) if h_scaling else rng_samples
+    for label, rng in (("plain", rng_plain), ("h_scaled", rng_scaled)):
         fit = ineq.observability_sample(
             coeffs, weights, tree, mesh, region, rng,
             obs["train"], obs["holdout"], cfg.weights["c_eps"],
-            safety=obs["safety"], terminal_h_scaling=h_scaling)
+            safety=obs["safety"], terminal_h_scaling=label == "h_scaled")
         payload[label] = {
             "fitted_C": fit.fitted_C, "bound_C": fit.bound_C,
             "holdout_violations": fit.holdout_violations,
             "holdout_max_ratio": fit.holdout_max_ratio,
             "excluded": fit.excluded, "samples": fit.samples,
         }
-    for label, stats in payload.items():
-        for key, value in stats.items():
-            print(f"{label}.{key}: {value}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    _emit_payload(payload, args.out)
     return EXIT_OK if all(p["holdout_violations"] == 0 for p in payload.values()) else EXIT_NUMERICAL
 
 
@@ -475,27 +491,18 @@ def _cmd_carleman(cfg: ExperimentConfig, args) -> int:
                           "median_ratio": float(np.median(ratios)),
                           "finite": bool(np.isfinite(ratios).all())}
     payload["stability_factor"] = max(maxima) / min(maxima)
-    for key, value in payload.items():
-        print(f"{key}: {value}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    _emit_payload(payload, args.out)
     ok = all(p["finite"] for p in (payload["base"], payload["refined"]))
     return EXIT_OK if ok and payload["stability_factor"] <= 5.0 else EXIT_NUMERICAL
 
 
 def sweep_settings_from_config(cfg: ExperimentConfig) -> ineq.SweepSettings:
-    w = cfg.weights
     return ineq.SweepSettings(
-        h_values=list(cfg.sweep["h_values"]),
-        depth=cfg.depth, T=cfg.T, lam=w["lam"], mu=w["mu"], delta0=w["delta0"],
-        eps0=w["eps0"], x0=w["x0"], K=w["K"],
-        omega=tuple(cfg.omega), omega0=tuple(cfg.omega0), c_eps=w["c_eps"],
+        h_values=list(cfg.sweep["h_values"]), depth=cfg.depth,
+        weights=_weight_family(cfg), c_eps=cfg.weights["c_eps"],
         coeff_factory=lambda tree, mesh, rng: build_coefficients(cfg, tree, mesh, rng),
         y0_factory=lambda mesh: build_y0(cfg, mesh),
-        seed=cfg.seed, cg_tol=cfg.hum["cg_tol"],
-        cg_maxiter=cfg.sweep.get("cg_maxiter", cfg.hum["cg_maxiter"]),
+        seed=cfg.seed, cg_tol=cfg.hum["cg_tol"], cg_maxiter=cfg.sweep["cg_maxiter"],
         obs_train=cfg.sweep["obs_train"], obs_holdout=cfg.sweep["obs_holdout"],
         obs_safety=cfg.observability["safety"],
     )

@@ -91,8 +91,10 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int):
     Returns (solution, relative-residual history).  Raises ConvergenceError
     with the history when the operator shows a nonpositive curvature
     p.Ap <= 0, or a step or residual is not finite, instead of continuing
-    with a meaningless step.
+    with a meaningless step.  Raises ValueError when maxiter < 1.
     """
+    if maxiter < 1:
+        raise ValueError(f"conjugate gradient needs maxiter >= 1, got {maxiter}")
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     r = b.copy()

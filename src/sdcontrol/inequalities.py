@@ -22,8 +22,7 @@ from .mesh import Mesh, build_mesh
 from .noise_tree import (AdaptedField, ScenarioTree, build_tree, random_levels, time_pairing,
                          tree_inner)
 from .discrete_calc import StepOperator
-from .weights import (CarlemanWeights, WeightParams, build_weights, delta_schedule,
-                      schedule_h1, validate_regime)
+from .weights import CarlemanWeights, WeightParams, build_weights, validate_regime
 
 # The estimators sweep their samples in batches of at most this many leaf
 # values (samples * 2^depth * N), and at least one sample.  Memory sets the
@@ -51,15 +50,13 @@ class SourcePair:
 
     @classmethod
     def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
-               modes: int = 3, scale: float = 1.0) -> "SourcePair":
-        """Adapted low-mode random sources, comparable across mesh refinements."""
-        return cls._random_batch(tree, mesh, rng, (), modes, scale)
+               modes: int = 3, scale: float = 1.0,
+               shape: tuple[int, ...] = ()) -> "SourcePair":
+        """Adapted low-mode random sources, comparable across mesh refinements.
 
-    @classmethod
-    def _random_batch(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
-                      shape: tuple[int, ...], modes: int = 3,
-                      scale: float = 1.0) -> "SourcePair":
-        """``shape`` samples of ``random`` from one draw: per sample, f before g."""
+        A nonempty ``shape`` gives that many samples from one draw, the same
+        as one call per sample: per sample, f before g.
+        """
         levels = random_levels(mesh, rng, tuple(shape) + (2,), tree.depth, modes, scale)
         return cls(f=AdaptedField(tree, mesh, [lv[..., 0, :, :] for lv in levels]),
                    g=AdaptedField(tree, mesh, [lv[..., 1, :, :] for lv in levels]))
@@ -146,10 +143,13 @@ def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
     return np.diff(padded, axis=-1) / h
 
 
-def _term_evaluator(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mesh,
-                    region: OmegaRegion) -> Callable[[AdaptedField, SourcePair], CarlemanTerms]:
-    """Check the regime and evaluate the weights once; the returned function
-    gives the terms of any solution, or batch of solutions, and its sources."""
+def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeights,
+                   tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> CarlemanTerms:
+    """Tree-weighted left-endpoint quadrature of every term in the estimate.
+
+    ``w`` and ``sources`` may carry leading sample axes; the terms are then
+    arrays over the samples.
+    """
     ok, ratio = validate_regime(weights, mesh.h)
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
@@ -172,31 +172,19 @@ def _term_evaluator(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mesh,
     state, gradient, diffusion = s**3 * w2_int, s * w2_star, s**2 * w2_int
     window = s**3 * region.indicator * w2_int
 
-    def evaluate(w: AdaptedField, sources: SourcePair) -> CarlemanTerms:
-        grads = [_gradient(wk, mesh.h) for wk in w.levels[:tree.depth]]
-        leaves = w.levels[tree.depth]
-        return CarlemanTerms(
-            lhs_state=time_pairing(tree, mesh, w, w, state),
-            lhs_gradient=time_pairing(tree, mesh, grads, grads, gradient),
-            rhs_window=time_pairing(tree, mesh, w, w, window),
-            rhs_diffusion=time_pairing(tree, mesh, sources.g, sources.g, diffusion),
-            rhs_drift=time_pairing(tree, mesh, sources.f, sources.f, w2_int),
-            rhs_initial=tree_inner(tree, mesh, 0, w.levels[0], w.levels[0], w2_t0) / mesh.h**2,
-            rhs_terminal=tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2,
-            log_shift=float(log_shift),
-            regime_ratio=float(ratio),
-        )
-    return evaluate
-
-
-def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeights,
-                   tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> CarlemanTerms:
-    """Tree-weighted left-endpoint quadrature of every term in the estimate.
-
-    ``w`` and ``sources`` may carry leading sample axes; the terms are then
-    arrays over the samples.
-    """
-    return _term_evaluator(weights, tree, mesh, region)(w, sources)
+    grads = [_gradient(wk, mesh.h) for wk in w.levels[:tree.depth]]
+    leaves = w.levels[tree.depth]
+    return CarlemanTerms(
+        lhs_state=time_pairing(tree, mesh, w, w, state),
+        lhs_gradient=time_pairing(tree, mesh, grads, grads, gradient),
+        rhs_window=time_pairing(tree, mesh, w, w, window),
+        rhs_diffusion=time_pairing(tree, mesh, sources.g, sources.g, diffusion),
+        rhs_drift=time_pairing(tree, mesh, sources.f, sources.f, w2_int),
+        rhs_initial=tree_inner(tree, mesh, 0, w.levels[0], w.levels[0], w2_t0) / mesh.h**2,
+        rhs_terminal=tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2,
+        log_shift=float(log_shift),
+        regime_ratio=float(ratio),
+    )
 
 
 def carleman_ratio_study(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mesh,
@@ -207,11 +195,11 @@ def carleman_ratio_study(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mes
     The samples are drawn, solved and evaluated in batches; the draws are
     the same as for ``SourcePair.random`` called once per sample.
     """
-    evaluate = _term_evaluator(weights, tree, mesh, region)
     ratios = np.empty(samples)
     for start, stop in _batches(samples, tree, mesh):
-        sources = SourcePair._random_batch(tree, mesh, rng, (stop - start,), modes)
-        ratios[start:stop] = evaluate(solve_w_equation(sources, tree, mesh), sources).ratio
+        sources = SourcePair.random(tree, mesh, rng, modes, shape=(stop - start,))
+        w = solve_w_equation(sources, tree, mesh)
+        ratios[start:stop] = carleman_terms(w, sources, weights, tree, mesh, region).ratio
     return ratios
 
 
@@ -319,19 +307,13 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
 @dataclass
 class SweepSettings:
     """Everything one mesh-size sweep needs, with factories for the pieces
-    that depend on the mesh and tree."""
+    that depend on the mesh and tree.  ``weights`` is the weight family at
+    the coarsest scheduled mesh (its ``delta`` is delta0); each row takes it
+    ``at_mesh``."""
 
     h_values: list[float]
     depth: int
-    T: float
-    lam: float
-    mu: float
-    delta0: float
-    eps0: float
-    x0: float
-    K: float
-    omega: tuple[float, float]
-    omega0: tuple[float, float]
+    weights: WeightParams
     c_eps: float
     coeff_factory: Callable[[ScenarioTree, Mesh, np.random.Generator], Coefficients]
     y0_factory: Callable[[Mesh], np.ndarray]
@@ -394,25 +376,21 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
     from . import hum as hum_mod
 
     rows = []
-    h1 = schedule_h1(settings.lam, settings.eps0, settings.delta0, settings.T)
+    family = settings.weights
     seed_seq = np.random.SeedSequence(settings.seed)
     row_seeds = seed_seq.spawn(len(settings.h_values))
 
     for h, row_seed in zip(settings.h_values, row_seeds):
-        row = SweepRow(h=h, lam=settings.lam, mu=settings.mu, depth=settings.depth)
+        row = SweepRow(h=h, lam=family.lam, mu=family.mu, depth=settings.depth)
         try:
             N = mesh_size_from_h(h)
             row.N = N
             mesh = build_mesh(N)
-            delta = delta_schedule(h, h1, settings.delta0)
-            row.delta = delta
-            weights = build_weights(WeightParams(
-                T=settings.T, lam=settings.lam, mu=settings.mu, delta=delta,
-                x0=settings.x0, K=settings.K, eps0=settings.eps0,
-                omega0=settings.omega0, omega=settings.omega,
-            ))
-            tree = build_tree(settings.depth, settings.T)
-            region = OmegaRegion(mesh, settings.omega)
+            params = family.at_mesh(h)
+            row.delta = params.delta
+            weights = build_weights(params)
+            tree = build_tree(settings.depth, params.T)
+            region = OmegaRegion(mesh, params.omega)
             rng_obs, rng_coeff = [np.random.default_rng(s) for s in row_seed.spawn(2)]
             coeffs = settings.coeff_factory(tree, mesh, rng_coeff)
 
@@ -423,7 +401,7 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
             )
             row.obs_C = fit.fitted_C
 
-            eps = float(np.exp(-settings.c_eps / h))
+            eps = hum_mod.epsilon_from_mesh(settings.c_eps, h)
             row.eps = eps
             problem = hum_mod.HumProblem(
                 y0=settings.y0_factory(mesh), coeffs=coeffs, region=region,

@@ -11,7 +11,7 @@ the probe helpers below combine exponents before exponentiating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -47,6 +47,15 @@ class WeightParams:
                                    self.eps0, self.omega0, self.omega)
         if problems:
             raise WeightConfigError(problems[0])
+
+    def at_mesh(self, h: float) -> "WeightParams":
+        """The family at mesh size h, reading ``delta`` as delta0: the margin
+        at the coarsest scheduled mesh h1, where the regime ratio is eps0.
+
+        Raises ValueError when h > h1.
+        """
+        h1 = schedule_h1(self.lam, self.eps0, self.delta, self.T)
+        return replace(self, delta=delta_schedule(h, h1, self.delta))
 
 
 def weight_problems(T: float, lam: float, mu: float, delta: float, x0: float,

@@ -24,8 +24,7 @@ from sdcontrol.inequalities import (carleman_ratio_study, h_sweep,
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import AdaptedField, build_tree, expectation, \
     martingale_coeff, tree_inner
-from sdcontrol.weights import (WeightParams, build_weights, delta_schedule,
-                               schedule_h1, validate_regime)
+from sdcontrol.weights import WeightParams, build_weights, validate_regime
 
 
 def report(criterion, ok, detail, started, limit):
@@ -37,9 +36,8 @@ def report(criterion, ok, detail, started, limit):
 
 
 def scheduled(mesh, lam=2.0, mu=1.2, delta0=0.25, eps0=1.0, T=1.0):
-    h1 = schedule_h1(lam, eps0, delta0, T)
     return build_weights(WeightParams(
-        T=T, lam=lam, mu=mu, delta=delta_schedule(mesh.h, h1, delta0), x0=0.5))
+        T=T, lam=lam, mu=mu, delta=delta0, x0=0.5, eps0=eps0).at_mesh(mesh.h))
 
 
 def test_criterion_01_product_identities():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,11 +185,25 @@ class TestCli:
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = self._write_config(tmp_path)
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
         data["N"] = 1
-        open(path, "w").write(json.dumps(data))
+        Path(path).write_text(json.dumps(data), encoding="utf-8")
         assert cli(["hum", "--config", path]) == 2
         assert "N must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, name", [
+        ("carleman", {"depth": 0}, "carleman.depth"),
+        ("carleman", {"depth": 17}, "carleman.depth"),
+        ("sweep", {"cg_maxiter": 0}, "sweep.cg_maxiter"),
+        ("sweep", {"obs_train": 0}, "sweep.obs_train"),
+        ("sweep", {"obs_holdout": 0}, "sweep.obs_train and .obs_holdout"),
+        ("observability", {"safety": 0.0}, "observability.safety"),
+        ("observability", {"safety": -1.0}, "observability.safety"),
+    ])
+    def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
+        path = self._write_config(tmp_path, **{section: value})
+        assert cli([section, "--config", path]) == 2
+        assert f"config error: {name}" in capsys.readouterr().err
 
     def test_bad_threads_exits_2(self):
         assert cli(["identities", "--threads", "0"]) == 2

@@ -93,6 +93,11 @@ class TestConjugateGradient:
         np.testing.assert_array_equal(x, 0.0)
         assert res == []
 
+    @pytest.mark.parametrize("maxiter", [0, -1])
+    def test_maxiter_below_one_rejected(self, maxiter):
+        with pytest.raises(ValueError, match="maxiter"):
+            conjugate_gradient(lambda z: z, np.ones(5), 1e-10, maxiter)
+
     def test_maxiter_exhaustion_raises_with_history(self):
         rng = np.random.default_rng(5)
         diag = rng.uniform(1, 100, 50)

@@ -10,7 +10,7 @@ from sdcontrol.inequalities import (SourcePair, SweepSettings, _batches, carlema
                                     observability_sample, solve_w_equation)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import AdaptedField, build_tree, time_pairing, tree_inner
-from sdcontrol.weights import WeightParams, build_weights, delta_schedule, schedule_h1
+from sdcontrol.weights import WeightParams, build_weights
 
 
 def mild_weights(**overrides):
@@ -21,9 +21,8 @@ def mild_weights(**overrides):
 
 
 def scheduled_weights(mesh, lam=2.0, mu=1.2, delta0=0.25, eps0=1.0, T=1.0):
-    h1 = schedule_h1(lam, eps0, delta0, T)
-    return build_weights(WeightParams(T=T, lam=lam, mu=mu,
-                                      delta=delta_schedule(mesh.h, h1, delta0), x0=0.5))
+    return build_weights(WeightParams(T=T, lam=lam, mu=mu, delta=delta0, x0=0.5,
+                                      eps0=eps0).at_mesh(mesh.h))
 
 
 class TestSourceSolve:
@@ -345,8 +344,9 @@ class TestObservability:
 class TestSweep:
     def _settings(self, h_values):
         return SweepSettings(
-            h_values=h_values, depth=4, T=1.0, lam=2.0, mu=1.2, delta0=0.25,
-            eps0=1.0, x0=0.5, K=2.0, omega=(0.3, 0.7), omega0=(0.4, 0.6),
+            h_values=h_values, depth=4,
+            weights=WeightParams(T=1.0, lam=2.0, mu=1.2, delta=0.25, x0=0.5, K=2.0,
+                                 eps0=1.0, omega0=(0.4, 0.6), omega=(0.3, 0.7)),
             c_eps=1.0,
             coeff_factory=lambda tree, mesh, rng: Coefficients.constant(tree, mesh, 0.5, 0.5),
             y0_factory=lambda mesh: np.sin(np.pi * mesh.interior),

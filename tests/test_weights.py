@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,16 @@ class TestSchedule:
         d = delta_schedule(1 / 64, h1, 0.25)
         assert d == pytest.approx(1 / 8)
         assert 8.0 * (1 / 64) / (d * 1.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_at_mesh_rescales_the_family_at_h1(self):
+        family = default_weights(lam=8.0).params
+        h1 = schedule_h1(8.0, 1.0, 0.25, 1.0)
+        assert family.at_mesh(h1) == family
+        half = family.at_mesh(h1 / 2)
+        assert half.delta == delta_schedule(h1 / 2, h1, 0.25)
+        assert replace(half, delta=0.25) == family
+        with pytest.raises(ValueError, match="h1"):
+            family.at_mesh(2 * h1)
 
     def test_h_above_h1_rejected(self):
         with pytest.raises(ValueError):
