@@ -57,7 +57,8 @@ def _default_carleman() -> dict:
 
 
 def _default_sweep() -> dict:
-    # deep-penalty rows need far more Krylov iterations than a single solve
+    # rows with eps below about 1e-10 (h <= 1/28) outrun the preconditioner's
+    # precision and need far more Krylov iterations than a single solve
     return {"h_values": [1 / 8, 1 / 12, 1 / 16, 1 / 20],
             "obs_train": 64, "obs_holdout": 64, "cg_maxiter": 10000}
 
@@ -106,6 +107,8 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Collect violated constraints (empty when the config is runnable)."""
         problems = []
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.N < 2:
             problems.append(f"N must be >= 2, got {self.N}")
         if not 1 <= self.depth <= nt.DEFAULT_DEPTH_CAP:
@@ -129,8 +132,16 @@ class ExperimentConfig:
             if kind not in ("zero", "constant", "sinusoid", "adapted_random"):
                 problems.append(f"coefficients.{name}.kind must be one of "
                                 f"zero|constant|sinusoid|adapted_random, got {kind!r}")
+            for key in ("magnitude", "frequency", "phase"):
+                value = self.coefficients[name].get(key, 0.0)
+                if not _is_number(value):
+                    problems.append(f"coefficients.{name}.{key} must be a finite number, "
+                                    f"got {value!r}")
         if self.y0.get("kind") not in ("sine", "random"):
             problems.append(f"y0.kind must be sine or random, got {self.y0.get('kind')!r}")
+        coeffs = self.y0.get("coeffs", [])
+        if not isinstance(coeffs, list) or not all(_is_number(c) for c in coeffs):
+            problems.append(f"y0.coeffs must be a list of finite numbers, got {coeffs!r}")
         if self.observability["train"] < 1 or self.observability["holdout"] < 1:
             problems.append("observability.train and .holdout must be >= 1")
         if self.observability["safety"] <= 0:
@@ -153,6 +164,12 @@ class ExperimentConfig:
     @property
     def h(self) -> float:
         return 1.0 / (self.N + 1)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float from JSON (a bool is not a number here)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -441,6 +458,7 @@ def _cmd_hum(cfg: ExperimentConfig, args) -> int:
         "N": cfg.N, "depth": cfg.depth, "epsilon": problem.epsilon,
         "cg_iterations": sol.cg_iterations,
         "cg_final_residual": sol.cg_residuals[-1] if sol.cg_residuals else 0.0,
+        "true_rel_residual": sol.true_rel_residual,
         "closure_error": sol.closure_error,
         "closure_bound": sol.closure_bound,
         "functional_value": sol.functional_value,
@@ -548,13 +566,13 @@ def cli(argv=None) -> int:
         if args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
         problems = cfg.validate()
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return EXIT_CONFIG
-        if args.seed is not None:
-            cfg.seed = args.seed
         return _COMMANDS[args.command](cfg, args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -199,11 +199,26 @@ class TestCli:
         ("sweep", {"obs_holdout": 0}, "sweep.obs_train and .obs_holdout"),
         ("observability", {"safety": 0.0}, "observability.safety"),
         ("observability", {"safety": -1.0}, "observability.safety"),
+        ("seed", -1, "seed"),
+        ("seed", 1.5, "seed"),
+        ("y0", {"coeffs": ["a"]}, "y0.coeffs"),
+        ("y0", {"coeffs": 1.0}, "y0.coeffs"),
+        ("coefficients", {"a1": {"kind": "constant", "magnitude": "a"}},
+         "coefficients.a1.magnitude"),
+        ("coefficients", {"a2": {"kind": "sinusoid", "frequency": [1.0]}},
+         "coefficients.a2.frequency"),
+        ("coefficients", {"a2": {"kind": "sinusoid", "phase": None}},
+         "coefficients.a2.phase"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})
-        assert cli([section, "--config", path]) == 2
+        command = section if section in ("carleman", "sweep", "observability") else "hum"
+        assert cli([command, "--config", path]) == 2
         assert f"config error: {name}" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert cli(["hum", "--seed", "-1"]) == 2
+        assert "config error: seed" in capsys.readouterr().err
 
     def test_bad_threads_exits_2(self):
         assert cli(["identities", "--threads", "0"]) == 2
@@ -217,6 +232,7 @@ class TestCli:
         assert "closure_error" in captured and "cost_ratio" in captured
         payload = json.loads(out.read_text())
         assert payload["closure_error"] <= max(payload["closure_bound"], 1e-12)
+        assert 0.0 < payload["true_rel_residual"] <= 1e-10
 
     def test_sweep_subcommand_deterministic_across_threads(self, tmp_path):
         path = self._write_config(

@@ -6,7 +6,7 @@ from sdcontrol.forward_solver import Coefficients, OmegaRegion
 from sdcontrol.hum import (HumProblem, conjugate_gradient, epsilon_from_mesh,
                            evaluate_functional, free_terminal_state,
                            functional_gradient, gramian_apply, report_bounds,
-                           solve_hum)
+                           riccati_preconditioner, solve_hum)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, tree_inner
 
@@ -76,17 +76,79 @@ class TestGramian:
         assert lam_zz == pytest.approx(acc, rel=1e-10)
 
 
+def reference_cg(apply_op, b, tol, maxiter):
+    """Unpreconditioned CG loop as it ran before preconditioning was added,
+    kept as the reference for ``precondition=None`` (histories only)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    b_norm = float(np.linalg.norm(b))
+    p = r.copy()
+    rs = float(r.ravel() @ r.ravel())
+    residuals = []
+    for _ in range(maxiter):
+        ap = apply_op(p)
+        alpha = rs / float(p.ravel() @ ap.ravel())
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(r.ravel() @ r.ravel())
+        residuals.append(float(np.sqrt(rs_new) / b_norm))
+        if residuals[-1] <= tol:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, residuals
+
+
+def dense_shift_operator(problem):
+    shape = (problem.tree.num_nodes(problem.tree.depth), problem.mesh.N)
+    return lambda z: (gramian_apply(z.reshape(shape), problem).ravel()
+                      + problem.epsilon * z)
+
+
 class TestConjugateGradient:
     def test_matches_dense_solve(self):
         problem, rng = small_problem(seed=4)
         mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
         b = rng.standard_normal(64)
         x_dense = np.linalg.solve(mat, b)
-        x_cg, res = conjugate_gradient(
-            lambda z: gramian_apply(z.reshape(16, 4), problem).ravel()
-            + problem.epsilon * z, b, 1e-12, 500)
+        x_cg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 500)
         assert np.linalg.norm(x_cg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         assert res[-1] <= 1e-12
+
+    @pytest.mark.parametrize("case", ["gramian", "oracle", "diagonal"])
+    def test_no_preconditioner_keeps_plain_cg_iterates(self, case):
+        if case == "gramian":
+            problem, rng = small_problem(seed=4)
+            op, b, tol = dense_shift_operator(problem), rng.standard_normal(64), 1e-12
+        elif case == "oracle":  # criterion 8's system
+            problem, _ = small_problem(seed=108, eps=2e-4)
+            op, b, tol = dense_shift_operator(problem), free_terminal_state(problem).ravel(), 1e-12
+        else:
+            rng = np.random.default_rng(5)
+            diag = rng.uniform(1, 100, 50)
+            op, b, tol = (lambda z: diag * z), rng.standard_normal(50), 1e-14
+        x_ref, res_ref = reference_cg(op, b, tol, 500)
+        for x, res in (conjugate_gradient(op, b, tol, 500),
+                       conjugate_gradient(op, b, tol, 500, precondition=None)):
+            np.testing.assert_array_equal(res, res_ref)
+            np.testing.assert_array_equal(x, x_ref)
+
+    def test_tiny_rhs_is_solved_not_taken_for_zero(self):
+        # ||b||^2 underflows to 0 here; the solve must still scale with b.
+        diag = np.linspace(1.0, 10.0, 20)
+        b = np.full(20, 1e-200)
+        x, res = conjugate_gradient(lambda z: diag * z, b, 1e-12, 50)
+        assert res and res[-1] <= 1e-12
+        np.testing.assert_allclose(x, b / diag, rtol=1e-12)
+
+    @pytest.mark.parametrize("precondition, shown", [
+        (lambda r: -r, r"r\.Mr = -"),
+        (lambda r: np.full_like(r, np.nan), r"r\.Mr = nan"),
+    ])
+    def test_non_spd_preconditioner_raises(self, precondition, shown):
+        with pytest.raises(ConvergenceError, match=shown) as err:
+            conjugate_gradient(lambda z: 2.0 * z, np.ones(5), 1e-12, 50, precondition)
+        assert err.value.residuals == []
 
     def test_zero_rhs_short_circuits(self):
         x, res = conjugate_gradient(lambda z: z, np.zeros(10), 1e-10, 5)
@@ -118,6 +180,33 @@ class TestConjugateGradient:
         assert err.value.residuals == []
 
 
+class TestRiccatiPreconditioner:
+    @pytest.mark.parametrize("a1", [0.0, 0.5])
+    @pytest.mark.parametrize("a2", [0.0, 0.5])
+    def test_inverts_shared_coefficients(self, a1, a2):
+        mesh, tree = build_mesh(5), build_tree(3, 1.0)
+        problem = HumProblem(y0=np.ones(5), coeffs=Coefficients.constant(tree, mesh, a1, a2),
+                             region=OmegaRegion(mesh, (0.3, 0.7)), tree=tree, mesh=mesh,
+                             epsilon=1e-2)
+        inverse = np.linalg.inv(dense_gramian(problem) + problem.epsilon * np.eye(40))
+        precondition = riccati_preconditioner(problem)
+        applied = np.column_stack([precondition(e.reshape(8, 5)).ravel() for e in np.eye(40)])
+        assert np.abs(applied - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+    def test_adapted_coefficients_pcg_matches_dense_oracle(self):
+        # criterion 8's problem and tolerance, with the mean-path preconditioner
+        problem, rng = small_problem(seed=108, eps=2e-4)
+        mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
+        b = free_terminal_state(problem).ravel()
+        x_dense = np.linalg.solve(mat, b)
+        precondition = riccati_preconditioner(problem)
+        x_pcg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000,
+                                        lambda r: precondition(r.reshape(16, 4)).ravel())
+        _, res_cg = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000)
+        assert np.linalg.norm(x_pcg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+        assert len(res) < len(res_cg)
+
+
 class TestSolveHum:
     def test_zero_initial_state(self):
         problem, _ = small_problem(seed=6)
@@ -146,6 +235,23 @@ class TestSolveHum:
             problem, _ = small_problem(N=6, depth=5, eps=eps, seed=seed)
             sol = solve_hum(problem)
             assert sol.closure_error <= max(sol.closure_bound, 1e-13)
+            z, b = sol.zT_star, sol.free_terminal
+            true = np.linalg.norm(gramian_apply(z, problem) + eps * z - b) / np.linalg.norm(b)
+            assert sol.true_rel_residual == pytest.approx(true, rel=1e-2)
+            assert sol.true_rel_residual <= problem.cg_tol
+
+    def test_closure_bound_holds_when_the_last_step_overshoots(self):
+        # The default sweep's h = 1/16 row: the second PCG step cuts the
+        # recursive residual to ~1e-16, far below the true residual's
+        # roundoff floor; the reported history must still bound the closure.
+        mesh, tree = build_mesh(15), build_tree(8, 1.0)
+        problem = HumProblem(y0=np.sin(np.pi * mesh.interior),
+                             coeffs=Coefficients.constant(tree, mesh, 0.5, 0.5),
+                             region=OmegaRegion(mesh, (0.3, 0.7)), tree=tree, mesh=mesh,
+                             epsilon=epsilon_from_mesh(1.0, 1 / 16))
+        sol = solve_hum(problem)
+        assert sol.closure_error <= sol.closure_bound
+        assert sol.true_rel_residual <= problem.cg_tol
 
     def test_terminal_energy_identity_at_closure(self):
         problem, _ = small_problem(seed=9, eps=1e-3, cg_tol=1e-13)
