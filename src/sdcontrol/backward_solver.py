@@ -8,8 +8,9 @@ inner product gives, for a node with transpose-solved children zhat =
     Z    = (zhat_plus - zhat_minus) / (2 sqrt(dt))  (martingale coefficient)
     z    = zeta + dt * a2 * Z
 
-With these definitions the pairing of state and adjoint telescopes exactly
-across levels:
+The step matrix is symmetric, so that solve is the forward step's own:
+both sweeps apply one factored operator.  With these definitions the
+pairing of state and adjoint telescopes exactly across levels:
 
     E<y(T), z_T> - E<y0, z(0)> = sum_k dt E<chi*u_k, zeta_k> + sum_k dt E<v_k, Z_k>
 
@@ -58,11 +59,11 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
                   a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transpose one forward step: children (..., 2B, N) -> (z, Z, zeta) at the parents.
 
-    ``step`` is the level's factored step matrix; leading axes of
-    ``z_children`` (samples) are kept.  Returns the adjoint z, the
-    martingale coefficient Z and the conditional mean zeta.
+    ``step`` is the level's factored step matrix, its own transpose;
+    leading axes of ``z_children`` (samples) are kept.  Returns the
+    adjoint z, the martingale coefficient Z and the conditional mean zeta.
     """
-    zhat = step.solve(z_children, transpose=True)
+    zhat = step.solve(z_children)
     zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, step.n))
     zeta, coeff = martingale_coeff(zhat[..., 1, :], zhat[..., 0, :], dt)
     return zeta + dt * a2 * coeff, coeff, zeta

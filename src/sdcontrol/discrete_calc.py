@@ -1,4 +1,4 @@
-"""Staggered difference/average operators and the tridiagonal step solver.
+"""Staggered difference/average operators and the symmetric tridiagonal step solver.
 
 Primal grid functions live on the N+2 closure points (boundary values
 stored explicitly); dual grid functions live on the N+1 star half-points.
@@ -176,16 +176,16 @@ def consistency_orders(h0: float = 1 / 16, halvings: int = 4,
 
 
 class StepOperator:
-    """Tridiagonal step matrices factored once and applied to many batches.
+    """Symmetric tridiagonal step matrices factored once and applied to many batches.
 
     ``diag`` holds one matrix per row: shape (n,) or (1, n) is one shared
-    matrix, shape (P, n) one matrix per node; ``sub``/``sup`` broadcast
-    against it.  Thomas elimination without pivoting runs here, once, with
-    a pivot check against each node's own max|diag|; ``solve`` only
-    substitutes, for any number of batches.
+    matrix, shape (P, n) one matrix per node; ``off`` (both off-diagonals)
+    broadcasts against it.  Elimination without pivoting, checked against
+    each node's own max|diag|, runs here, once; ``solve`` serves any number
+    of batches.
 
-    * One shared matrix keeps its inverse, obtained by eliminating the
-      identity, so a batched solve is a single matmul.
+    * One shared matrix keeps its inverse, symmetrized to equal its
+      transpose exactly, so a batched solve is a single matmul.
     * Per-node matrices keep the prefix-product form of the substitution
       (Stone, J. ACM 20, 1973), node-major with shape (P, 1, n), applied to
       right-hand sides grouped by node, (..., P*C, n): five whole-array
@@ -200,48 +200,50 @@ class StepOperator:
     anti-diffusive source stepper can hit.
     """
 
-    def __init__(self, sub, diag, sup):
+    def __init__(self, off, diag):
         diag = np.atleast_2d(np.asarray(diag, dtype=float))
         nodes, n = diag.shape
-        sub = np.broadcast_to(np.asarray(sub, dtype=float), (nodes, n - 1))
-        sup = np.broadcast_to(np.asarray(sup, dtype=float), (nodes, n - 1))
+        off = np.broadcast_to(np.asarray(off, dtype=float), (nodes, n - 1))
 
         scale = np.abs(diag).max(axis=1)
-        piv = np.empty_like(diag)
-        piv[:, 0] = diag[:, 0]
-        for i in range(n):
-            if i:
-                piv[:, i] = diag[:, i] - sub[:, i - 1] / piv[:, i - 1] * sup[:, i - 1]
-            small = np.abs(piv[:, i]) <= _PIVOT_RTOL * scale
-            if np.any(small):
-                raise SingularSystemError(
-                    f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small][0]:g})"
-                )
+        piv = diag.copy()
+        # Past a vanishing pivot the values are meaningless (NaN counts as
+        # vanishing); only the first is reported.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(1, n):
+                piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
+        small = ~(np.abs(piv) > _PIVOT_RTOL * scale[:, np.newaxis])
+        if small.any():
+            i = int(small.any(axis=0).argmax())
+            raise SingularSystemError(
+                f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small[:, i]][0]:g})"
+            )
         self.nodes, self.n = nodes, n
-        lower, upper = sub / piv[:, :-1], sup / piv[:, :-1]
-        self._prefix = None
-        if nodes > 1:
-            self._prefix = _prefix_factors(lower, upper, piv, np.array_equal(sub, sup))
+        self._inverse = self._prefix = None
+        if nodes == 1:
+            inv = np.linalg.inv(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
+            self._inverse = 0.5 * (inv + inv.T)
+            return
+        mult = off / piv[:, :-1]
+        self._prefix = _prefix_factors(mult, piv)
         if self._prefix is None:
-            self._lower = lower.T.copy()
-            self._upper = upper.T.copy()
+            self._mult = mult.T.copy()
             self._inv_piv = (1.0 / piv).T.copy()
-        # Row i of the eliminated identity is M^-1 e_i, so this is M^-T.
-        self._inverse_t = self._eliminate(np.eye(n)) if nodes == 1 else None
 
     @classmethod
     def drift_implicit(cls, mesh: Mesh, dt: float, a1) -> "StepOperator":
         """I - dt*(second difference + a1*) on the interior, Dirichlet rows eliminated.
 
         ``a1`` of shape (N,) or (1, N) gives one shared matrix, (P, N) one per node.
-        With dt*a1 < 1 the matrix is symmetric with off-diagonal -dt/h^2 and
-        pivots above dt/h^2, so every negated multiplier lies in (0, 1) and
-        the prefix products only decay; per-node operators take the prefix
-        form unless they fall below 1e-150, which needs dt below about 3e-5.
+        With dt*a1 < 1 the off-diagonal is -dt/h^2 and the pivots lie above
+        dt/h^2, so every negated multiplier lies in (0, 1) and the prefix
+        products only decay; per-node operators take the prefix form unless
+        they fall below 1e-150, which needs dt below about 3e-5.
         """
+        N, h = mesh.N, mesh.h
         a1 = np.asarray(a1, dtype=float)
         try:
-            return cls(*drift_implicit_bands(mesh, dt, a1))
+            return cls(np.full(N - 1, -dt / h**2), 1.0 + 2.0 * dt / h**2 - dt * a1)
         except SingularSystemError as exc:
             bound = float(np.abs(a1).max()) if a1.size else 0.0
             raise SingularSystemError(
@@ -253,27 +255,25 @@ class StepOperator:
         """Whether per-node solves use the prefix-product substitution."""
         return self._prefix is not None
 
-    def solve(self, rhs, transpose: bool = False) -> np.ndarray:
+    def solve(self, rhs) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).
 
         With per-node matrices ``rhs`` has shape (..., P*C, n): along the
         row axis the rows are grouped by node, row r using node r // C, and
-        any leading axes (samples) share the factors.  ``transpose=True``
-        solves with the transposed matrices.
+        any leading axes (samples) share the factors.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-1:] != (self.n,):
             raise ValueError(f"rhs must have {self.n} values along its last axis, got shape {rhs.shape}")
-        if self._inverse_t is not None:
-            inv = self._inverse_t.T if transpose else self._inverse_t
-            return (rhs.reshape(-1, self.n) @ inv).reshape(rhs.shape)
+        if self._inverse is not None:
+            return (rhs.reshape(-1, self.n) @ self._inverse).reshape(rhs.shape)
         if rhs.ndim < 2 or rhs.shape[-2] % self.nodes:
             raise ValueError(
                 f"rhs rows must be grouped by node, a multiple of {self.nodes}, got shape {rhs.shape}"
             )
         if self._prefix is None:
-            return self._eliminate(rhs, transpose)
-        inv_pf, mid, pb = self._prefix[transpose]
+            return self._eliminate(rhs)
+        inv_pf, mid, pb = self._prefix
         y = rhs.reshape(-1, self.nodes, rhs.shape[-2] // self.nodes, self.n) * inv_pf
         np.cumsum(y, axis=-1, out=y)
         y *= mid
@@ -282,90 +282,74 @@ class StepOperator:
         y *= pb
         return y.reshape(rhs.shape)
 
-    def _eliminate(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    def _eliminate(self, rhs: np.ndarray) -> np.ndarray:
         """Thomas substitution with the stored factors.
 
         Works space-major with the node axis last, x[i] of shape (S, C, P),
         so every update is one contiguous vector operation over all rows of
-        all samples.
+        all samples.  Symmetry gives both sweeps the same multipliers.
         """
-        lower, upper = (self._upper, self._lower) if transpose else (self._lower, self._upper)
         per_node = rhs.shape[-2] // self.nodes
         x = rhs.reshape(-1, self.nodes, per_node, self.n).transpose(3, 0, 2, 1).copy()
         rows = list(x)
         prev = rows[0]
-        for row, mult in zip(rows[1:], lower):
+        for row, mult in zip(rows[1:], self._mult):
             row -= mult * prev
             prev = row
         prev *= self._inv_piv[-1]
-        for row, mult, inv_piv in zip(rows[-2::-1], upper[::-1], self._inv_piv[-2::-1]):
+        for row, mult, inv_piv in zip(rows[-2::-1], self._mult[::-1], self._inv_piv[-2::-1]):
             row *= inv_piv
             row -= mult * prev
             prev = row
         return x.transpose(1, 3, 2, 0).reshape(rhs.shape)
 
 
+def _prefix_factors(mult, piv):
+    """Prefix-product factors of the substitution, or None.
 
-def _prefix_factors(lower, upper, piv, symmetric: bool):
-    """Prefix-product factors of the plain and the transposed solve, or None.
-
-    With pf[i] = prod(-lower[:i]) and pb[i] = prod(-upper[i:]), the forward
-    sweep y[i] = r[i] - lower[i-1]*y[i-1] is y = pf * cumsum(r / pf) and the
-    back substitution x[i] = y[i]/piv[i] - upper[i]*x[i+1] is
-    x = pb * revcumsum(y / (piv*pb)).  Each orientation is stored as
-    (1/pf, pf/(piv*pb), pb) with shape (nodes, 1, n); the transposed matrix
-    swaps the multipliers, so a symmetric one shares its arrays.  None when
-    a product is zero, non-finite or outside _PREFIX_RANGE.
+    With pf[i] = prod(-mult[:i]) and pb[i] = prod(-mult[i:]), the forward
+    sweep y[i] = r[i] - mult[i-1]*y[i-1] is y = pf * cumsum(r / pf) and the
+    back substitution x[i] = y[i]/piv[i] - mult[i]*x[i+1] is
+    x = pb * revcumsum(y / (piv*pb)).  Stored as (1/pf, pf/(piv*pb), pb)
+    with shape (nodes, 1, n).  None when a product is zero, non-finite or
+    outside _PREFIX_RANGE.
     """
     ones = np.ones((len(piv), 1))
+    pf = np.hstack([ones, np.cumprod(-mult, axis=1)])
+    pb = np.hstack([np.cumprod(-mult[:, ::-1], axis=1)[:, ::-1], ones])
+    size = np.abs(np.hstack([pf, pb]))
     lo, hi = _PREFIX_RANGE
-    factors = []
-    for low, up in [(lower, upper)] if symmetric else [(lower, upper), (upper, lower)]:
-        pf = np.hstack([ones, np.cumprod(-low, axis=1)])
-        pb = np.hstack([np.cumprod(-up[:, ::-1], axis=1)[:, ::-1], ones])
-        size = np.abs(np.hstack([pf, pb]))
-        # Comparisons with NaN are false, so a non-finite product also fails here.
-        if not (lo <= size.min() and size.max() <= hi):
-            return None
-        mid = pf / (piv * pb)
-        if not np.isfinite(mid).all():
-            return None
-        factors.append(tuple(f[:, np.newaxis, :] for f in (1.0 / pf, mid, pb)))
-    return factors[0], factors[-1]
+    # Comparisons with NaN are false, so a non-finite product also fails here.
+    if not (lo <= size.min() and size.max() <= hi):
+        return None
+    mid = pf / (piv * pb)
+    if not np.isfinite(mid).all():
+        return None
+    return tuple(f[:, np.newaxis, :] for f in (1.0 / pf, mid, pb))
 
 
-def solve_tridiagonal(sub, diag, sup, rhs, transpose: bool = False) -> np.ndarray:
-    """One-off tridiagonal solve, vectorized over batch rows.
+def solve_tridiagonal(off, diag, rhs) -> np.ndarray:
+    """One-off symmetric tridiagonal solve, vectorized over batch rows.
 
-    ``sub``/``diag``/``sup`` may be 1-D (shared matrix) or carry leading
-    batch axes matching ``rhs``.  ``transpose=True`` solves with the
-    transposed matrix.  Factors a fresh StepOperator per call; code that
+    ``off``/``diag`` may be 1-D (shared matrix) or carry leading batch axes
+    matching ``rhs``.  Factors a fresh StepOperator per call; code that
     solves with the same matrix repeatedly should keep the operator.
     """
     rhs = np.asarray(rhs, dtype=float)
-    bands = [np.asarray(b, dtype=float) for b in (sub, diag, sup)]
+    bands = [np.asarray(b, dtype=float) for b in (off, diag)]
     if any(b.ndim > 1 for b in bands):
         rows = rhs.shape[:-1]
         bands = [np.broadcast_to(b, rows + b.shape[-1:]).reshape(-1, b.shape[-1]) for b in bands]
     rows = rhs.reshape(-1, rhs.shape[-1])
-    return StepOperator(*bands).solve(rows, transpose).reshape(rhs.shape)
+    return StepOperator(*bands).solve(rows).reshape(rhs.shape)
 
 
-def drift_implicit_bands(mesh: Mesh, dt: float, a1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bands of I - dt*(second difference + a1*), Dirichlet rows eliminated."""
-    N, h = mesh.N, mesh.h
-    a1 = np.asarray(a1, dtype=float)
-    off = np.full(N - 1, -dt / h**2)
-    diag = 1.0 + 2.0 * dt / h**2 - dt * a1
-    return off, diag, off
-
-
-def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs, transpose: bool = False) -> np.ndarray:
+def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs) -> np.ndarray:
     """Solve (I - dt*(second difference + a1*)) x = rhs on the interior.
 
     ``a1`` is the interior reaction coefficient (length N, or batched like
-    ``rhs``); ``transpose=True`` solves with the transposed matrix.  dt = 0
-    degenerates to the identity.  Factors a fresh StepOperator per call.
+    ``rhs``).  dt = 0 degenerates to the identity.  Factors a fresh
+    StepOperator per call.
     """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
@@ -378,4 +362,4 @@ def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs, transpose: bool = False
     if a1.size != mesh.N:
         a1 = np.broadcast_to(a1, rhs.shape).reshape(-1, mesh.N)
     rows = rhs.reshape(-1, mesh.N)
-    return StepOperator.drift_implicit(mesh, dt, a1).solve(rows, transpose).reshape(rhs.shape)
+    return StepOperator.drift_implicit(mesh, dt, a1).solve(rows).reshape(rhs.shape)

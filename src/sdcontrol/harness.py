@@ -57,10 +57,10 @@ def _default_carleman() -> dict:
 
 
 def _default_sweep() -> dict:
-    # rows with eps below about 1e-10 (h <= 1/28) outrun the preconditioner's
-    # precision and need far more Krylov iterations than a single solve
+    # rows with eps below about 1e-10 (h <= 1/28) are beyond the
+    # preconditioner's precision, and their iteration counts depend on roundoff
     return {"h_values": [1 / 8, 1 / 12, 1 / 16, 1 / 20],
-            "obs_train": 64, "obs_holdout": 64, "cg_maxiter": 10000}
+            "obs_train": 64, "obs_holdout": 64}
 
 
 @dataclass
@@ -84,13 +84,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"a config must be a JSON object, got {data!r}")
         cfg = cls()
         unknown = set(data) - set(cfg.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
             current = getattr(cfg, key)
-            if isinstance(current, dict) and isinstance(value, dict):
+            if isinstance(current, dict) and not isinstance(value, dict):
+                raise ConfigurationError(f"config section {key!r} must be an object, got {value!r}")
+            if isinstance(current, dict):
                 bad = set(value) - set(current)
                 if bad:
                     raise ConfigurationError(f"unknown keys in config section {key!r}: {sorted(bad)}")
@@ -105,71 +109,77 @@ class ExperimentConfig:
         return copy.deepcopy(asdict(self))
 
     def validate(self) -> list[str]:
-        """Collect violated constraints (empty when the config is runnable)."""
+        """Collect violated constraints (empty when the config is runnable).
+
+        Each value's type is checked before its range, so a value of the
+        wrong type is reported rather than compared.
+        """
         problems = []
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.N < 2:
-            problems.append(f"N must be >= 2, got {self.N}")
-        if not 1 <= self.depth <= nt.DEFAULT_DEPTH_CAP:
-            problems.append(f"depth must be in 1..{nt.DEFAULT_DEPTH_CAP}, got {self.depth}")
-        w = self.weights
-        if len(self.omega) != 2 or len(self.omega0) != 2:
-            problems.append(f"omega and omega0 must be two-element intervals, "
-                            f"got {self.omega}, {self.omega0}")
-        else:
+
+        def check(name, value, need, ok=None, integer=False, items=None) -> bool:
+            """Whether ``value`` is a finite number (a bool is not; an int when
+            ``integer``) passing ``ok``, or with ``items``, a "list" or
+            two-element "interval" of them; notes ``name`` when not."""
+            if items:
+                if isinstance(value, list) and (items == "list" or len(value) == 2):
+                    return all([check(f"{name}[{i}]", v, need, ok) for i, v in enumerate(value)])
+                kind = "two-element interval" if items == "interval" else "list"
+                need = f"a {kind} of values each {need}"
+            elif (isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+                  and (isinstance(value, int) or math.isfinite(value)) and (ok is None or ok(value))):
+                return True
+            problems.append(f"{name} must be {need}, got {value!r}")
+            return False
+
+        cap, w, hum = nt.DEFAULT_DEPTH_CAP, self.weights, self.hum
+        positive, count, depth = (lambda v: v > 0), (lambda v: v >= 1), (lambda v: 1 <= v <= cap)
+        number, in_depth_range = "a finite number", f"an integer in 1..{cap}"
+        check("seed", self.seed, "a non-negative integer", lambda v: v >= 0, integer=True)
+        check("N", self.N, "an integer >= 2", lambda v: v >= 2, integer=True)
+        check("depth", self.depth, in_depth_range, depth, integer=True)
+        typed = [check(f"weights.{k}", w[k], number) for k in ("lam", "mu", "delta0", "x0", "K", "eps0")]
+        typed += [check("T", self.T, number), check("omega", self.omega, number, items="interval"),
+                  check("omega0", self.omega0, number, items="interval")]
+        if all(typed):
             if not (0 <= self.omega[0] and self.omega[1] <= 1):
                 problems.append(f"omega must lie in [0, 1], got {self.omega}")
             # the weights' own rules, with the margin at the coarsest mesh
             problems.extend(weight_problems(self.T, w["lam"], w["mu"], w["delta0"], w["x0"],
                                             w["eps0"], self.omega0, self.omega))
-        if w["c_eps"] <= 0:
-            problems.append(f"weights.c_eps must be positive, got {w['c_eps']}")
-        if self.hum["cg_tol"] <= 0 or self.hum["cg_maxiter"] < 1:
-            problems.append("hum.cg_tol must be positive and hum.cg_maxiter >= 1")
-        for name in ("a1", "a2"):
-            kind = self.coefficients[name].get("kind")
-            if kind not in ("zero", "constant", "sinusoid", "adapted_random"):
+        check("weights.c_eps", w["c_eps"], "a positive number", positive)
+        check("hum.cg_tol", hum["cg_tol"], "a positive number", positive)
+        check("hum.cg_maxiter", hum["cg_maxiter"], "an integer >= 1", count, integer=True)
+        if hum["epsilon"] is not None:
+            check("hum.epsilon", hum["epsilon"], "null or a positive number", positive)
+        for name, spec in self.coefficients.items():
+            if not isinstance(spec, dict):
+                problems.append(f"coefficients.{name} must be an object with a kind, got {spec!r}")
+                continue
+            if spec.get("kind") not in ("zero", "constant", "sinusoid", "adapted_random"):
                 problems.append(f"coefficients.{name}.kind must be one of "
-                                f"zero|constant|sinusoid|adapted_random, got {kind!r}")
+                                f"zero|constant|sinusoid|adapted_random, got {spec.get('kind')!r}")
             for key in ("magnitude", "frequency", "phase"):
-                value = self.coefficients[name].get(key, 0.0)
-                if not _is_number(value):
-                    problems.append(f"coefficients.{name}.{key} must be a finite number, "
-                                    f"got {value!r}")
+                check(f"coefficients.{name}.{key}", spec.get(key, 0.0), number)
         if self.y0.get("kind") not in ("sine", "random"):
             problems.append(f"y0.kind must be sine or random, got {self.y0.get('kind')!r}")
-        coeffs = self.y0.get("coeffs", [])
-        if not isinstance(coeffs, list) or not all(_is_number(c) for c in coeffs):
-            problems.append(f"y0.coeffs must be a list of finite numbers, got {coeffs!r}")
-        if self.observability["train"] < 1 or self.observability["holdout"] < 1:
-            problems.append("observability.train and .holdout must be >= 1")
-        if self.observability["safety"] <= 0:
-            problems.append(f"observability.safety must be positive, "
-                            f"got {self.observability['safety']}")
-        if self.carleman["samples"] < 1:
-            problems.append("carleman.samples must be >= 1")
-        if not 1 <= self.carleman["depth"] <= nt.DEFAULT_DEPTH_CAP:
-            problems.append(f"carleman.depth must be in 1..{nt.DEFAULT_DEPTH_CAP}, "
-                            f"got {self.carleman['depth']}")
-        for h in self.sweep["h_values"]:
-            if h <= 0:
-                problems.append(f"sweep.h_values entries must be positive, got {h}")
-        if self.sweep["cg_maxiter"] < 1:
-            problems.append(f"sweep.cg_maxiter must be >= 1, got {self.sweep['cg_maxiter']}")
-        if self.sweep["obs_train"] < 1 or self.sweep["obs_holdout"] < 1:
-            problems.append("sweep.obs_train and .obs_holdout must be >= 1")
+        check("y0.coeffs", self.y0.get("coeffs", []), number, items="list")
+        obs, car, sweep = self.observability, self.carleman, self.sweep
+        for name, values in (("observability.train and .holdout", (obs["train"], obs["holdout"])),
+                             ("sweep.obs_train and .obs_holdout",
+                              (sweep["obs_train"], sweep["obs_holdout"])),
+                             ("carleman.samples", (car["samples"],))):
+            for value in values:  # one message per name
+                if not check(name, value, "an integer >= 1", count, integer=True):
+                    break
+        check("observability.safety", obs["safety"], "a positive number", positive)
+        check("carleman.depth", car["depth"], in_depth_range, depth, integer=True)
+        check("carleman.modes", car["modes"], "an integer", integer=True)
+        check("sweep.h_values", sweep["h_values"], "a positive number", positive, items="list")
         return problems
 
     @property
     def h(self) -> float:
         return 1.0 / (self.N + 1)
-
-
-def _is_number(value) -> bool:
-    """A finite int or float from JSON (a bool is not a number here)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -520,7 +530,7 @@ def sweep_settings_from_config(cfg: ExperimentConfig) -> ineq.SweepSettings:
         weights=_weight_family(cfg), c_eps=cfg.weights["c_eps"],
         coeff_factory=lambda tree, mesh, rng: build_coefficients(cfg, tree, mesh, rng),
         y0_factory=lambda mesh: build_y0(cfg, mesh),
-        seed=cfg.seed, cg_tol=cfg.hum["cg_tol"], cg_maxiter=cfg.sweep["cg_maxiter"],
+        seed=cfg.seed, cg_tol=cfg.hum["cg_tol"], cg_maxiter=cfg.hum["cg_maxiter"],
         obs_train=cfg.sweep["obs_train"], obs_holdout=cfg.sweep["obs_holdout"],
         obs_safety=cfg.observability["safety"],
     )

@@ -15,15 +15,17 @@ is the optimality system of tracking r at the leaves with the least
 control energy, whose dynamic programme on the tree is a Riccati
 recursion of N x N matrices per level (the tree form of the stochastic
 LQ Riccati equation with control-dependent noise; Ait Rami & Zhou, IEEE
-TAC 45, 2000).  It inverts (Lambda + eps*I) exactly when the coefficients
-are shared by the nodes of each level and inverts the mean-path problem
-on adapted levels.  Its error grows like u/eps^2 in float64 (u = 1.1e-16):
+TAC 45, 2000), applied with the sweeps' own step operators and kernels.
+It inverts (Lambda + eps*I) exactly when the coefficients are shared by
+the nodes of each level and inverts the mean-path problem on adapted
+levels.  Its error grows like u/eps^2 in float64 (u = 1.1e-16):
 max|W (Lambda + eps*I) - I| for the computed map W is about 5e-15 at
 eps = 1e-2, 3e-10 at 1e-6 and 2e-2 at 1e-10 (N = 7, depth 8).  Below
 about eps = 1e-10 it is no longer a near-inverse: the default sweep's
-h = 1/28 row (eps = 6.9e-13) takes 48 PCG iterations, and at h = 1/32
-(eps = 1.3e-14) it is no longer positive definite, which the breakdown
-guard of ``conjugate_gradient`` reports as a ConvergenceError.
+h = 1/28 row (eps = 6.9e-13) takes tens of PCG iterations, a count set
+by roundoff, and at h = 1/32 (eps = 1.3e-14) it is no longer positive
+definite, which the breakdown guard of ``conjugate_gradient`` reports as
+a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward_solver import BackwardSolution, solve_backward
-from .discrete_calc import drift_implicit_bands
+from .backward_solver import BackwardSolution, backward_step, solve_backward
+from .discrete_calc import StepOperator
 from .errors import ConfigurationError, ConvergenceError
-from .forward_solver import Coefficients, ControlPair, OmegaRegion, solve_forward
+from .forward_solver import (_EDGE_SIGNS, Coefficients, ControlPair, OmegaRegion, forward_step,
+                             solve_forward)
 from .mesh import Mesh
 from .noise_tree import AdaptedField, ScenarioTree, time_pairing, tree_inner
 
@@ -192,39 +195,36 @@ def riccati_preconditioner(problem: HumProblem):
     w = (r - y_D)/eps, where y is the state of the tracking problem
     min 1/2 sum_k dt E(|chi*u_k|^2 + |v_k|^2) + 1/(2 eps) E|y_D - r|^2
     from y_0 = 0 (the mesh weight h is common to every term and dropped).
-    With A = I - dt*(D2 + a1), M = A^-1, E = diag(indicator) and s =
-    sqrt(dt), built once backward over the levels from P_D = I/eps:
+    With the symmetric A = I - dt*(D2 + a1), M = A^-1 and E =
+    diag(indicator), built once backward over the levels from P_D = I/eps:
 
-        Q = M^T P M,  K_u = E (I + dt E Q E)^-1 E,  K_v = (I + Q)^-1,
+        Q = M P M,  K_u = E (I + dt E Q E)^-1 E,  K_v = (I + Q)^-1,
         P <- Q - dt Q K_u Q + dt a2 Q K_v a2.
 
-    Each application runs a backward pass for the linear term from q_D =
-    r/eps, q = (I - dt Q K_u) gbar + s a2 K_v gtil with gbar, gtil = M^T
-    times the half-sum and half-difference (plus child minus minus child)
-    of the children's q, then a forward pass from y = 0 with the optimal
-    controls u = K_u (gbar - Q y), v = K_v (gtil/s - Q a2 y) and children
-    M (y + dt u +- s (a2 y + v)).  Every level is built from the node mean
-    of a1 and a2, which is the level itself when it is shared; on adapted
-    levels the map is the exact inverse for the mean path, an SPD
-    approximation of (Lambda + eps*I)^-1.  Costs O(depth N^3) to build,
-    four N x N matrices per level, and about one sweep per direction to
-    apply.
+    Each application steps the linear term back from q_D = r/eps with
+    ``backward_step`` (zeta and Z of the children's q), q = zeta - dt Q K_u
+    zeta + dt a2 K_v Z, then ``forward_step`` from y = 0 with the optimal
+    controls u = K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  Every level is
+    built from the node mean of a1 and a2, which is the level itself when
+    it is shared; on adapted levels the map is the exact inverse for the
+    mean path, an SPD approximation of (Lambda + eps*I)^-1.  Costs
+    O(depth N^3) to build, four N x N matrices per level, and about one
+    sweep per direction to apply.
     """
     tree, mesh, eps = problem.tree, problem.mesh, problem.epsilon
-    dt, s, n = tree.dt, tree.increment, mesh.N
+    dt, n = tree.dt, mesh.N
     eye = np.eye(n)
     window = np.outer(problem.region.indicator, problem.region.indicator)
     levels = [None] * tree.depth
     P = eye / eps
     for k in range(tree.depth - 1, -1, -1):
-        a1 = problem.coeffs.a1_levels[k].mean(axis=0)
         a2 = problem.coeffs.a2_levels[k].mean(axis=0)
-        off, diag, _ = drift_implicit_bands(mesh, dt, a1)
-        M = np.linalg.inv(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        Q = M.T @ P @ M
+        step = StepOperator.drift_implicit(mesh, dt, problem.coeffs.a1_levels[k].mean(axis=0))
+        M = step.solve(eye)
+        Q = M @ P @ M
         K_u = window * np.linalg.inv(eye + dt * window * Q)
         K_v = np.linalg.inv(eye + Q)
-        levels[k] = (M, Q, K_u, K_v, a2)
+        levels[k] = (step, Q, K_u, K_v, a2)
         # P_0 and q_0 are never used, so a2 at level 0 only multiplies the
         # state y_0 = 0, as in the Gramian; skipping them keeps a huge a2
         # there from overflowing the recursion.
@@ -232,25 +232,22 @@ def riccati_preconditioner(problem: HumProblem):
             P = Q - dt * (Q @ K_u @ Q) + dt * a2[:, np.newaxis] * (Q @ K_v) * a2
             P = 0.5 * (P + P.T)
 
-    # Row form: every node vector is a row, so M^T q is q @ M and M y is y @ M^T.
+    # Row form: every node vector is a row, and Q, K_u, K_v are symmetric.
     def apply(r):
         r = np.asarray(r, dtype=float)
         q = r.reshape(-1, n) / eps
-        gbar, gtil = [None] * tree.depth, [None] * tree.depth
+        zeta, Z = [None] * tree.depth, [None] * tree.depth
         for k in range(tree.depth - 1, -1, -1):
-            M, Q, K_u, K_v, a2 = levels[k]
-            g = (q @ M).reshape(-1, 2, n)
-            gbar[k] = 0.5 * (g[:, 1] + g[:, 0])
-            gtil[k] = 0.5 * (g[:, 1] - g[:, 0])
+            step, Q, K_u, K_v, a2 = levels[k]
+            _, Z[k], zeta[k] = backward_step(step, dt, q, a2)
             if k:
-                q = gbar[k] - dt * (gbar[k] @ K_u) @ Q + s * a2 * (gtil[k] @ K_v)
+                q = zeta[k] - dt * (zeta[k] @ K_u) @ Q + dt * a2 * (Z[k] @ K_v)
         y = np.zeros((1, n))
-        for k, (M, Q, K_u, K_v, a2) in enumerate(levels):
-            ay = a2 * y
-            u = (gbar[k] - y @ Q) @ K_u
-            v = (gtil[k] / s - ay @ Q) @ K_v
-            base, noise = y + dt * u, s * (ay + v)
-            y = np.stack([base - noise, base + noise], axis=1).reshape(-1, n) @ M.T
+        for k, (step, Q, K_u, K_v, a2) in enumerate(levels):
+            u = (zeta[k] - y @ Q) @ K_u
+            v = (Z[k] - (a2 * y) @ Q) @ K_v
+            y = forward_step(step, dt, y[:, np.newaxis], u[:, np.newaxis], v[:, np.newaxis],
+                             a2, 1.0, _EDGE_SIGNS).reshape(-1, n)
         return (r - y.reshape(r.shape)) / eps
 
     return apply
@@ -261,10 +258,12 @@ def free_terminal_state(problem: HumProblem) -> np.ndarray:
     return fwd.terminal
 
 
-def evaluate_functional(problem: HumProblem, zT: np.ndarray) -> float:
-    """Quadratic cost of a candidate terminal datum."""
+def evaluate_functional(problem: HumProblem, zT: np.ndarray,
+                        bwd: BackwardSolution | None = None) -> float:
+    """Quadratic cost of a candidate terminal datum, from its backward sweep ``bwd`` if given."""
     tree, mesh = problem.tree, problem.mesh
-    bwd = solve_backward(zT, problem.coeffs, tree, mesh)
+    if bwd is None:
+        bwd = solve_backward(zT, problem.coeffs, tree, mesh)
     quad = (time_pairing(tree, mesh, bwd.Z, bwd.Z)
             + time_pairing(tree, mesh, bwd.zeta, bwd.zeta, problem.region.indicator))
     penalty = problem.epsilon * tree_inner(tree, mesh, tree.depth, zT, zT)
@@ -308,7 +307,7 @@ def solve_hum(problem: HumProblem) -> HumSolution:
         controls=controls,
         terminal=terminal,
         free_terminal=b,
-        functional_value=evaluate_functional(problem, zT_star),
+        functional_value=evaluate_functional(problem, zT_star, bwd),
         cg_residuals=residuals,
         closure_error=closure,
         closure_bound=bound,

@@ -75,7 +75,7 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
     """
     N, h, dt = mesh.N, mesh.h, tree.dt
     off = np.full(N - 1, dt / h**2)
-    step = StepOperator(off, np.full(N, 1.0 - 2.0 * dt / h**2), off)
+    step = StepOperator(off, np.full(N, 1.0 - 2.0 * dt / h**2))
 
     if w0 is None:
         w0 = np.zeros(N)

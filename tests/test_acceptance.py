@@ -272,8 +272,7 @@ def test_criterion_13_sweep_determinism(tmp_path):
     import json
     cfg = ExperimentConfig()
     cfg.depth = 4
-    cfg.sweep = {"h_values": [1 / 8, 1 / 12], "obs_train": 8, "obs_holdout": 8,
-                 "cg_maxiter": 4000}
+    cfg.sweep = {"h_values": [1 / 8, 1 / 12], "obs_train": 8, "obs_holdout": 8}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"

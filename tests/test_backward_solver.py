@@ -46,6 +46,24 @@ class TestBackwardStep:
         oracle = np.linalg.solve(dense_step(mesh, dt, np.zeros(mesh.N)).T, np.full(mesh.N, c))
         np.testing.assert_allclose(z[0], oracle, rtol=1e-14)
 
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_matches_dense_transposed_step(self, nodes):
+        # One level with 4 parents and a leading sample axis, the step
+        # shared (nodes=1, inverse) or per parent (nodes=4, prefix form).
+        mesh = build_mesh(7)
+        dt = 0.05
+        rng = np.random.default_rng(13)
+        a1 = rng.uniform(-1, 1, (nodes, mesh.N))
+        a2 = rng.uniform(-1, 1, (4, mesh.N))
+        children = rng.standard_normal((3, 8, mesh.N))
+        got = backward_step(StepOperator.drift_implicit(mesh, dt, a1), dt, children, a2)
+        zhat = np.stack([np.linalg.solve(dense_step(mesh, dt, a).T, children[:, c].T).T
+                         for c, a in enumerate(np.repeat(a1, 8 // nodes, axis=0))], axis=1)
+        zeta = 0.5 * (zhat[:, 1::2] + zhat[:, 0::2])
+        coeff = (zhat[:, 1::2] - zhat[:, 0::2]) / (2 * np.sqrt(dt))
+        for value, ref in zip(got, (zeta + dt * a2 * coeff, coeff, zeta)):
+            np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12)
+
     def test_hand_duality_one_level(self):
         # N=2, one step, no reaction: everything is a 2x2 dense computation
         mesh = build_mesh(2)

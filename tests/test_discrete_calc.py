@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdcontrol.discrete_calc import (DualGridFunction, GridFunction, StepOperator,
                                      apply_Ah, apply_Dh, apply_Dh_dual,
-                                     apply_Dh2, consistency_orders, drift_implicit_bands,
+                                     apply_Dh2, consistency_orders,
                                      ibp_residuals, leibniz_residuals,
                                      solve_drift_implicit, solve_tridiagonal)
 from sdcontrol.errors import SingularSystemError
@@ -181,15 +181,6 @@ class TestDriftImplicitSolve:
         rhs = np.arange(5.0)
         np.testing.assert_allclose(solve_drift_implicit(mesh, 0.0, np.zeros(5), rhs), rhs)
 
-    def test_transpose_matches_plain_for_symmetric_matrix(self):
-        mesh = build_mesh(7)
-        rng = np.random.default_rng(7)
-        a1 = rng.uniform(-0.5, 0.5, mesh.N)
-        rhs = rng.standard_normal(mesh.N)
-        plain = solve_drift_implicit(mesh, 0.05, a1, rhs)
-        trans = solve_drift_implicit(mesh, 0.05, a1, rhs, transpose=True)
-        np.testing.assert_allclose(plain, trans, rtol=1e-14)
-
     def test_batched_rhs(self):
         mesh = build_mesh(6)
         rng = np.random.default_rng(8)
@@ -204,56 +195,50 @@ class TestTridiagonal:
     def test_vanishing_pivot_raises(self):
         # second pivot is 1 - 1*1/1 = 0
         with pytest.raises(SingularSystemError):
-            solve_tridiagonal(np.array([1.0]), np.array([1.0, 1.0]),
-                              np.array([1.0]), np.array([1.0, 1.0]))
+            solve_tridiagonal(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
-    def test_transpose_flag(self):
+    def test_matches_dense_solve(self):
         rng = np.random.default_rng(9)
         n = 6
-        sub, diag, sup = rng.standard_normal(n - 1), rng.uniform(3, 4, n), rng.standard_normal(n - 1)
+        off, diag = rng.standard_normal(n - 1), rng.uniform(3, 4, n)
         rhs = rng.standard_normal(n)
-        mat = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        np.testing.assert_allclose(solve_tridiagonal(sub, diag, sup, rhs), np.linalg.solve(mat, rhs), rtol=1e-12)
-        np.testing.assert_allclose(solve_tridiagonal(sub, diag, sup, rhs, transpose=True),
-                                   np.linalg.solve(mat.T, rhs), rtol=1e-12)
+        np.testing.assert_allclose(solve_tridiagonal(off, diag, rhs),
+                                   np.linalg.solve(_dense(off, diag), rhs), rtol=1e-12)
 
 
 def _dominant_bands(rng, nodes, n):
-    """Strictly diagonally dominant bands (rows and columns), one matrix per node."""
-    sub = rng.uniform(-1, 1, (nodes, n - 1))
-    sup = rng.uniform(-1, 1, (nodes, n - 1))
+    """Strictly diagonally dominant symmetric bands, one matrix per node."""
+    off = rng.uniform(-1, 1, (nodes, n - 1))
     diag = rng.uniform(2.5, 4.0, (nodes, n)) * rng.choice([-1.0, 1.0], (nodes, 1))
-    return sub, diag, sup
+    return off, diag
 
 
 def _bands_with_zero_entry(rng, nodes, n):
     """Dominant bands with one off-diagonal entry exactly zero: a reducible matrix."""
-    sub, diag, sup = _dominant_bands(rng, nodes, n)
-    band = sub if rng.random() < 0.5 else sup
-    band[rng.integers(nodes), rng.integers(n - 1)] = 0.0
-    return sub, diag, sup
+    off, diag = _dominant_bands(rng, nodes, n)
+    off[rng.integers(nodes), rng.integers(n - 1)] = 0.0
+    return off, diag
 
 
 def _tiny_multiplier_bands(rng, nodes, n):
     """Dominant bands whose multipliers are near 1e-20, so prefix products underflow."""
-    sub, diag, sup = _dominant_bands(rng, nodes, n)
-    return 1e-20 * sub, diag, 1e-20 * sup
+    off, diag = _dominant_bands(rng, nodes, n)
+    return 1e-20 * off, diag
 
 
-def _dense(sub, diag, sup):
-    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+def _dense(off, diag):
+    return np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
 
 
-def _assert_matches_dense(got, rhs, bands, transpose):
+def _assert_matches_dense(got, rhs, bands):
     """Each node's rows of ``got`` (..., P*C, n) against np.linalg.solve at rtol 1e-12."""
-    sub, diag, sup = bands
+    off, diag = bands
     nodes = len(diag)
     grouped_got = got.reshape(-1, nodes, got.shape[-2] // nodes, got.shape[-1])
     grouped_rhs = rhs.reshape(grouped_got.shape)
     for p in range(nodes):
-        mat = _dense(sub[p], diag[p], sup[p])
         rows = grouped_rhs[:, p].reshape(-1, rhs.shape[-1])
-        ref = np.linalg.solve(mat.T if transpose else mat, rows.T).T
+        ref = np.linalg.solve(_dense(off[p], diag[p]), rows.T).T
         np.testing.assert_allclose(grouped_got[:, p].reshape(ref.shape), ref,
                                    rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -270,8 +255,8 @@ class TestStepOperator:
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(sorted(_BAND_KINDS)), extra=st.integers(0, 10),
            nodes=st.integers(1, 5), per_node=st.integers(1, 3), samples=st.integers(1, 3),
-           transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_solve(self, kind, extra, nodes, per_node, samples, transpose, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_solve(self, kind, extra, nodes, per_node, samples, seed):
         # nodes == 1 is the shared matrix (inverse + matmul); nodes > 1 the
         # per-node factors, prefix form or Thomas substitution by the band
         # kind, applied to rows grouped by node, for every sample along the
@@ -279,13 +264,13 @@ class TestStepOperator:
         n_min, build, prefix = _BAND_KINDS[kind]
         n = n_min + extra
         rng = np.random.default_rng(seed)
-        sub, diag, sup = build(rng, nodes, n)
+        off, diag = build(rng, nodes, n)
         rhs = rng.standard_normal((samples, nodes * per_node, n))
-        op = StepOperator(sub, diag, sup)
+        op = StepOperator(off, diag)
         assert op.prefix_form == (prefix and nodes > 1)
-        got = op.solve(rhs, transpose=transpose)
+        got = op.solve(rhs)
         assert got.shape == rhs.shape
-        _assert_matches_dense(got, rhs, (sub, diag, sup), transpose)
+        _assert_matches_dense(got, rhs, (off, diag))
 
     def test_pivot_threshold_is_per_node(self):
         # A well-conditioned node at scale 1e-14 batched with an O(1) node
@@ -295,8 +280,7 @@ class TestStepOperator:
         bands = tuple(band * scale for band in _dominant_bands(rng, 2, 6))
         op = StepOperator(*bands)
         rhs = rng.standard_normal((3, 4, 6))
-        for transpose in (False, True):
-            _assert_matches_dense(op.solve(rhs, transpose=transpose), rhs, bands, transpose)
+        _assert_matches_dense(op.solve(rhs), rhs, bands)
 
     def test_rejects_misgrouped_rhs(self):
         rng = np.random.default_rng(12)
@@ -320,22 +304,28 @@ class TestStepOperator:
                 dt_a1 = np.stack([np.full(N, 0.99), np.full(N, -0.99), rng.uniform(-0.99, 0.99, N)])
                 op = StepOperator.drift_implicit(mesh, dt, dt_a1 / dt)
                 assert op.prefix_form, (N, T, depth)
-                bands = tuple(np.broadcast_to(b, (3, len(b) if b.ndim == 1 else N))
-                              for b in drift_implicit_bands(mesh, dt, dt_a1 / dt))
+                bands = (np.full((3, N - 1), -dt / mesh.h**2), 1.0 + 2.0 * dt / mesh.h**2 - dt_a1)
                 rhs = rng.standard_normal((2, 6, N))
-                for transpose in (False, True):
-                    _assert_matches_dense(op.solve(rhs, transpose=transpose), rhs, bands, transpose)
+                _assert_matches_dense(op.solve(rhs), rhs, bands)
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 10), transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_shared_bands_keep_batch_shape(self, n, transpose, seed):
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    def test_shared_bands_keep_batch_shape(self, n, seed):
         rng = np.random.default_rng(seed)
-        sub, diag, sup = (band[0] for band in _dominant_bands(rng, 1, n))
+        off, diag = (band[0] for band in _dominant_bands(rng, 1, n))
         rhs = rng.standard_normal((2, 3, n))
-        got = StepOperator(sub, diag, sup).solve(rhs, transpose=transpose)
+        got = StepOperator(off, diag).solve(rhs)
         assert got.shape == rhs.shape
-        _assert_matches_dense(got, rhs, tuple(band[np.newaxis] for band in (sub, diag, sup)),
-                              transpose)
+        _assert_matches_dense(got, rhs, (off[np.newaxis], diag[np.newaxis]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_shared_inverse_equals_its_transpose(self, n, seed):
+        # Both sweep directions apply this one array, so they stay exact
+        # transposes of each other.
+        off, diag = (band[0] for band in _dominant_bands(np.random.default_rng(seed), 1, n))
+        inverse = StepOperator(off, diag).solve(np.eye(n))
+        assert np.array_equal(inverse, inverse.T)
 
     def test_drift_implicit_matches_one_off_solve(self):
         mesh = build_mesh(11)
@@ -346,13 +336,11 @@ class TestStepOperator:
         for a1 in (rng.uniform(-1, 1, (1, mesh.N)), rng.uniform(-1, 1, (4, mesh.N))):
             op = StepOperator.drift_implicit(mesh, dt, a1)
             rhs = rng.standard_normal((8, mesh.N))
-            for transpose in (False, True):
-                got = op.solve(rhs, transpose=transpose)
-                # row r of the right-hand side uses node r // (8 / nodes)
-                for row, a in enumerate(np.repeat(a1, 8 // a1.shape[0], axis=0)):
-                    mat = np.eye(mesh.N) - dt * (lap + np.diag(a))
-                    ref = np.linalg.solve(mat.T if transpose else mat, rhs[row])
-                    np.testing.assert_allclose(got[row], ref, rtol=1e-12)
+            got = op.solve(rhs)
+            # row r of the right-hand side uses node r // (8 / nodes)
+            for row, a in enumerate(np.repeat(a1, 8 // a1.shape[0], axis=0)):
+                mat = np.eye(mesh.N) - dt * (lap + np.diag(a))
+                np.testing.assert_allclose(got[row], np.linalg.solve(mat, rhs[row]), rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -362,12 +350,11 @@ class TestStepOperator:
         rng = np.random.default_rng(seed)
         piv = rng.uniform(1, 2, n) * rng.choice([-1.0, 1.0], n)
         piv[k] = 0.0
-        sub = rng.uniform(0.5, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-        sup = rng.uniform(0.5, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        off = rng.uniform(0.5, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
         diag = piv.copy()
-        diag[1:k + 1] += sub[:k] * sup[:k] / piv[:k]
+        diag[1:k + 1] += off[:k] ** 2 / piv[:k]
         with pytest.raises(SingularSystemError, match=f"vanishing pivot at row {k}"):
-            StepOperator(sub, diag, sup)
+            StepOperator(off, diag)
 
     def test_singular_drift_matrix_names_the_step(self):
         # N=2: the matrix is [[d, -c], [-c, d]] with c = dt/h^2, singular when d = c.

@@ -8,7 +8,8 @@ from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import Coefficients
 from sdcontrol.harness import (CSV_HEADER, ExperimentConfig, build_coefficients,
                                build_y0, cli, emit_csv, load_config,
-                               resolve_epsilon, run_identity_checks)
+                               resolve_epsilon, run_identity_checks,
+                               sweep_settings_from_config)
 from sdcontrol.inequalities import SweepRow
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree
@@ -38,6 +39,17 @@ class TestConfig:
             ExperimentConfig.from_dict({"meshsize": 4})
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"weights": {"lambda_": 2.0}})
+        with pytest.raises(ConfigurationError, match="cg_maxiter"):
+            ExperimentConfig.from_dict({"sweep": {"cg_maxiter": 10000}})
+
+    def test_section_of_wrong_type_rejected(self):
+        for data in ({"hum": 3}, {"y0": "sine"}, [1, 2]):
+            with pytest.raises(ConfigurationError, match="object"):
+                ExperimentConfig.from_dict(data)
+
+    def test_sweep_reads_hum_cg_maxiter(self):
+        cfg = ExperimentConfig.from_dict({"hum": {"cg_maxiter": 7}})
+        assert sweep_settings_from_config(cfg).cg_maxiter == 7
 
     def test_validate_names_violations(self):
         cfg = ExperimentConfig.from_dict({"N": 1, "weights": {"lam": 0.5}})
@@ -194,7 +206,7 @@ class TestCli:
     @pytest.mark.parametrize("section, value, name", [
         ("carleman", {"depth": 0}, "carleman.depth"),
         ("carleman", {"depth": 17}, "carleman.depth"),
-        ("sweep", {"cg_maxiter": 0}, "sweep.cg_maxiter"),
+        ("hum", {"cg_maxiter": 0}, "hum.cg_maxiter"),
         ("sweep", {"obs_train": 0}, "sweep.obs_train"),
         ("sweep", {"obs_holdout": 0}, "sweep.obs_train and .obs_holdout"),
         ("observability", {"safety": 0.0}, "observability.safety"),
@@ -209,6 +221,14 @@ class TestCli:
          "coefficients.a2.frequency"),
         ("coefficients", {"a2": {"kind": "sinusoid", "phase": None}},
          "coefficients.a2.phase"),
+        ("N", "a", "N"),
+        ("N", 7.5, "N"),
+        ("depth", 3.5, "depth"),
+        ("T", "x", "T"),
+        ("omega", [0.3, "b"], "omega"),
+        ("sweep", {"h_values": ["a"]}, "sweep.h_values"),
+        ("hum", {"epsilon": "a"}, "hum.epsilon"),
+        ("coefficients", {"a1": 5}, "coefficients.a1"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})
@@ -237,8 +257,7 @@ class TestCli:
     def test_sweep_subcommand_deterministic_across_threads(self, tmp_path):
         path = self._write_config(
             tmp_path, depth=3,
-            sweep={"h_values": [1 / 8, 1 / 10], "obs_train": 4, "obs_holdout": 4,
-                   "cg_maxiter": 3000})
+            sweep={"h_values": [1 / 8, 1 / 10], "obs_train": 4, "obs_holdout": 4})
         out1, out2 = tmp_path / "one.csv", tmp_path / "four.csv"
         assert cli(["sweep", "--config", path, "--out", str(out1), "--threads", "1"]) == 0
         assert cli(["sweep", "--config", path, "--out", str(out2), "--threads", "4"]) == 0
@@ -271,7 +290,7 @@ class TestCli:
     def test_unwritable_output_exits_3(self, tmp_path):
         path = self._write_config(tmp_path, depth=3,
                                   sweep={"h_values": [1 / 8], "obs_train": 2,
-                                         "obs_holdout": 2, "cg_maxiter": 2000})
+                                         "obs_holdout": 2})
         assert cli(["sweep", "--config", path, "--out", "/no/such/dir/out.csv"]) == 3
 
 

@@ -253,6 +253,25 @@ class TestSolveHum:
         assert sol.closure_error <= sol.closure_bound
         assert sol.true_rel_residual <= problem.cg_tol
 
+    def test_functional_value_reuses_the_synthesis_sweep(self, monkeypatch):
+        import sdcontrol.hum as hum
+        calls = {"solve_backward": 0, "gramian_apply": 0}
+
+        def counted(name):
+            original = getattr(hum, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(hum, name, counted(name))
+        problem, _ = small_problem(seed=12)
+        sol = solve_hum(problem)
+        # every Gramian apply sweeps once, the synthesis once, nothing else
+        assert calls["solve_backward"] == calls["gramian_apply"] + 1
+        assert sol.functional_value == evaluate_functional(problem, sol.zT_star)
+
     def test_terminal_energy_identity_at_closure(self):
         problem, _ = small_problem(seed=9, eps=1e-3, cg_tol=1e-13)
         sol = solve_hum(problem)
