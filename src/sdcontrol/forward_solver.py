@@ -3,7 +3,9 @@
 Each step solves (I - dt*(second difference + a1)) y_next = y + dt*chi*u
 + (a2*y + v)*dB with the noise and both controls explicit, so the map
 (y0, u, v) -> states is affine and every node-level solve is tridiagonal.
-Coefficients are sampled at the left endpoint of each step.
+Coefficients are sampled at the left endpoint of each step.  The step
+takes chi*u as u, since a ``ControlPair`` checks or masks its drift
+control to the window.
 """
 
 from __future__ import annotations
@@ -202,18 +204,18 @@ _EDGE_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 a2: np.ndarray, indicator: np.ndarray | float,
-                 sign: float | np.ndarray) -> np.ndarray:
-    """One implicit step along the edge with increment sign*sqrt(dt).
+                 a2: np.ndarray) -> np.ndarray:
+    """One implicit step of node rows (..., B, N) to their children (..., 2B, N).
 
-    ``step`` is the level's factored step matrix.  ``sign`` may be an array
-    of edge signs broadcasting against the state, which steps several edges
-    at once: the right-hand side then has shape (..., nodes, edges, N) and
-    its node and edge axes are merged into rows in node order, while any
-    leading axes (samples) are kept.
+    ``step`` is the level's factored step matrix; node n's children are
+    rows 2n (increment -sqrt(dt)) and 2n+1 (+sqrt(dt)), the order that
+    ``backward_step`` splits.  ``u`` is the drift control, already zero
+    outside the window; ``u``, ``v`` and ``a2`` broadcast against ``y``,
+    and leading axes (samples) are kept.
     """
-    rhs = y + dt * indicator * u + (a2 * y + v) * (sign * np.sqrt(dt))
-    return step.solve(rhs.reshape(rhs.shape[:-3] + (-1, step.n))).reshape(rhs.shape)
+    drift, noise = y + dt * u, a2 * y + v
+    rhs = drift[..., np.newaxis, :] + noise[..., np.newaxis, :] * (_EDGE_SIGNS * np.sqrt(dt))
+    return step.solve(rhs.reshape(rhs.shape[:-3] + (-1, step.n)))
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,
@@ -222,17 +224,13 @@ def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coeffici
     coeffs.check_grid(tree, mesh)
     steps = coeffs.step_operators()
     y0 = np.asarray(y0, dtype=float).reshape(mesh.N)
-    indicator = controls.region.indicator if controls is not None else 0.0
 
     levels = [y0[np.newaxis, :].copy()]
     for k in range(tree.depth):
         u = v = 0.0
         if controls is not None:
-            u = controls.u.levels[k][:, np.newaxis]
-            v = controls.v.levels[k][:, np.newaxis]
-        children = forward_step(steps[k], tree.dt, levels[k][:, np.newaxis], u, v,
-                                coeffs.a2_levels[k][:, np.newaxis], indicator, _EDGE_SIGNS)
-        levels.append(children.reshape(2 << k, mesh.N))
+            u, v = controls.u.levels[k], controls.v.levels[k]
+        levels.append(forward_step(steps[k], tree.dt, levels[k], u, v, coeffs.a2_levels[k]))
 
     return ForwardSolution(states=AdaptedField(tree, mesh, levels))
 

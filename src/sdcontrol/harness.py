@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# Desk-scale caps on the size fields besides depth: the largest N a scan of
+# the step solves has covered, and samples per fit or study that run in minutes.
+N_CAP, SAMPLES_CAP = 4095, 100_000
+
 
 def _default_coefficients() -> dict:
     return {
@@ -135,7 +139,7 @@ class ExperimentConfig:
         positive, count, depth = (lambda v: v > 0), (lambda v: v >= 1), (lambda v: 1 <= v <= cap)
         number, in_depth_range = "a finite number", f"an integer in 1..{cap}"
         check("seed", self.seed, "a non-negative integer", lambda v: v >= 0, integer=True)
-        check("N", self.N, "an integer >= 2", lambda v: v >= 2, integer=True)
+        check("N", self.N, f"an integer in 2..{N_CAP}", lambda v: 2 <= v <= N_CAP, integer=True)
         check("depth", self.depth, in_depth_range, depth, integer=True)
         typed = [check(f"weights.{k}", w[k], number) for k in ("lam", "mu", "delta0", "x0", "K", "eps0")]
         typed += [check("T", self.T, number), check("omega", self.omega, number, items="interval"),
@@ -169,7 +173,8 @@ class ExperimentConfig:
                               (sweep["obs_train"], sweep["obs_holdout"])),
                              ("carleman.samples", (car["samples"],))):
             for value in values:  # one message per name
-                if not check(name, value, "an integer >= 1", count, integer=True):
+                if not check(name, value, f"an integer in 1..{SAMPLES_CAP}",
+                             lambda v: 1 <= v <= SAMPLES_CAP, integer=True):
                     break
         check("observability.safety", obs["safety"], "a positive number", positive)
         check("carleman.depth", car["depth"], in_depth_range, depth, integer=True)

@@ -35,10 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward_solver import BackwardSolution, backward_step, solve_backward
-from .discrete_calc import StepOperator
 from .errors import ConfigurationError, ConvergenceError
-from .forward_solver import (_EDGE_SIGNS, Coefficients, ControlPair, OmegaRegion, forward_step,
-                             solve_forward)
+from .forward_solver import Coefficients, ControlPair, OmegaRegion, forward_step, solve_forward
 from .mesh import Mesh
 from .noise_tree import AdaptedField, ScenarioTree, time_pairing, tree_inner
 
@@ -71,7 +69,6 @@ class HumProblem:
 @dataclass
 class HumSolution:
     zT_star: np.ndarray
-    backward: BackwardSolution
     controls: ControlPair
     terminal: np.ndarray
     free_terminal: np.ndarray
@@ -204,22 +201,24 @@ def riccati_preconditioner(problem: HumProblem):
     Each application steps the linear term back from q_D = r/eps with
     ``backward_step`` (zeta and Z of the children's q), q = zeta - dt Q K_u
     zeta + dt a2 K_v Z, then ``forward_step`` from y = 0 with the optimal
-    controls u = K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  Every level is
-    built from the node mean of a1 and a2, which is the level itself when
-    it is shared; on adapted levels the map is the exact inverse for the
-    mean path, an SPD approximation of (Lambda + eps*I)^-1.  Costs
-    O(depth N^3) to build, four N x N matrices per level, and about one
-    sweep per direction to apply.
+    controls u = K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  With every level
+    shared by its nodes it runs on the problem's own coefficients and cached
+    step operators and is exact; otherwise on one ``Coefficients`` of the
+    node means of a1 and a2, the exact inverse for the mean path and an SPD
+    approximation of (Lambda + eps*I)^-1.  Costs O(depth N^3) to build, four
+    N x N matrices per level, and about one sweep per direction to apply.
     """
-    tree, mesh, eps = problem.tree, problem.mesh, problem.epsilon
+    tree, mesh, eps, coeffs = problem.tree, problem.mesh, problem.epsilon, problem.coeffs
     dt, n = tree.dt, mesh.N
-    eye = np.eye(n)
+    if any(a.shape[0] > 1 for a in coeffs.a1_levels + coeffs.a2_levels):
+        coeffs = Coefficients(tree, mesh, [a.mean(axis=0, keepdims=True) for a in coeffs.a1_levels],
+                              [a.mean(axis=0, keepdims=True) for a in coeffs.a2_levels])
+    steps, eye = coeffs.step_operators(), np.eye(n)
     window = np.outer(problem.region.indicator, problem.region.indicator)
     levels = [None] * tree.depth
     P = eye / eps
     for k in range(tree.depth - 1, -1, -1):
-        a2 = problem.coeffs.a2_levels[k].mean(axis=0)
-        step = StepOperator.drift_implicit(mesh, dt, problem.coeffs.a1_levels[k].mean(axis=0))
+        step, a2 = steps[k], coeffs.a2_levels[k]
         M = step.solve(eye)
         Q = M @ P @ M
         K_u = window * np.linalg.inv(eye + dt * window * Q)
@@ -229,10 +228,10 @@ def riccati_preconditioner(problem: HumProblem):
         # state y_0 = 0, as in the Gramian; skipping them keeps a huge a2
         # there from overflowing the recursion.
         if k:
-            P = Q - dt * (Q @ K_u @ Q) + dt * a2[:, np.newaxis] * (Q @ K_v) * a2
+            P = Q - dt * (Q @ K_u @ Q) + dt * a2.T * (Q @ K_v) * a2
             P = 0.5 * (P + P.T)
 
-    # Row form: every node vector is a row, and Q, K_u, K_v are symmetric.
+    # Row form: node vectors and a2 are rows, and Q, K_u, K_v are symmetric.
     def apply(r):
         r = np.asarray(r, dtype=float)
         q = r.reshape(-1, n) / eps
@@ -246,8 +245,7 @@ def riccati_preconditioner(problem: HumProblem):
         for k, (step, Q, K_u, K_v, a2) in enumerate(levels):
             u = (zeta[k] - y @ Q) @ K_u
             v = (Z[k] - (a2 * y) @ Q) @ K_v
-            y = forward_step(step, dt, y[:, np.newaxis], u[:, np.newaxis], v[:, np.newaxis],
-                             a2, 1.0, _EDGE_SIGNS).reshape(-1, n)
+            y = forward_step(step, dt, y, u, v, a2)
         return (r - y.reshape(r.shape)) / eps
 
     return apply
@@ -303,7 +301,6 @@ def solve_hum(problem: HumProblem) -> HumSolution:
 
     return HumSolution(
         zT_star=zT_star,
-        backward=bwd,
         controls=controls,
         terminal=terminal,
         free_terminal=b,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backward_solver import solve_backward
 from .errors import ConfigurationError, ConvergenceError, RegimeError
-from .forward_solver import _EDGE_SIGNS, Coefficients, OmegaRegion, forward_step
+from .forward_solver import Coefficients, OmegaRegion, forward_step
 from .mesh import Mesh, build_mesh
 from .noise_tree import (AdaptedField, ScenarioTree, build_tree, random_levels, time_pairing,
                          tree_inner)
@@ -66,9 +66,10 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
                      w0: np.ndarray | None = None) -> AdaptedField:
     """Integrate dw = -(second difference of w) dt + f dt + g dB on the tree.
 
-    Each level is one ``forward_step`` with drift source f, diffusion
-    source g and the anti-diffusive matrix I + dt*D2, factored once per
-    call.  That matrix is indefinite, so factoring it can raise
+    Each level's node rows go through one ``forward_step`` to their
+    children, with drift source f as u, diffusion source g as v, a2 = 0
+    and the anti-diffusive matrix I + dt*D2, factored once per call.
+    That matrix is indefinite, so factoring it can raise
     SingularSystemError for unlucky dt/h combinations.  Sources with
     leading sample axes give a solution with the same leading axes, all
     samples starting from ``w0``.
@@ -82,10 +83,8 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
     batch = sources.f.levels[0].shape[:-2]
     levels = [np.broadcast_to(np.asarray(w0, dtype=float).reshape(1, N), batch + (1, N)).copy()]
     for k in range(tree.depth):
-        children = forward_step(step, dt, levels[k][..., np.newaxis, :],
-                                sources.f.levels[k][..., np.newaxis, :],
-                                sources.g.levels[k][..., np.newaxis, :], 0.0, 1.0, _EDGE_SIGNS)
-        levels.append(children.reshape(batch + (2 << k, N)))
+        levels.append(forward_step(step, dt, levels[k], sources.f.levels[k],
+                                   sources.g.levels[k], 0.0))
     return AdaptedField(tree, mesh, levels)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.errors import ConfigurationError
-from sdcontrol.forward_solver import (_EDGE_SIGNS, Coefficients, ControlPair, OmegaRegion,
-                                      energy_growth_rate, forward_step, solve_forward)
+from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion, energy_growth_rate,
+                                      forward_step, solve_forward)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import AdaptedField, build_tree, tree_inner
 
@@ -64,47 +64,52 @@ class TestOmegaRegion:
 class TestForwardStep:
     def test_zero_state_stays_zero(self):
         mesh = build_mesh(6)
-        z = np.zeros(mesh.N)
-        out = forward_step(heat_step(mesh, 0.1), 0.1, z, z, z, z, np.ones(mesh.N), 1.0)
+        z = np.zeros((1, mesh.N))
+        out = forward_step(heat_step(mesh, 0.1), 0.1, z, z, z, z)
+        assert out.shape == (2, mesh.N)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_pure_heat_step_is_contraction(self):
         mesh = build_mesh(8)
         rng = np.random.default_rng(0)
-        z = np.zeros(mesh.N)
+        z = np.zeros((1, mesh.N))
         step = heat_step(mesh, 0.05)
         for _ in range(20):
-            y = rng.standard_normal(mesh.N)
-            out = forward_step(step, 0.05, y, z, z, z, np.ones(mesh.N), 1.0)
-            assert np.sqrt(mesh.h) * np.linalg.norm(out) <= np.sqrt(mesh.h) * np.linalg.norm(y) + 1e-15
+            y = rng.standard_normal((1, mesh.N))
+            out = forward_step(step, 0.05, y, z, z, z)
+            norms = np.sqrt(mesh.h) * np.linalg.norm(out, axis=-1)
+            assert (norms <= np.sqrt(mesh.h) * np.linalg.norm(y) + 1e-15).all()
 
     def test_single_noise_source(self):
         mesh = build_mesh(5)
         dt = 0.2
         c, j = 1.7, 2
-        e_j = np.zeros(mesh.N)
-        e_j[j] = c
-        zeros = np.zeros(mesh.N)
-        out = forward_step(heat_step(mesh, dt), dt, zeros, zeros, e_j, zeros, np.ones(mesh.N), 1.0)
-        # oracle: dense solve of (I - dt*D2) x = c*sqrt(dt)*e_j
-        oracle = np.linalg.solve(dense_step(mesh, dt, zeros), np.sqrt(dt) * e_j)
-        np.testing.assert_allclose(out, oracle, rtol=1e-12)
+        e_j = np.zeros((1, mesh.N))
+        e_j[0, j] = c
+        zeros = np.zeros((1, mesh.N))
+        out = forward_step(heat_step(mesh, dt), dt, zeros, zeros, e_j, zeros)
+        # oracle: dense solve of (I - dt*D2) x = c*sqrt(dt)*e_j; child 2n takes
+        # the increment -sqrt(dt), child 2n+1 takes +sqrt(dt)
+        oracle = np.linalg.solve(dense_step(mesh, dt, zeros[0]), np.sqrt(dt) * e_j[0])
+        np.testing.assert_allclose(out[0], -oracle, rtol=1e-12)
+        np.testing.assert_allclose(out[1], oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_sample_batch_equals_per_sample_steps(self, nodes):
         # nodes == 1: one shared matrix (matmul); nodes == 4: one matrix per
-        # node (prefix form).  The edge axis steps both children at once.
+        # node (prefix form).  Both children of every node step at once.
         mesh = build_mesh(7)
         dt = 0.1
         rng = np.random.default_rng(13)
         step = StepOperator.drift_implicit(mesh, dt, rng.uniform(-1, 1, (nodes, mesh.N)))
         region = OmegaRegion(mesh, (0.3, 0.7))
-        y, u, v = (rng.standard_normal((3, 4, 1, mesh.N)) for _ in range(3))
-        a2 = rng.uniform(-1, 1, (4, 1, mesh.N))
-        batch = forward_step(step, dt, y, u, v, a2, region.indicator, _EDGE_SIGNS)
-        assert batch.shape == (3, 4, 2, mesh.N)
+        y, u, v = (rng.standard_normal((3, 4, mesh.N)) for _ in range(3))
+        u *= region.indicator
+        a2 = rng.uniform(-1, 1, (4, mesh.N))
+        batch = forward_step(step, dt, y, u, v, a2)
+        assert batch.shape == (3, 8, mesh.N)
         for s in range(3):
-            single = forward_step(step, dt, y[s], u[s], v[s], a2, region.indicator, _EDGE_SIGNS)
+            single = forward_step(step, dt, y[s], u[s], v[s], a2)
             np.testing.assert_array_equal(batch[s], single)
 
 

@@ -229,6 +229,12 @@ class TestCli:
         ("sweep", {"h_values": ["a"]}, "sweep.h_values"),
         ("hum", {"epsilon": "a"}, "hum.epsilon"),
         ("coefficients", {"a1": 5}, "coefficients.a1"),
+        ("N", 10**400, "N"),
+        ("N", 4096, "N"),
+        ("observability", {"train": 10**30}, "observability.train and .holdout"),
+        ("observability", {"holdout": 100_001}, "observability.train and .holdout"),
+        ("sweep", {"obs_train": 10**30}, "sweep.obs_train and .obs_holdout"),
+        ("carleman", {"samples": 10**30}, "carleman.samples"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.errors import ConfigurationError, ConvergenceError
 from sdcontrol.forward_solver import Coefficients, OmegaRegion
 from sdcontrol.hum import (HumProblem, conjugate_gradient, epsilon_from_mesh,
@@ -192,6 +193,26 @@ class TestRiccatiPreconditioner:
         precondition = riccati_preconditioner(problem)
         applied = np.column_stack([precondition(e.reshape(8, 5)).ravel() for e in np.eye(40)])
         assert np.abs(applied - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_factors_only_the_mean_path_operators(self, adapted, monkeypatch):
+        # shared levels reuse the sweeps' own cached operators; adapted ones
+        # need one mean-path operator per level
+        mesh, tree = build_mesh(5), build_tree(4, 1.0)
+        coeffs = (Coefficients.adapted_random(tree, mesh, np.random.default_rng(3), 0.5, 0.5)
+                  if adapted else Coefficients.constant(tree, mesh, 0.5, 0.5))
+        problem = HumProblem(y0=np.ones(5), coeffs=coeffs, region=OmegaRegion(mesh, (0.3, 0.7)),
+                             tree=tree, mesh=mesh, epsilon=1e-2)
+        coeffs.step_operators()
+        built = []
+        original = StepOperator.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            original(self, *args)
+        monkeypatch.setattr(StepOperator, "__init__", counted)
+        riccati_preconditioner(problem)
+        assert len(built) == (tree.depth if adapted else 0)
 
     def test_adapted_coefficients_pcg_matches_dense_oracle(self):
         # criterion 8's problem and tolerance, with the mean-path preconditioner
