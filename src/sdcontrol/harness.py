@@ -179,7 +179,8 @@ class ExperimentConfig:
         check("observability.safety", obs["safety"], "a positive number", positive)
         check("carleman.depth", car["depth"], in_depth_range, depth, integer=True)
         check("carleman.modes", car["modes"], "an integer", integer=True)
-        check("sweep.h_values", sweep["h_values"], "a positive number", positive, items="list")
+        check("sweep.h_values", sweep["h_values"], f"a number >= 1/{N_CAP + 1}",
+              lambda v: v >= 1 / (N_CAP + 1), items="list")
         return problems
 
     @property
@@ -195,8 +196,8 @@ def load_config(path: str | None) -> ExperimentConfig:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or UTF-8, an integer literal beyond int's digit cap
+        raise ConfigurationError(f"config file {path} cannot be read as JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 
 
@@ -537,7 +538,6 @@ def sweep_settings_from_config(cfg: ExperimentConfig) -> ineq.SweepSettings:
         y0_factory=lambda mesh: build_y0(cfg, mesh),
         seed=cfg.seed, cg_tol=cfg.hum["cg_tol"], cg_maxiter=cfg.hum["cg_maxiter"],
         obs_train=cfg.sweep["obs_train"], obs_holdout=cfg.sweep["obs_holdout"],
-        obs_safety=cfg.observability["safety"],
     )
 
 

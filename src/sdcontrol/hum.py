@@ -15,17 +15,18 @@ is the optimality system of tracking r at the leaves with the least
 control energy, whose dynamic programme on the tree is a Riccati
 recursion of N x N matrices per level (the tree form of the stochastic
 LQ Riccati equation with control-dependent noise; Ait Rami & Zhou, IEEE
-TAC 45, 2000), applied with the sweeps' own step operators and kernels.
-It inverts (Lambda + eps*I) exactly when the coefficients are shared by
-the nodes of each level and inverts the mean-path problem on adapted
-levels.  Its error grows like u/eps^2 in float64 (u = 1.1e-16):
-max|W (Lambda + eps*I) - I| for the computed map W is about 5e-15 at
-eps = 1e-2, 3e-10 at 1e-6 and 2e-2 at 1e-10 (N = 7, depth 8).  Below
-about eps = 1e-10 it is no longer a near-inverse: the default sweep's
-h = 1/28 row (eps = 6.9e-13) takes tens of PCG iterations, a count set
-by roundoff, and at h = 1/32 (eps = 1.3e-14) it is no longer positive
-definite, which the breakdown guard of ``conjugate_gradient`` reports as
-a ConvergenceError.
+TAC 45, 2000): ``riccati_levels``, whose P_0 also gives the optimum J* =
+-(h/2) y0^T P_0 y0 (the mean path's on adapted coefficients; no solve
+reads P_0, which a huge level-0 a2 can overflow).  It inverts (Lambda +
+eps*I) exactly when the coefficients are shared by the nodes of each
+level and inverts the mean-path problem on adapted levels.  Its error
+grows like u/eps^2 in float64 (u = 1.1e-16): max|W (Lambda + eps*I) - I|
+for the computed map W is about 5e-15 at eps = 1e-2, 3e-10 at 1e-6 and
+2e-2 at 1e-10 (N = 7, depth 8).  Below about eps = 1e-10 it is no longer
+a near-inverse: the default sweep's h = 1/28 row (eps = 6.9e-13) takes
+tens of PCG iterations, a count set by roundoff, and at h = 1/32 (eps =
+1.3e-14) it is no longer positive definite, which the breakdown guard of
+``conjugate_gradient`` reports as a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -185,38 +186,29 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precon
     )
 
 
-def riccati_preconditioner(problem: HumProblem):
-    """Map r -> w solving (Lambda + eps*I) w = r by a Riccati recursion,
-    exactly when every level's coefficients are shared by its nodes.
-
-    w = (r - y_D)/eps, where y is the state of the tracking problem
-    min 1/2 sum_k dt E(|chi*u_k|^2 + |v_k|^2) + 1/(2 eps) E|y_D - r|^2
-    from y_0 = 0 (the mesh weight h is common to every term and dropped).
-    With the symmetric A = I - dt*(D2 + a1), M = A^-1 and E =
-    diag(indicator), built once backward over the levels from P_D = I/eps:
+def riccati_levels(coeffs: Coefficients, region: OmegaRegion, epsilon: float):
+    """Riccati recursion of (Lambda + eps*I) as the LQ problem min 1/2 sum_k
+    dt E(|chi*u_k|^2 + |v_k|^2) + 1/(2 eps) E|y_D - r|^2 (the mesh weight h
+    is common to every term and dropped), backward from P_D = I/eps with the
+    symmetric M = (I - dt*(D2 + a1))^-1 and E = diag(indicator):
 
         Q = M P M,  K_u = E (I + dt E Q E)^-1 E,  K_v = (I + Q)^-1,
         P <- Q - dt Q K_u Q + dt a2 Q K_v a2.
 
-    Each application steps the linear term back from q_D = r/eps with
-    ``backward_step`` (zeta and Z of the children's q), q = zeta - dt Q K_u
-    zeta + dt a2 K_v Z, then ``forward_step`` from y = 0 with the optimal
-    controls u = K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  With every level
-    shared by its nodes it runs on the problem's own coefficients and cached
-    step operators and is exact; otherwise on one ``Coefficients`` of the
-    node means of a1 and a2, the exact inverse for the mean path and an SPD
-    approximation of (Lambda + eps*I)^-1.  Costs O(depth N^3) to build, four
-    N x N matrices per level, and about one sweep per direction to apply.
+    Returns ``(levels, P_0)`` with ``levels[k] = (step, Q, K_u, K_v, a2)``;
+    the optimal cost from y_0 at r = 0 is J* = -(h/2) y_0^T P_0 y_0.  Runs
+    on ``coeffs`` and their cached step operators when every level is
+    shared by its nodes, else on one ``Coefficients`` of the node means
+    (P_0 is then the mean path's).  A level-0 a2 that overflows P_0 leaves
+    it non-finite and the levels intact.  Costs O(depth N^3).
     """
-    tree, mesh, eps, coeffs = problem.tree, problem.mesh, problem.epsilon, problem.coeffs
-    dt, n = tree.dt, mesh.N
+    tree, mesh = coeffs.tree, coeffs.mesh
     if any(a.shape[0] > 1 for a in coeffs.a1_levels + coeffs.a2_levels):
         coeffs = Coefficients(tree, mesh, [a.mean(axis=0, keepdims=True) for a in coeffs.a1_levels],
                               [a.mean(axis=0, keepdims=True) for a in coeffs.a2_levels])
-    steps, eye = coeffs.step_operators(), np.eye(n)
-    window = np.outer(problem.region.indicator, problem.region.indicator)
-    levels = [None] * tree.depth
-    P = eye / eps
+    dt, eye, steps = tree.dt, np.eye(mesh.N), coeffs.step_operators()
+    window = np.outer(region.indicator, region.indicator)
+    levels, P = [None] * tree.depth, eye / epsilon
     for k in range(tree.depth - 1, -1, -1):
         step, a2 = steps[k], coeffs.a2_levels[k]
         M = step.solve(eye)
@@ -224,12 +216,25 @@ def riccati_preconditioner(problem: HumProblem):
         K_u = window * np.linalg.inv(eye + dt * window * Q)
         K_v = np.linalg.inv(eye + Q)
         levels[k] = (step, Q, K_u, K_v, a2)
-        # P_0 and q_0 are never used, so a2 at level 0 only multiplies the
-        # state y_0 = 0, as in the Gramian; skipping them keeps a huge a2
-        # there from overflowing the recursion.
-        if k:
-            P = Q - dt * (Q @ K_u @ Q) + dt * a2.T * (Q @ K_v) * a2
-            P = 0.5 * (P + P.T)
+        P = Q - dt * (Q @ K_u @ Q) + dt * a2.T * (Q @ K_v) * a2
+        P = 0.5 * (P + P.T)
+    return levels, P
+
+
+def riccati_preconditioner(problem: HumProblem):
+    """Map r -> w solving (Lambda + eps*I) w = r, exactly when every level's
+    coefficients are shared by its nodes: w = (r - y_D)/eps for the state y
+    of the tracking problem of ``riccati_levels`` from y_0 = 0.
+
+    Each application steps the linear term back from q_D = r/eps with
+    ``backward_step`` (zeta and Z of the children's q), q = zeta - dt Q K_u
+    zeta + dt a2 K_v Z, then ``forward_step`` from y = 0 with the optimal
+    controls u = K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  On adapted
+    levels it inverts the mean-path problem, an SPD approximation of
+    (Lambda + eps*I)^-1.  Costs about one sweep per direction to apply.
+    """
+    tree, n, eps, dt = problem.tree, problem.mesh.N, problem.epsilon, problem.tree.dt
+    levels, _ = riccati_levels(problem.coeffs, problem.region, eps)
 
     # Row form: node vectors and a2 are rows, and Q, K_u, K_v are symmetric.
     def apply(r):
@@ -239,8 +244,7 @@ def riccati_preconditioner(problem: HumProblem):
         for k in range(tree.depth - 1, -1, -1):
             step, Q, K_u, K_v, a2 = levels[k]
             _, Z[k], zeta[k] = backward_step(step, dt, q, a2)
-            if k:
-                q = zeta[k] - dt * (zeta[k] @ K_u) @ Q + dt * a2 * (Z[k] @ K_v)
+            q = zeta[k] - dt * (zeta[k] @ K_u) @ Q + dt * a2 * (Z[k] @ K_v)
         y = np.zeros((1, n))
         for k, (step, Q, K_u, K_v, a2) in enumerate(levels):
             u = (zeta[k] - y @ Q) @ K_u

@@ -321,7 +321,6 @@ class SweepSettings:
     cg_maxiter: int = 500
     obs_train: int = 64
     obs_holdout: int = 64
-    obs_safety: float = 2.0
 
 
 @dataclass
@@ -393,12 +392,9 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
             rng_obs, rng_coeff = [np.random.default_rng(s) for s in row_seed.spawn(2)]
             coeffs = settings.coeff_factory(tree, mesh, rng_coeff)
 
-            fit = observability_sample(
+            row.obs_C = observability_sample(
                 coeffs, weights, tree, mesh, region, rng_obs,
-                settings.obs_train, settings.obs_holdout, settings.c_eps,
-                safety=settings.obs_safety,
-            )
-            row.obs_C = fit.fitted_C
+                settings.obs_train, settings.obs_holdout, settings.c_eps).fitted_C
 
             eps = hum_mod.epsilon_from_mesh(settings.c_eps, h)
             row.eps = eps

@@ -235,12 +235,27 @@ class TestCli:
         ("observability", {"holdout": 100_001}, "observability.train and .holdout"),
         ("sweep", {"obs_train": 10**30}, "sweep.obs_train and .obs_holdout"),
         ("carleman", {"samples": 10**30}, "carleman.samples"),
+        ("sweep", {"h_values": [1 / 100001]}, "sweep.h_values[0]"),
+        ("sweep", {"h_values": [1 / 8, 0.0]}, "sweep.h_values[1]"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})
         command = section if section in ("carleman", "sweep", "observability") else "hum"
         assert cli([command, "--config", path]) == 2
         assert f"config error: {name}" in capsys.readouterr().err
+
+    def test_finest_sweep_mesh_validates(self):
+        assert ExperimentConfig.from_dict({"sweep": {"h_values": [1 / 4096]}}).validate() == []
+
+    @pytest.mark.parametrize("content", [
+        b'{"N": 1' + b"0" * 5000 + b"}",  # beyond Python's 4300-digit int conversion limit
+        b'{"output": "r\xe9sultats.csv"}',  # Latin-1, not UTF-8
+    ], ids=["long-integer", "latin-1"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert cli(["hum", "--config", str(path)]) == 2
+        assert "cannot be read as JSON" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_2(self, capsys):
         assert cli(["hum", "--seed", "-1"]) == 2

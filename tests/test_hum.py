@@ -7,7 +7,7 @@ from sdcontrol.forward_solver import Coefficients, OmegaRegion
 from sdcontrol.hum import (HumProblem, conjugate_gradient, epsilon_from_mesh,
                            evaluate_functional, free_terminal_state,
                            functional_gradient, gramian_apply, report_bounds,
-                           riccati_preconditioner, solve_hum)
+                           riccati_levels, riccati_preconditioner, solve_hum)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, tree_inner
 
@@ -226,6 +226,34 @@ class TestRiccatiPreconditioner:
         _, res_cg = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000)
         assert np.linalg.norm(x_pcg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         assert len(res) < len(res_cg)
+
+
+class TestRiccatiLevels:
+    def _shared(self, depth, N, a1, a2):
+        mesh, tree = build_mesh(N), build_tree(depth, 1.0)
+        coeffs = Coefficients.constant(tree, mesh, a1, a2)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        return coeffs, region, epsilon_from_mesh(1.0, mesh.h)
+
+    @pytest.mark.parametrize("depth, N, a1, a2", [
+        (4, 5, 0.5, 0.5), (4, 11, 0.0, 0.0), (8, 7, 0.3, -0.7), (8, 11, 0.0, 0.0),
+    ])
+    def test_optimal_cost_from_P0_matches_solve_hum(self, depth, N, a1, a2):
+        coeffs, region, eps = self._shared(depth, N, a1, a2)
+        y0 = np.random.default_rng(depth * N).standard_normal(N)
+        _, P0 = riccati_levels(coeffs, region, eps)
+        sol = solve_hum(HumProblem(y0=y0, coeffs=coeffs, region=region, tree=coeffs.tree,
+                                   mesh=coeffs.mesh, epsilon=eps))
+        np.testing.assert_allclose(-0.5 * coeffs.mesh.h * y0 @ P0 @ y0, sol.functional_value,
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("depth, N", [(4, 7), (8, 11)])
+    def test_P0_symmetric_positive_semidefinite(self, depth, N):
+        # semidefinite to roundoff: at depth 8 the smallest eigenvalue is ~ -1e-20
+        _, P0 = riccati_levels(*self._shared(depth, N, 0.5, 0.5))
+        np.testing.assert_array_equal(P0, P0.T)
+        eigs = np.linalg.eigvalsh(P0)
+        assert eigs.min() >= -1e-12 * eigs.max()
 
 
 class TestSolveHum:
