@@ -178,7 +178,8 @@ class ExperimentConfig:
                     break
         check("observability.safety", obs["safety"], "a positive number", positive)
         check("carleman.depth", car["depth"], in_depth_range, depth, integer=True)
-        check("carleman.modes", car["modes"], "an integer", integer=True)
+        check("carleman.modes", car["modes"], f"an integer <= {N_CAP}", lambda v: v <= N_CAP,
+              integer=True)
         check("sweep.h_values", sweep["h_values"], f"a number >= 1/{N_CAP + 1}",
               lambda v: v >= 1 / (N_CAP + 1), items="list")
         return problems
@@ -537,7 +538,7 @@ def sweep_settings_from_config(cfg: ExperimentConfig) -> ineq.SweepSettings:
         coeff_factory=lambda tree, mesh, rng: build_coefficients(cfg, tree, mesh, rng),
         y0_factory=lambda mesh: build_y0(cfg, mesh),
         seed=cfg.seed, cg_tol=cfg.hum["cg_tol"], cg_maxiter=cfg.hum["cg_maxiter"],
-        obs_train=cfg.sweep["obs_train"], obs_holdout=cfg.sweep["obs_holdout"],
+        obs_train=cfg.sweep["obs_train"],
     )
 
 

@@ -243,9 +243,9 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     excluded (they satisfy the inequality for every constant).  Samples
     are swept in batches; the draws are the same as one sample at a time.
     """
+    if train < 1 or holdout < 0:
+        raise ValueError(f"need train >= 1 and holdout >= 0, got {train} and {holdout}")
     total = train + holdout
-    if total < 2:
-        raise ValueError("need at least 2 samples to fit and hold out")
     if terminal_data is not None and len(terminal_data) != total:
         raise ValueError(f"terminal_data must supply {total} samples, got {len(terminal_data)}")
     ok, ratio = validate_regime(weights, mesh.h)
@@ -320,7 +320,6 @@ class SweepSettings:
     cg_tol: float = 1e-10
     cg_maxiter: int = 500
     obs_train: int = 64
-    obs_holdout: int = 64
 
 
 @dataclass
@@ -392,9 +391,8 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
             rng_obs, rng_coeff = [np.random.default_rng(s) for s in row_seed.spawn(2)]
             coeffs = settings.coeff_factory(tree, mesh, rng_coeff)
 
-            row.obs_C = observability_sample(
-                coeffs, weights, tree, mesh, region, rng_obs,
-                settings.obs_train, settings.obs_holdout, settings.c_eps).fitted_C
+            row.obs_C = observability_sample(coeffs, weights, tree, mesh, region, rng_obs,
+                                             settings.obs_train, 0, settings.c_eps).fitted_C
 
             eps = hum_mod.epsilon_from_mesh(settings.c_eps, h)
             row.eps = eps

@@ -157,12 +157,16 @@ def regime_ratio(lam: float, h: float, delta: float, T: float) -> float:
 
 
 def validate_regime(w: CarlemanWeights, h: float) -> tuple[bool, float]:
-    """Check lambda*h/(delta*T^2) <= eps0; returns (accepted, ratio)."""
+    """Check lambda*h/(delta*T^2) <= eps0; returns (accepted, ratio).
+
+    The scheduled margin puts the ratio at eps0 exactly in exact arithmetic,
+    and roundoff can land it a few ulps above; 8 ulps of slack accepts that.
+    """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     p = w.params
     ratio = regime_ratio(p.lam, h, p.delta, p.T)
-    return ratio <= p.eps0, ratio
+    return ratio <= p.eps0 * (1.0 + 8.0 * np.finfo(float).eps), ratio
 
 
 def delta_schedule(h: float, h1: float, delta0: float) -> float:

@@ -237,6 +237,8 @@ class TestCli:
         ("carleman", {"samples": 10**30}, "carleman.samples"),
         ("sweep", {"h_values": [1 / 100001]}, "sweep.h_values[0]"),
         ("sweep", {"h_values": [1 / 8, 0.0]}, "sweep.h_values[1]"),
+        ("carleman", {"modes": 4096}, "carleman.modes"),
+        ("carleman", {"modes": 10**30}, "carleman.modes"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})
@@ -285,6 +287,17 @@ class TestCli:
         b1, b2 = out1.read_bytes(), out2.read_bytes()
         assert b1 == b2
         assert b1.decode("utf-8").splitlines()[0] == ",".join(CSV_HEADER)
+
+    def test_sweep_ignores_obs_holdout(self, tmp_path):
+        csvs = []
+        for holdout in (1, 64):
+            path = self._write_config(
+                tmp_path, depth=4,
+                sweep={"h_values": [1 / 8, 1 / 12], "obs_train": 8, "obs_holdout": holdout})
+            out = tmp_path / f"holdout{holdout}.csv"
+            assert cli(["sweep", "--config", path, "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_observability_subcommand(self, tmp_path, capsys):
         path = self._write_config(tmp_path, N=8, depth=6,

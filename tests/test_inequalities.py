@@ -325,6 +325,23 @@ class TestObservability:
         assert from_data.fitted_C == fit.fitted_C
         assert from_data.holdout_violations == fit.holdout_violations
 
+    @pytest.mark.parametrize("depth, train, holdout", [(5, 8, 8), (5, 40, 33), (11, 2, 1)])
+    def test_no_holdout_fits_the_same_training_samples(self, depth, train, holdout):
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=depth)
+        alone, held = (observability_sample(coeffs, weights, tree, mesh, region,
+                                            np.random.default_rng(3), train, extra, 1.0)
+                       for extra in (0, holdout))
+        assert alone.fitted_C == held.fitted_C
+        np.testing.assert_array_equal(alone.train_ratios, held.train_ratios)
+        assert alone.samples == train and alone.holdout_ratios.size == 0
+        assert alone.holdout_violations == 0 and alone.holdout_max_ratio == 0.0
+
+    @pytest.mark.parametrize("train, holdout", [(0, 5), (5, -1)])
+    def test_sample_counts_out_of_range_rejected(self, train, holdout):
+        mesh, tree, region, coeffs, weights, rng = self._setup()
+        with pytest.raises(ValueError, match="train >= 1 and holdout >= 0"):
+            observability_sample(coeffs, weights, tree, mesh, region, rng, train, holdout, 1.0)
+
     def test_batches_respect_the_leaf_value_cap(self):
         assert _batches(5, build_tree(11, 1.0), build_mesh(8)) == [(i, i + 1) for i in range(5)]
         assert _batches(65, build_tree(5, 1.0), build_mesh(8)) == [(0, 64), (64, 65)]
@@ -350,7 +367,7 @@ class TestSweep:
             c_eps=1.0,
             coeff_factory=lambda tree, mesh, rng: Coefficients.constant(tree, mesh, 0.5, 0.5),
             y0_factory=lambda mesh: np.sin(np.pi * mesh.interior),
-            seed=7, cg_maxiter=4000, obs_train=8, obs_holdout=8,
+            seed=7, cg_maxiter=4000, obs_train=8,
         )
 
     def test_single_h_single_row(self):

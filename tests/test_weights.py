@@ -121,6 +121,26 @@ class TestRegime:
         assert ratio == pytest.approx(1.0, abs=1e-15)
         assert ok
 
+    def test_scheduled_families_accepted_despite_roundoff(self):
+        # at_mesh puts the ratio at eps0 exactly in exact arithmetic, and
+        # roundoff lands it a few ulps above for about 3 in 10 families
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            lam, delta0, eps0, T = (rng.uniform(1.01, 50.0), rng.uniform(0.01, 0.49),
+                                    rng.uniform(0.01, 1.0), rng.uniform(0.1, 5.0))
+            family = WeightParams(T=T, lam=lam, mu=1.2, delta=delta0, x0=0.5, eps0=eps0)
+            h1 = schedule_h1(lam, eps0, delta0, T)
+            N = int(np.ceil(1.0 / h1)) - 1 + int(rng.integers(0, 50))
+            h = 1.0 / (N + 1)
+            ok, ratio = validate_regime(default_weights(**vars(family.at_mesh(h))), h)
+            assert ok, (lam, delta0, eps0, T, N, ratio)
+
+    def test_above_the_roundoff_slack_rejected(self):
+        eps0, delta, T, lam = 0.7, 0.25, 0.7, 2.0
+        w = default_weights(lam=lam, delta=delta, eps0=eps0, T=T)
+        ok, ratio = validate_regime(w, eps0 * (1 + 1e-12) * delta * T * T / lam)
+        assert ratio > eps0 and not ok
+
     def test_reject_example(self):
         w = default_weights(lam=100.0)
         ok, ratio = validate_regime(w, 0.05)
