@@ -9,8 +9,21 @@ inner product gives, for a node with transpose-solved children zhat =
     z    = zeta + dt * a2 * Z
 
 The step matrix is symmetric, so that solve is the forward step's own:
-both sweeps apply one factored operator.  With these definitions the
-pairing of state and adjoint telescopes exactly across levels:
+both sweeps apply one factored operator.  On a level whose matrix is
+shared by its nodes, with inverse M, the solve and the split are fused:
+a node's children form one row [z_minus | z_plus] of length 2N, and
+Z = row @ [-M; M]/(2 sqrt(dt)) and zeta = row @ [M; M]/2 are one matmul
+each, the transpose of the forward step's edge map.  That order sums 2N
+products per entry in the matmul, so equal children give Z = 0 only up
+to roundoff, |Z| <= N eps (|M| |z_child|)/sqrt(dt): for children equal
+to 2 at dt = 0.1 it is 0 at N = 4, 2.2e-16 at N = 8 and 6.0e-16 at
+N = 63.  Taking the difference z_plus - z_minus first would keep Z
+exactly 0, but measured 25-30 % slower per observability fit (N = 8,
+depth 8, 400 samples).  Levels with one matrix per node solve first and
+split with ``martingale_coeff``.
+
+With these definitions the pairing of state and adjoint telescopes
+exactly across levels:
 
     E<y(T), z_T> - E<y0, z(0)> = sum_k dt E<chi*u_k, zeta_k> + sum_k dt E<v_k, Z_k>
 
@@ -62,11 +75,29 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     ``step`` is the level's factored step matrix, its own transpose;
     leading axes of ``z_children`` (samples) are kept.  Returns the
     adjoint z, the martingale coefficient Z and the conditional mean zeta.
+    A matrix shared by the level's nodes splits the children with one
+    matmul pair on rows [child 2n | child 2n+1] (``StepOperator.child_split``),
+    the transpose of the edge map of ``forward_step``; per-node matrices
+    solve, then split.  ``forward_step`` is not fused: its (2N x 2N) map
+    doubles the matmul flops, and at N = 63, depth 10 it has measured both
+    slower (3.3-4.3 against 2.7 ms per sweep) and faster (2.1-2.5 against
+    2.7-2.8 ms) on 2 vCPUs, so it stays a solve after the edge map.
     """
-    zhat = step.solve(z_children)
-    zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, step.n))
-    zeta, coeff = martingale_coeff(zhat[..., 1, :], zhat[..., 0, :], dt)
-    return zeta + dt * a2 * coeff, coeff, zeta
+    if step.nodes == 1:
+        diff, mean = step.child_split(dt)
+        z_children = np.asarray(z_children, dtype=float)
+        if z_children.ndim < 2 or z_children.shape[-1] != step.n or z_children.shape[-2] % 2:
+            raise ValueError(f"children must be rows (..., 2B, {step.n}), got shape {z_children.shape}")
+        parents = z_children.shape[:-2] + (z_children.shape[-2] // 2, step.n)
+        pairs = z_children.reshape(-1, 2 * step.n)
+        coeff, zeta = (pairs @ diff).reshape(parents), (pairs @ mean).reshape(parents)
+    else:
+        zhat = step.solve(z_children)
+        zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, step.n))
+        zeta, coeff = martingale_coeff(zhat[..., 1, :], zhat[..., 0, :], dt)
+    z = np.multiply(dt * a2, coeff)
+    z += zeta
+    return z, coeff, zeta
 
 
 def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,

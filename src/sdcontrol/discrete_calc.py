@@ -185,7 +185,11 @@ class StepOperator:
     of batches.
 
     * One shared matrix keeps its inverse, symmetrized to equal its
-      transpose exactly, so a batched solve is a single matmul.
+      transpose exactly, so a batched solve is a single matmul.  For the
+      backward step it also keeps ``child_split(dt)``, the inverse stacked
+      into (2n, n) matrices that split a node's child pair in one matmul
+      pair, the transpose of the forward step's edge map; the forward step
+      solves after its edge map (see ``backward_step``).
     * Per-node matrices keep the prefix-product form of the substitution
       (Stone, J. ACM 20, 1973), node-major with shape (P, 1, n), applied to
       right-hand sides grouped by node, (..., P*C, n): five whole-array
@@ -219,7 +223,7 @@ class StepOperator:
                 f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small[:, i]][0]:g})"
             )
         self.nodes, self.n = nodes, n
-        self._inverse = self._prefix = None
+        self._inverse = self._prefix = self._split = None
         if nodes == 1:
             inv = np.linalg.inv(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
             self._inverse = 0.5 * (inv + inv.T)
@@ -238,22 +242,48 @@ class StepOperator:
         With dt*a1 < 1 the off-diagonal is -dt/h^2 and the pivots lie above
         dt/h^2, so every negated multiplier lies in (0, 1) and the prefix
         products only decay; per-node operators take the prefix form unless
-        they fall below 1e-150, which needs dt below about 3e-5.
+        they fall below 1e-150, which needs dt below about 3e-5.  A shared
+        matrix builds its ``child_split(dt)`` here, with the inverse: built
+        on first use, in the middle of a sweep, these long-lived arrays sit
+        between the sweep's temporaries on the heap, and one HUM solve with
+        adapted coefficients (N = 63, depth 10) took 9726 minor page faults
+        instead of 3745.
         """
         N, h = mesh.N, mesh.h
         a1 = np.asarray(a1, dtype=float)
         try:
-            return cls(np.full(N - 1, -dt / h**2), 1.0 + 2.0 * dt / h**2 - dt * a1)
+            op = cls(np.full(N - 1, -dt / h**2), 1.0 + 2.0 * dt / h**2 - dt * a1)
         except SingularSystemError as exc:
             bound = float(np.abs(a1).max()) if a1.size else 0.0
             raise SingularSystemError(
                 f"{exc} (dt={dt:g}, h={mesh.h:g}, max|a1|={bound:g})"
             ) from exc
+        if op.nodes == 1:
+            op.child_split(dt)
+        return op
 
     @property
     def prefix_form(self) -> bool:
         """Whether per-node solves use the prefix-product substitution."""
         return self._prefix is not None
+
+    def child_split(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Shared matrix only: the (2n, n) matrices [-M; M]/(2 sqrt(dt)) and [M; M]/2.
+
+        With M the stored inverse, a row [c0 | c1] of a node's two children
+        times them gives the martingale coefficient and the conditional mean
+        of the solved children (M c1 - M c0)/(2 sqrt(dt)) and (M c0 + M c1)/2:
+        the transpose of the forward step's edge map, one matmul each.
+        Kept with the inverse for the last dt; ``drift_implicit`` builds
+        them with the operator.
+        """
+        if self._inverse is None:
+            raise ValueError("child_split needs a matrix shared by all nodes")
+        if self._split is None or self._split[0] != dt:
+            m = self._inverse
+            diff = np.vstack([-m, m]) / (2.0 * np.sqrt(dt))
+            self._split = (dt, diff, np.vstack([m, m]) / 2.0)
+        return self._split[1:]
 
     def solve(self, rhs) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).

@@ -26,10 +26,10 @@ from .weights import CarlemanWeights, WeightParams, build_weights, validate_regi
 
 # The estimators sweep their samples in batches of at most this many leaf
 # values (samples * 2^depth * N), and at least one sample.  Memory sets the
-# cap: one batch for a whole 400-sample fit nearly doubled peak memory,
-# larger caps bought little time for more memory, half this cap lost a third
-# of the speed (measurements in README.md, "Sample batching").
-_BATCH_LEAF_VALUES = 1 << 14
+# cap: one batch for a whole 400-sample fit nearly doubled peak memory; this
+# cap is about 12 % faster than 2^14 for 2 MiB more peak memory
+# (measurements in README.md, "Sample batching").
+_BATCH_LEAF_VALUES = 1 << 15
 
 
 def _batches(total: int, tree: ScenarioTree, mesh: Mesh) -> list[tuple[int, int]]:

@@ -46,6 +46,17 @@ class TestBackwardStep:
         oracle = np.linalg.solve(dense_step(mesh, dt, np.zeros(mesh.N)).T, np.full(mesh.N, c))
         np.testing.assert_allclose(z[0], oracle, rtol=1e-14)
 
+        # The shared kernel sums 2N products that cancel in pairs, so from
+        # N = 8 on Z is roundoff, bounded by N eps (|M| |c|) / sqrt(dt).
+        mesh = build_mesh(63)
+        children = np.full((2, mesh.N), c)
+        step = StepOperator.drift_implicit(mesh, dt, np.zeros((1, mesh.N)))
+        z, coeff, zeta = backward_step(step, dt, children, np.zeros((1, mesh.N)))
+        oracle = np.linalg.solve(dense_step(mesh, dt, np.zeros(mesh.N)).T, np.full(mesh.N, c))
+        assert (np.abs(coeff) <= mesh.N * np.finfo(float).eps * oracle / np.sqrt(dt)).all()
+        np.testing.assert_array_equal(z, zeta)
+        np.testing.assert_allclose(z[0], oracle, rtol=1e-13)
+
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_matches_dense_transposed_step(self, nodes):
         # One level with 4 parents and a leading sample axis, the step
@@ -63,6 +74,15 @@ class TestBackwardStep:
         coeff = (zhat[:, 1::2] - zhat[:, 0::2]) / (2 * np.sqrt(dt))
         for value, ref in zip(got, (zeta + dt * a2 * coeff, coeff, zeta)):
             np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_rejects_rows_that_are_not_child_pairs(self, nodes):
+        mesh = build_mesh(5)
+        step = StepOperator.drift_implicit(mesh, 0.1, np.zeros((nodes, mesh.N)))
+        a2 = np.zeros((4, mesh.N))
+        for shape in [(8, 6), (2, 8, 4), (7, 5), (5,)]:
+            with pytest.raises(ValueError):
+                backward_step(step, 0.1, np.ones(shape), a2)
 
     def test_hand_duality_one_level(self):
         # N=2, one step, no reaction: everything is a 2x2 dense computation
@@ -136,6 +156,29 @@ class TestSolveBackward:
                     assert g.shape == (3,) + r.shape, (name, k)
                     np.testing.assert_allclose(g[s], r, rtol=1e-13, atol=1e-13 * np.abs(r).max())
             np.testing.assert_allclose(batch.z0[s], single.z0, rtol=1e-13)
+
+    @pytest.mark.parametrize("adapted_a2", [False, True])
+    def test_shared_levels_match_their_per_node_copies(self, adapted_a2):
+        # The same levels once as shared matrices (the split matmuls) and
+        # once repeated to one matrix per node (solve + martingale_coeff).
+        mesh = build_mesh(9)
+        tree = build_tree(6, 1.0)
+        rng = np.random.default_rng(19)
+        shared = Coefficients.constant(tree, mesh, 0.5, 0.7)
+        if adapted_a2:
+            shared = Coefficients(tree, mesh, shared.a1_levels,
+                                  Coefficients.adapted_random(tree, mesh, rng, 0.6, 0.8).a2_levels)
+        repeat = [[np.repeat(a, (1 << k) // a.shape[0], axis=0) for k, a in enumerate(levels)]
+                  for levels in (shared.a1_levels, shared.a2_levels)]
+        per_node = Coefficients(tree, mesh, *repeat)
+        assert [op.nodes for op in shared.step_operators()] == [1] * tree.depth
+        assert [op.prefix_form for op in per_node.step_operators()] == [False] + [True] * 5
+        zT = rng.standard_normal((3, tree.num_nodes(tree.depth), mesh.N))
+        got, ref = solve_backward(zT, shared, tree, mesh), solve_backward(zT, per_node, tree, mesh)
+        for name in ("z", "Z", "zeta"):
+            for k, (g, r) in enumerate(zip(getattr(got, name).levels, getattr(ref, name).levels)):
+                assert g.shape == r.shape, (name, k)
+                assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max(), (name, k)
 
     def test_deterministic_terminal_data_gives_zero_diffusion_component(self):
         mesh = build_mesh(7)

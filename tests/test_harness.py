@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdcontrol
 from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import Coefficients
 from sdcontrol.harness import (CSV_HEADER, ExperimentConfig, build_coefficients,
@@ -315,6 +319,15 @@ class TestCli:
         assert cli(["identities"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_runs_as_a_module_without_warnings(self):
+        src = str(Path(sdcontrol.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "sdcontrol", "identities"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "" and "FAIL" not in done.stdout
 
     def test_too_coarse_mesh_for_schedule_exits_2(self, tmp_path, capsys):
         path = self._write_config(tmp_path, N=4)

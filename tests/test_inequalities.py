@@ -343,8 +343,8 @@ class TestObservability:
             observability_sample(coeffs, weights, tree, mesh, region, rng, train, holdout, 1.0)
 
     def test_batches_respect_the_leaf_value_cap(self):
-        assert _batches(5, build_tree(11, 1.0), build_mesh(8)) == [(i, i + 1) for i in range(5)]
-        assert _batches(65, build_tree(5, 1.0), build_mesh(8)) == [(0, 64), (64, 65)]
+        assert _batches(5, build_tree(12, 1.0), build_mesh(8)) == [(i, i + 1) for i in range(5)]
+        assert _batches(129, build_tree(5, 1.0), build_mesh(8)) == [(0, 128), (128, 129)]
         assert _batches(0, build_tree(5, 1.0), build_mesh(8)) == []
 
     def test_regime_must_hold(self):
