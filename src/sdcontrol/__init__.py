@@ -12,8 +12,7 @@ from .weights import (WeightParams, CarlemanWeights, build_weights, theta,
                       validate_regime, delta_schedule, schedule_h1, weight_problems)
 from .noise_tree import (ScenarioTree, AdaptedField, build_tree, expectation,
                          martingale_coeff, tree_inner, time_pairing)
-from .forward_solver import (Coefficients, ControlPair, OmegaRegion,
-                             ForwardSolution, forward_step, solve_forward)
+from .forward_solver import Coefficients, ControlPair, OmegaRegion, forward_step, solve_forward
 from .backward_solver import (BackwardSolution, backward_step, solve_backward,
                               duality_residual)
 from .hum import (HumProblem, HumSolution, CostReport, gramian_apply, solve_hum,

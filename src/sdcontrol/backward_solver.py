@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete_calc import StepOperator
-from .forward_solver import Coefficients, ControlPair, ForwardSolution
+from .forward_solver import Coefficients, ControlPair
 from .mesh import Mesh
 from .noise_tree import (AdaptedField, ScenarioTree, martingale_coeff, time_pairing,
                          tree_inner)
@@ -129,12 +129,12 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
     )
 
 
-def duality_residual(forward: ForwardSolution, backward: BackwardSolution,
+def duality_residual(forward: AdaptedField, backward: BackwardSolution,
                      controls: ControlPair | None, tree: ScenarioTree,
                      mesh: Mesh) -> tuple[float, float]:
     """Absolute residual of the telescoped pairing identity, plus its scale."""
-    lhs_T = tree_inner(tree, mesh, tree.depth, forward.terminal, backward.zT)
-    lhs_0 = tree_inner(tree, mesh, 0, forward.states.levels[0], backward.z.levels[0])
+    lhs_T = tree_inner(tree, mesh, tree.depth, forward.levels[-1], backward.zT)
+    lhs_0 = tree_inner(tree, mesh, 0, forward.levels[0], backward.z.levels[0])
     rhs_u = rhs_v = 0.0
     if controls is not None:
         rhs_u = time_pairing(tree, mesh, controls.u, backward.zeta,

@@ -190,15 +190,6 @@ class ControlPair:
         return pair
 
 
-@dataclass
-class ForwardSolution:
-    states: AdaptedField
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states.levels[-1]
-
-
 # Increment signs of a node's two children: child 2n takes -sqrt(dt), 2n+1 takes +sqrt(dt).
 _EDGE_SIGNS = np.array([[-1.0], [1.0]])
 
@@ -219,8 +210,8 @@ def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v:
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,
-                  tree: ScenarioTree, mesh: Mesh) -> ForwardSolution:
-    """Propagate the state through every tree node; affine in (y0, u, v)."""
+                  tree: ScenarioTree, mesh: Mesh) -> AdaptedField:
+    """States at every tree node, root to leaves; affine in (y0, u, v)."""
     coeffs.check_grid(tree, mesh)
     steps = coeffs.step_operators()
     y0 = np.asarray(y0, dtype=float).reshape(mesh.N)
@@ -232,22 +223,22 @@ def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coeffici
             u, v = controls.u.levels[k], controls.v.levels[k]
         levels.append(forward_step(steps[k], tree.dt, levels[k], u, v, coeffs.a2_levels[k]))
 
-    return ForwardSolution(states=AdaptedField(tree, mesh, levels))
+    return AdaptedField(tree, mesh, levels)
 
 
-def energy_growth_rate(sol: ForwardSolution, coeffs: Coefficients) -> float:
+def energy_growth_rate(states: AdaptedField, coeffs: Coefficients) -> float:
     """Measured constant c with E||y(t)||^2 <= e^(c*(1+A)*t) * E||y0||^2.
 
     Returns 0 when the initial energy is zero or no growth occurs.
     """
-    tree, mesh = sol.states.tree, sol.states.mesh
-    e0 = tree_inner(tree, mesh, 0, sol.states.levels[0], sol.states.levels[0])
+    tree, mesh = states.tree, states.mesh
+    e0 = tree_inner(tree, mesh, 0, states.levels[0], states.levels[0])
     if e0 == 0.0:
         return 0.0
     a_norm = coeffs.sup_norm
     worst = 0.0
     for k in range(1, tree.depth + 1):
-        ek = tree_inner(tree, mesh, k, sol.states.levels[k], sol.states.levels[k])
+        ek = tree_inner(tree, mesh, k, states.levels[k], states.levels[k])
         t = k * tree.dt
         if ek > e0:
             worst = max(worst, np.log(ek / e0) / ((1.0 + a_norm) * t))

@@ -164,6 +164,9 @@ class ExperimentConfig:
                                 f"zero|constant|sinusoid|adapted_random, got {spec.get('kind')!r}")
             for key in ("magnitude", "frequency", "phase"):
                 check(f"coefficients.{name}.{key}", spec.get(key, 0.0), number)
+            problems.extend(f"coefficients.{name}.{key} is not a coefficient key "
+                            "(kind, magnitude, frequency, phase)"
+                            for key in spec if key not in ("kind", "magnitude", "frequency", "phase"))
         if self.y0.get("kind") not in ("sine", "random"):
             problems.append(f"y0.kind must be sine or random, got {self.y0.get('kind')!r}")
         check("y0.coeffs", self.y0.get("coeffs", []), number, items="list")
@@ -178,8 +181,8 @@ class ExperimentConfig:
                     break
         check("observability.safety", obs["safety"], "a positive number", positive)
         check("carleman.depth", car["depth"], in_depth_range, depth, integer=True)
-        check("carleman.modes", car["modes"], f"an integer <= {N_CAP}", lambda v: v <= N_CAP,
-              integer=True)
+        check("carleman.modes", car["modes"], f"an integer in 0..{N_CAP}",
+              lambda v: 0 <= v <= N_CAP, integer=True)
         check("sweep.h_values", sweep["h_values"], f"a number >= 1/{N_CAP + 1}",
               lambda v: v >= 1 / (N_CAP + 1), items="list")
         return problems

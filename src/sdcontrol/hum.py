@@ -94,9 +94,8 @@ def gramian_apply(zT: np.ndarray, problem: HumProblem) -> np.ndarray:
     """Terminal state reached from rest under the controls induced by zT."""
     bwd = solve_backward(zT, problem.coeffs, problem.tree, problem.mesh)
     controls = _controls_from_backward(bwd, problem.region, +1.0)
-    fwd = solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs,
-                        problem.tree, problem.mesh)
-    return fwd.terminal
+    return solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs,
+                         problem.tree, problem.mesh).levels[-1]
 
 
 def leaf_norm(problem: HumProblem, a: np.ndarray) -> float:
@@ -256,8 +255,8 @@ def riccati_preconditioner(problem: HumProblem):
 
 
 def free_terminal_state(problem: HumProblem) -> np.ndarray:
-    fwd = solve_forward(problem.y0, None, problem.coeffs, problem.tree, problem.mesh)
-    return fwd.terminal
+    return solve_forward(problem.y0, None, problem.coeffs, problem.tree,
+                         problem.mesh).levels[-1]
 
 
 def evaluate_functional(problem: HumProblem, zT: np.ndarray,
@@ -293,8 +292,8 @@ def solve_hum(problem: HumProblem) -> HumSolution:
 
     bwd = solve_backward(zT_star, problem.coeffs, problem.tree, problem.mesh)
     controls = _controls_from_backward(bwd, problem.region, -1.0)
-    fwd = solve_forward(problem.y0, controls, problem.coeffs, problem.tree, problem.mesh)
-    terminal = fwd.terminal
+    terminal = solve_forward(problem.y0, controls, problem.coeffs, problem.tree,
+                             problem.mesh).levels[-1]
 
     # terminal - eps*z* = b - (Lambda + eps*I) z*, so the closure error is
     # the true residual of the normal equations in the leaf norm.

@@ -44,10 +44,6 @@ class Mesh:
         return np.arange(0, self.N + 2) * self.h
 
     @property
-    def boundary(self) -> np.ndarray:
-        return np.array([0.0, 1.0])
-
-    @property
     def star(self) -> np.ndarray:
         """Midpoints of neighbouring closure points (N+1 half-points)."""
         return (np.arange(self.N + 1) + 0.5) * self.h

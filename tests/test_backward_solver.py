@@ -116,7 +116,7 @@ class TestBackwardStep:
             region=region,
         )
         fwd = solve_forward(y0, controls, coeffs, tree, mesh)
-        np.testing.assert_allclose(fwd.terminal, np.vstack([y_minus, y_plus]), rtol=1e-13)
+        np.testing.assert_allclose(fwd.levels[-1], np.vstack([y_minus, y_plus]), rtol=1e-13)
         bwd = solve_backward(np.vstack([zm, zp]), coeffs, tree, mesh)
         np.testing.assert_allclose(bwd.zeta.levels[0][0], zeta, rtol=1e-13)
         np.testing.assert_allclose(bwd.Z.levels[0][0], coeff, rtol=1e-13)

@@ -127,9 +127,9 @@ class TestSolveForward:
         free = solve_forward(y0, None, coeffs, tree, mesh)
         forced = solve_forward(np.zeros(mesh.N), controls, coeffs, tree, mesh)
         for k in range(tree.depth + 1):
-            combined = free.states.levels[k] + forced.states.levels[k]
-            scale = max(1.0, np.abs(full.states.levels[k]).max())
-            assert np.abs(full.states.levels[k] - combined).max() <= 1e-12 * scale
+            combined = free.levels[k] + forced.levels[k]
+            scale = max(1.0, np.abs(full.levels[k]).max())
+            assert np.abs(full.levels[k] - combined).max() <= 1e-12 * scale
 
     def test_sine_mode_decay_single_step(self):
         mesh = build_mesh(9)
@@ -138,7 +138,7 @@ class TestSolveForward:
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
         factor = 1.0 / (1.0 + tree.dt * first_eigenvalue(mesh.h))
-        for leaf in sol.terminal:
+        for leaf in sol.levels[-1]:
             np.testing.assert_allclose(leaf, factor * y0, rtol=1e-12)
 
     def test_sine_mode_decay_multi_step(self):
@@ -148,7 +148,7 @@ class TestSolveForward:
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
         factor = (1.0 + tree.dt * first_eigenvalue(mesh.h)) ** (-tree.depth)
-        np.testing.assert_allclose(sol.terminal[0], factor * y0, rtol=1e-11)
+        np.testing.assert_allclose(sol.levels[-1][0], factor * y0, rtol=1e-11)
 
     def test_noise_creates_leaf_variance(self):
         mesh = build_mesh(6)
@@ -156,7 +156,7 @@ class TestSolveForward:
         coeffs = Coefficients.constant(tree, mesh, 0.0, 2.0)
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
-        leaves = sol.terminal
+        leaves = sol.levels[-1]
         assert leaves.var(axis=0).max() > 1e-4
 
     def test_mean_matches_deterministic_trajectory(self):
@@ -178,7 +178,7 @@ class TestSolveForward:
             det = np.linalg.solve(dense_step(mesh, tree.dt, a1[0]), det)
             # each child pair cancels its increment, so only the drift
             # survives in the mean
-            leaf_mean = sol.states.levels[k + 1].mean(axis=0)
+            leaf_mean = sol.levels[k + 1].mean(axis=0)
             scale = max(1.0, np.abs(det).max())
             assert np.abs(leaf_mean - det).max() <= 1e-12 * scale * (k + 1)
 
@@ -195,8 +195,8 @@ class TestSolveForward:
         perturbed.v.levels[3][:] += 5.0
         late = solve_forward(first_mode(mesh), perturbed, coeffs, tree, mesh)
         for k in range(4):
-            np.testing.assert_array_equal(base.states.levels[k], late.states.levels[k])
-        assert np.abs(base.states.levels[4] - late.states.levels[4]).max() > 1e-8
+            np.testing.assert_array_equal(base.levels[k], late.levels[k])
+        assert np.abs(base.levels[4] - late.levels[4]).max() > 1e-8
 
     def test_dominance_violation_rejected_before_stepping(self):
         mesh = build_mesh(5)
@@ -269,4 +269,4 @@ class TestEnergyGrowth:
         coeffs = Coefficients.zero(tree, mesh)
         sol = solve_forward(np.zeros(mesh.N), None, coeffs, tree, mesh)
         assert energy_growth_rate(sol, coeffs) == 0.0
-        assert tree_inner(tree, mesh, tree.depth, sol.terminal, sol.terminal) == 0.0
+        assert tree_inner(tree, mesh, tree.depth, sol.levels[-1], sol.levels[-1]) == 0.0

@@ -61,6 +61,16 @@ class TestConfig:
         assert any("N must be" in p for p in problems)
         assert any("lam" in p for p in problems)
 
+    def test_validate_names_each_unknown_coefficient_key(self):
+        # A misspelled key would leave its value at the builder's default.
+        cfg = ExperimentConfig.from_dict(
+            {"coefficients": {"a1": {"kind": "constant", "magnitud": 5.0},
+                              "a2": {"kind": "sinusoid", "magnitude": 0.3, "freq": 2.0,
+                                     "shift": 1.0}}})
+        keys = ["a1.magnitud", "a2.freq", "a2.shift"]
+        assert cfg.validate() == [f"coefficients.{key} is not a coefficient key "
+                                  "(kind, magnitude, frequency, phase)" for key in keys]
+
     def test_validate_applies_weight_rules(self):
         cfg = ExperimentConfig.from_dict({"weights": {"x0": 0.35, "delta0": 0.6}})
         problems = cfg.validate()
@@ -243,6 +253,9 @@ class TestCli:
         ("sweep", {"h_values": [1 / 8, 0.0]}, "sweep.h_values[1]"),
         ("carleman", {"modes": 4096}, "carleman.modes"),
         ("carleman", {"modes": 10**30}, "carleman.modes"),
+        ("carleman", {"modes": -3}, "carleman.modes"),
+        ("coefficients", {"a1": {"kind": "constant", "magnitud": 5.0}},
+         "coefficients.a1.magnitud"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})
