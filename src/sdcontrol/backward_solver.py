@@ -13,14 +13,15 @@ both sweeps apply one factored operator.  On a level whose matrix is
 shared by its nodes, with inverse M, the solve and the split are fused:
 a node's children form one row [z_minus | z_plus] of length 2N, and
 Z = row @ [-M; M]/(2 sqrt(dt)) and zeta = row @ [M; M]/2 are one matmul
-each, the transpose of the forward step's edge map.  That order sums 2N
+each (the operator's ``split``, built with it for the tree's dt), the
+transpose of the forward step's edge map.  That order sums 2N
 products per entry in the matmul, so equal children give Z = 0 only up
 to roundoff, |Z| <= N eps (|M| |z_child|)/sqrt(dt): for children equal
 to 2 at dt = 0.1 it is 0 at N = 4, 2.2e-16 at N = 8 and 6.0e-16 at
 N = 63.  Taking the difference z_plus - z_minus first would keep Z
 exactly 0, but measured 25-30 % slower per observability fit (N = 8,
-depth 8, 400 samples).  Levels with one matrix per node solve first and
-split with ``martingale_coeff``.
+depth 8, 400 samples).  Levels with one matrix per node, and operators
+built without a split, solve first and split with ``martingale_coeff``.
 
 With these definitions the pairing of state and adjoint telescopes
 exactly across levels:
@@ -72,19 +73,20 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
                   a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transpose one forward step: children (..., 2B, N) -> (z, Z, zeta) at the parents.
 
-    ``step`` is the level's factored step matrix, its own transpose;
-    leading axes of ``z_children`` (samples) are kept.  Returns the
-    adjoint z, the martingale coefficient Z and the conditional mean zeta.
-    A matrix shared by the level's nodes splits the children with one
-    matmul pair on rows [child 2n | child 2n+1] (``StepOperator.child_split``),
-    the transpose of the edge map of ``forward_step``; per-node matrices
-    solve, then split.  ``forward_step`` is not fused: its (2N x 2N) map
+    ``step`` is the level's factored step matrix, its own transpose, built
+    for this ``dt``; leading axes of ``z_children`` (samples) are kept.
+    Returns the adjoint z, the martingale coefficient Z and the conditional
+    mean zeta.  An operator with a ``split`` (a shared drift-implicit
+    matrix) splits the children with one matmul pair on rows
+    [child 2n | child 2n+1], the transpose of the edge map of
+    ``forward_step``; any other operator solves, then splits.
+    ``forward_step`` is not fused: its (2N x 2N) map
     doubles the matmul flops, and at N = 63, depth 10 it has measured both
     slower (3.3-4.3 against 2.7 ms per sweep) and faster (2.1-2.5 against
     2.7-2.8 ms) on 2 vCPUs, so it stays a solve after the edge map.
     """
-    if step.nodes == 1:
-        diff, mean = step.child_split(dt)
+    if step.split is not None:
+        diff, mean = step.split
         z_children = np.asarray(z_children, dtype=float)
         if z_children.ndim < 2 or z_children.shape[-1] != step.n or z_children.shape[-2] % 2:
             raise ValueError(f"children must be rows (..., 2B, {step.n}), got shape {z_children.shape}")

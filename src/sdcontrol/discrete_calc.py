@@ -40,9 +40,8 @@ class GridFunction:
         return cls(mesh, np.asarray(f(mesh.closure), dtype=float))
 
     @classmethod
-    def from_interior(cls, mesh: Mesh, interior, boundary=(0.0, 0.0)) -> "GridFunction":
-        vals = np.empty(mesh.N + 2)
-        vals[0], vals[-1] = boundary
+    def from_interior(cls, mesh: Mesh, interior) -> "GridFunction":
+        vals = np.zeros(mesh.N + 2)
         vals[1:-1] = np.asarray(interior, dtype=float)
         return cls(mesh, vals)
 
@@ -138,19 +137,18 @@ def ibp_residuals(u: GridFunction, v: DualGridFunction) -> tuple[float, float]:
     return float(abs(lhs1 - rhs1)), float(abs(lhs2 - rhs2))
 
 
-def consistency_orders(h0: float = 1 / 16, halvings: int = 4,
-                       window: tuple[float, float] = (0.25, 0.75)) -> dict[str, float]:
+def consistency_orders() -> dict[str, float]:
     """Observed convergence orders of the staggered operators on sin(pi*x).
 
-    Halves h ``halvings`` times from ``h0``, measures the max error against
-    the exact derivative over an interior window, and returns the
-    least-squares slope of log(error) vs log(h) per operator.  All four
-    combinations are second order.
+    Halves h four times from 1/16, measures the max error against the
+    exact derivative over the interior window [0.25, 0.75], and returns
+    the least-squares slope of log(error) vs log(h) per operator.  All
+    four combinations are second order.
     """
-    spacings = [h0 / 2**j for j in range(halvings + 1)]
+    spacings = [1 / 16 / 2**j for j in range(5)]
     errors = {name: [] for name in
               ("first_difference", "second_difference", "averaged_difference", "double_average")}
-    lo, hi = window
+    lo, hi = 0.25, 0.75
     for h in spacings:
         N = round(1.0 / h) - 1
         mesh = Mesh(N)
@@ -185,11 +183,9 @@ class StepOperator:
     of batches.
 
     * One shared matrix keeps its inverse, symmetrized to equal its
-      transpose exactly, so a batched solve is a single matmul.  For the
-      backward step it also keeps ``child_split(dt)``, the inverse stacked
-      into (2n, n) matrices that split a node's child pair in one matmul
-      pair, the transpose of the forward step's edge map; the forward step
-      solves after its edge map (see ``backward_step``).
+      transpose exactly, so a batched solve is a single matmul.  A shared
+      drift-implicit matrix also keeps ``split`` for the backward step (see
+      ``drift_implicit``); every other operator has ``split`` None.
     * Per-node matrices keep the prefix-product form of the substitution
       (Stone, J. ACM 20, 1973), node-major with shape (P, 1, n), applied to
       right-hand sides grouped by node, (..., P*C, n): five whole-array
@@ -223,7 +219,7 @@ class StepOperator:
                 f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small[:, i]][0]:g})"
             )
         self.nodes, self.n = nodes, n
-        self._inverse = self._prefix = self._split = None
+        self._inverse = self._prefix = self.split = None
         if nodes == 1:
             inv = np.linalg.inv(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
             self._inverse = 0.5 * (inv + inv.T)
@@ -242,12 +238,18 @@ class StepOperator:
         With dt*a1 < 1 the off-diagonal is -dt/h^2 and the pivots lie above
         dt/h^2, so every negated multiplier lies in (0, 1) and the prefix
         products only decay; per-node operators take the prefix form unless
-        they fall below 1e-150, which needs dt below about 3e-5.  A shared
-        matrix builds its ``child_split(dt)`` here, with the inverse: built
-        on first use, in the middle of a sweep, these long-lived arrays sit
-        between the sweep's temporaries on the heap, and one HUM solve with
-        adapted coefficients (N = 63, depth 10) took 9726 minor page faults
-        instead of 3745.
+        they fall below 1e-150, which needs dt below about 3e-5.
+
+        A shared matrix, with inverse M, also gets ``split``: the (2N, N)
+        matrices [-M; M]/(2 sqrt(dt)) and [M; M]/2.  A row [c0 | c1] of a
+        node's two children times them gives the martingale coefficient
+        and the conditional mean of the solved children, (M c1 - M c0)/(2
+        sqrt(dt)) and (M c0 + M c1)/2: the transpose of the forward step's
+        edge map, one matmul each.  They are built here, with the inverse,
+        and not on first use: built in the middle of a sweep, these
+        long-lived arrays sit between the sweep's temporaries on the heap,
+        and one HUM solve with adapted coefficients (N = 63, depth 10) took
+        9726 minor page faults instead of 3745.
         """
         N, h = mesh.N, mesh.h
         a1 = np.asarray(a1, dtype=float)
@@ -259,31 +261,14 @@ class StepOperator:
                 f"{exc} (dt={dt:g}, h={mesh.h:g}, max|a1|={bound:g})"
             ) from exc
         if op.nodes == 1:
-            op.child_split(dt)
+            m = op._inverse
+            op.split = (np.vstack([-m, m]) / (2.0 * np.sqrt(dt)), np.vstack([m, m]) / 2.0)
         return op
 
     @property
     def prefix_form(self) -> bool:
         """Whether per-node solves use the prefix-product substitution."""
         return self._prefix is not None
-
-    def child_split(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Shared matrix only: the (2n, n) matrices [-M; M]/(2 sqrt(dt)) and [M; M]/2.
-
-        With M the stored inverse, a row [c0 | c1] of a node's two children
-        times them gives the martingale coefficient and the conditional mean
-        of the solved children (M c1 - M c0)/(2 sqrt(dt)) and (M c0 + M c1)/2:
-        the transpose of the forward step's edge map, one matmul each.
-        Kept with the inverse for the last dt; ``drift_implicit`` builds
-        them with the operator.
-        """
-        if self._inverse is None:
-            raise ValueError("child_split needs a matrix shared by all nodes")
-        if self._split is None or self._split[0] != dt:
-            m = self._inverse
-            diff = np.vstack([-m, m]) / (2.0 * np.sqrt(dt))
-            self._split = (dt, diff, np.vstack([m, m]) / 2.0)
-        return self._split[1:]
 
     def solve(self, rhs) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).

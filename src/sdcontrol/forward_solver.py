@@ -68,18 +68,28 @@ def uniform_levels(tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
     return [magnitude * rng.uniform(-1, 1, size=(1 << k, mesh.N)) for k in range(tree.depth)]
 
 
+def _read_only(arr) -> np.ndarray:
+    arr = np.array(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 class Coefficients:
     """Reaction coefficients per time level, optionally per node.
 
     ``a1_levels[k]`` and ``a2_levels[k]`` have shape (1, N) for deterministic
-    coefficients or (2^k, N) for adapted ones.
+    coefficients or (2^k, N) for adapted ones.  Both are tuples of
+    read-only copies of the given arrays, so the step operators factored
+    from them cannot go stale.
     """
 
     def __init__(self, tree: ScenarioTree, mesh: Mesh,
                  a1_levels: list[np.ndarray], a2_levels: list[np.ndarray]):
         if len(a1_levels) != tree.depth or len(a2_levels) != tree.depth:
             raise ConfigurationError("coefficients must provide one array per time step")
-        for k, (a1, a2) in enumerate(zip(a1_levels, a2_levels)):
+        self.a1_levels = tuple(_read_only(a) for a in a1_levels)
+        self.a2_levels = tuple(_read_only(a) for a in a2_levels)
+        for k, (a1, a2) in enumerate(zip(self.a1_levels, self.a2_levels)):
             for name, arr in (("a1", a1), ("a2", a2)):
                 if arr.ndim != 2 or arr.shape[1] != mesh.N or arr.shape[0] not in (1, 1 << k):
                     raise ConfigurationError(
@@ -90,14 +100,12 @@ class Coefficients:
                     raise ConfigurationError(f"coefficient {name} at level {k} is not finite")
         self.tree = tree
         self.mesh = mesh
-        self.a1_levels = a1_levels
-        self.a2_levels = a2_levels
         self._steps: list[StepOperator] | None = None
 
     @classmethod
     def zero(cls, tree: ScenarioTree, mesh: Mesh) -> "Coefficients":
         z = [np.zeros((1, mesh.N)) for _ in range(tree.depth)]
-        return cls(tree, mesh, z, [a.copy() for a in z])
+        return cls(tree, mesh, z, z)
 
     @classmethod
     def from_functions(cls, tree: ScenarioTree, mesh: Mesh, f1, f2) -> "Coefficients":
@@ -131,7 +139,7 @@ class Coefficients:
 
         Checks diagonal dominance before factoring; every later sweep with
         these coefficients reuses the operators, which live as long as this
-        object.  The level arrays must not be modified afterwards.
+        object.
         """
         if self._steps is None:
             self.validate_dominance()

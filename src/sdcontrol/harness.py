@@ -135,7 +135,7 @@ class ExperimentConfig:
             problems.append(f"{name} must be {need}, got {value!r}")
             return False
 
-        cap, w, hum = nt.DEFAULT_DEPTH_CAP, self.weights, self.hum
+        cap, w, hum = nt.DEPTH_CAP, self.weights, self.hum
         positive, count, depth = (lambda v: v > 0), (lambda v: v >= 1), (lambda v: 1 <= v <= cap)
         number, in_depth_range = "a finite number", f"an integer in 1..{cap}"
         check("seed", self.seed, "a non-negative integer", lambda v: v >= 0, integer=True)
@@ -578,7 +578,8 @@ def cli(argv=None) -> int:
         p.add_argument("--out", default=None, help="output file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker count (results are thread-count independent)")
+                       help="accepted for compatibility; there are no workers, "
+                            "and it never changes results")
     args = parser.parse_args(argv)
 
     try:

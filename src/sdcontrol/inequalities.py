@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import hum as hum_mod
 from .backward_solver import solve_backward
 from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion, forward_step
@@ -50,38 +51,32 @@ class SourcePair:
 
     @classmethod
     def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
-               modes: int = 3, scale: float = 1.0,
-               shape: tuple[int, ...] = ()) -> "SourcePair":
+               modes: int = 3, shape: tuple[int, ...] = ()) -> "SourcePair":
         """Adapted low-mode random sources, comparable across mesh refinements.
 
         A nonempty ``shape`` gives that many samples from one draw, the same
         as one call per sample: per sample, f before g.
         """
-        levels = random_levels(mesh, rng, tuple(shape) + (2,), tree.depth, modes, scale)
+        levels = random_levels(mesh, rng, tuple(shape) + (2,), tree.depth, modes)
         return cls(f=AdaptedField(tree, mesh, [lv[..., 0, :, :] for lv in levels]),
                    g=AdaptedField(tree, mesh, [lv[..., 1, :, :] for lv in levels]))
 
 
-def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh,
-                     w0: np.ndarray | None = None) -> AdaptedField:
-    """Integrate dw = -(second difference of w) dt + f dt + g dB on the tree.
+def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh) -> AdaptedField:
+    """Integrate dw = -(second difference of w) dt + f dt + g dB on the tree, from w = 0.
 
     Each level's node rows go through one ``forward_step`` to their
     children, with drift source f as u, diffusion source g as v, a2 = 0
     and the anti-diffusive matrix I + dt*D2, factored once per call.
     That matrix is indefinite, so factoring it can raise
     SingularSystemError for unlucky dt/h combinations.  Sources with
-    leading sample axes give a solution with the same leading axes, all
-    samples starting from ``w0``.
+    leading sample axes give a solution with the same leading axes.
     """
     N, h, dt = mesh.N, mesh.h, tree.dt
     off = np.full(N - 1, dt / h**2)
     step = StepOperator(off, np.full(N, 1.0 - 2.0 * dt / h**2))
 
-    if w0 is None:
-        w0 = np.zeros(N)
-    batch = sources.f.levels[0].shape[:-2]
-    levels = [np.broadcast_to(np.asarray(w0, dtype=float).reshape(1, N), batch + (1, N)).copy()]
+    levels = [np.zeros(sources.f.levels[0].shape[:-2] + (1, N))]
     for k in range(tree.depth):
         levels.append(forward_step(step, dt, levels[k], sources.f.levels[k],
                                    sources.g.levels[k], 0.0))
@@ -370,8 +365,6 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
     than aborting the sweep; a non-finite value is never written as a
     number.
     """
-    from . import hum as hum_mod
-
     rows = []
     family = settings.weights
     seed_seq = np.random.SeedSequence(settings.seed)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .mesh import Mesh
 
-DEFAULT_DEPTH_CAP = 16
+DEPTH_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,10 @@ class ScenarioTree:
             raise ValueError(f"level must be in 0..{self.depth}, got {level}")
 
 
-def build_tree(depth: int, T: float, depth_cap: int = DEFAULT_DEPTH_CAP) -> ScenarioTree:
-    """Tree with ``depth`` steps; refuses depths whose 2^depth leaves exceed the cap."""
-    if depth > depth_cap:
-        raise ResourceLimitError(
-            f"tree depth {depth} exceeds cap {depth_cap} "
-            f"({2**depth} leaves; raise the cap explicitly if intended)"
-        )
+def build_tree(depth: int, T: float) -> ScenarioTree:
+    """Tree with ``depth`` steps; refuses depths above DEPTH_CAP (2^16 leaves)."""
+    if depth > DEPTH_CAP:
+        raise ResourceLimitError(f"tree depth {depth} exceeds cap {DEPTH_CAP} ({2**depth} leaves)")
     return ScenarioTree(depth=depth, T=T)
 
 
@@ -120,7 +117,7 @@ class AdaptedField:
 
     @classmethod
     def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
-               num_levels: int | None = None, modes: int = 0, scale: float = 1.0) -> "AdaptedField":
+               num_levels: int | None = None, modes: int = 0) -> "AdaptedField":
         """Seeded nodewise samples, adapted by construction.
 
         ``modes=0`` draws independent values per point; ``modes=J`` draws
@@ -129,14 +126,14 @@ class AdaptedField:
         """
         if num_levels is None:
             num_levels = tree.depth + 1
-        return cls(tree, mesh, random_levels(mesh, rng, (), num_levels, modes, scale))
+        return cls(tree, mesh, random_levels(mesh, rng, (), num_levels, modes))
 
     def copy(self) -> "AdaptedField":
         return AdaptedField(self.tree, self.mesh, [arr.copy() for arr in self.levels])
 
 
 def random_levels(mesh: Mesh, rng: np.random.Generator, shape: tuple[int, ...],
-                  num_levels: int, modes: int = 0, scale: float = 1.0) -> list[np.ndarray]:
+                  num_levels: int, modes: int = 0) -> list[np.ndarray]:
     """Seeded nodewise values of levels 0..num_levels-1, each of shape
     ``shape`` + (2^k, N), drawn in one call.
 
@@ -146,7 +143,7 @@ def random_levels(mesh: Mesh, rng: np.random.Generator, shape: tuple[int, ...],
     draws per-node coefficients of the first J Dirichlet sine modes.
     """
     width = modes if modes > 0 else mesh.N
-    values = scale * rng.standard_normal(tuple(shape) + ((1 << num_levels) - 1, width))
+    values = rng.standard_normal(tuple(shape) + ((1 << num_levels) - 1, width))
     if modes > 0:
         basis = np.sin(np.outer(np.arange(1, modes + 1) * np.pi, mesh.interior))
         values = (values.reshape(-1, modes) @ basis).reshape(values.shape[:-1] + (mesh.N,))

@@ -220,10 +220,11 @@ def probe_gradient_coupling(w: CarlemanWeights, t: float, x: np.ndarray, h: floa
     return weighted_stencil_product(w, t, x, terms)
 
 
-def theta_bound_margins(w: CarlemanWeights, samples: int = 512) -> dict[str, float]:
-    """Margins of the time-factor bounds used downstream (all should be >= 0)."""
+def theta_bound_margins(w: CarlemanWeights) -> dict[str, float]:
+    """Margins of the time-factor bounds used downstream (all should be >= 0),
+    on 512 equispaced times in [0, T]."""
     p = w.params
-    t = np.linspace(0.0, p.T, samples)
+    t = np.linspace(0.0, p.T, 512)
     th = theta(w, t)
     mid = (t >= p.T / 4) & (t <= 3 * p.T / 4)
     return {

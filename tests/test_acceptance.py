@@ -70,7 +70,7 @@ def test_criterion_02_summation_by_parts():
 
 def test_criterion_03_consistency_order():
     started = time.time()
-    orders = consistency_orders(h0=1 / 16, halvings=4)
+    orders = consistency_orders()
     ok = all(abs(o - 2.0) <= 0.15 for o in orders.values())
     detail = ", ".join(f"{k}={v:.3f}" for k, v in orders.items())
     report(3, ok, f"observed orders: {detail}", started, 1.0)

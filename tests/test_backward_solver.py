@@ -75,6 +75,23 @@ class TestBackwardStep:
         for value, ref in zip(got, (zeta + dt * a2 * coeff, coeff, zeta)):
             np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12)
 
+    def test_operator_without_split_solves_then_splits(self):
+        # A plain shared StepOperator(off, diag) has no split; its solve and
+        # split agree with the fused path of the same drift-implicit matrix.
+        mesh = build_mesh(15)
+        dt = 0.05
+        rng = np.random.default_rng(21)
+        a1 = rng.uniform(-1, 1, (1, mesh.N))
+        a2 = rng.uniform(-1, 1, (4, mesh.N))
+        children = rng.standard_normal((3, 8, mesh.N))
+        fused = StepOperator.drift_implicit(mesh, dt, a1)
+        r = dt / mesh.h**2
+        plain = StepOperator(np.full(mesh.N - 1, -r), 1.0 + 2.0 * r - dt * a1)
+        assert fused.split is not None and plain.split is None
+        for got, ref in zip(backward_step(plain, dt, children, a2),
+                            backward_step(fused, dt, children, a2)):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_rejects_rows_that_are_not_child_pairs(self, nodes):
         mesh = build_mesh(5)

@@ -322,25 +322,23 @@ class TestStepOperator:
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     def test_shared_inverse_equals_its_transpose(self, n, seed):
         # Both sweep directions apply this one array (the backward step as
-        # its stacked copies in child_split), so they stay exact transposes
-        # of each other.
+        # its stacked copies in ``split``), so they stay exact transposes of
+        # each other.
         off, diag = (band[0] for band in _dominant_bands(np.random.default_rng(seed), 1, n))
         inverse = StepOperator(off, diag).solve(np.eye(n))
         assert np.array_equal(inverse, inverse.T)
 
-    def test_child_split_stacks_the_shared_inverse(self):
+    def test_split_stacks_the_shared_inverse(self):
+        mesh = build_mesh(5)
+        dt = 0.1
         rng = np.random.default_rng(14)
-        shared = StepOperator(*(band[0] for band in _dominant_bands(rng, 1, 5)))
-        inverse = shared.solve(np.eye(5))
-        diff, mean = shared.child_split(0.25)
-        np.testing.assert_array_equal(diff, np.vstack([-inverse, inverse]))
+        shared = StepOperator.drift_implicit(mesh, dt, rng.uniform(-1, 1, (1, mesh.N)))
+        inverse = shared.solve(np.eye(mesh.N))
+        diff, mean = shared.split
+        np.testing.assert_array_equal(diff, np.vstack([-inverse, inverse]) / (2.0 * np.sqrt(dt)))
         np.testing.assert_array_equal(mean, np.vstack([inverse, inverse]) / 2.0)
         assert all(m.flags.c_contiguous for m in (diff, mean))
-        # Kept for its dt, rebuilt for another.
-        assert shared.child_split(0.25)[0] is diff
-        np.testing.assert_array_equal(2.0 * shared.child_split(1.0)[0], diff)
-        with pytest.raises(ValueError, match="shared by all nodes"):
-            StepOperator(*_dominant_bands(rng, 2, 5)).child_split(0.25)
+        assert StepOperator.drift_implicit(mesh, dt, rng.uniform(-1, 1, (2, mesh.N))).split is None
 
     def test_drift_implicit_matches_one_off_solve(self):
         mesh = build_mesh(11)

@@ -205,6 +205,21 @@ class TestSolveForward:
         with pytest.raises(ConfigurationError):
             solve_forward(first_mode(mesh), None, coeffs, tree, mesh)
 
+    def test_levels_are_read_only_copies(self):
+        # The step operators are factored from the levels once, so neither
+        # an in-place write nor a replaced level may reach them.
+        mesh = build_mesh(5)
+        tree = build_tree(3, 1.0)
+        a1 = [np.full((1, mesh.N), 0.5) for _ in range(tree.depth)]
+        coeffs = Coefficients(tree, mesh, a1, a1)
+        solve_forward(first_mode(mesh), None, coeffs, tree, mesh)
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.a1_levels[0][:] = -3.0
+        with pytest.raises(TypeError):
+            coeffs.a1_levels[0] = np.full((1, mesh.N), 1.0 / tree.dt)
+        a1[0][:] = -3.0
+        np.testing.assert_array_equal(coeffs.a1_levels[0], 0.5)
+
     @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
     def test_coefficients_of_another_grid_rejected(self, tree_args, N):
         # Built for dt = 1/4 on N = 6; the sweep runs with dt = 1/2 or on N = 5.

@@ -54,7 +54,7 @@ class TestSourceSolve:
         sources = SourcePair(f=AdaptedField.zeros(tree, mesh, tree.depth),
                              g=AdaptedField.zeros(tree, mesh, tree.depth))
         with pytest.raises(SingularSystemError):
-            solve_w_equation(sources, tree, mesh, w0=np.ones(mesh.N))
+            solve_w_equation(sources, tree, mesh)
 
     def test_one_step_oracle(self):
         mesh = build_mesh(3)
@@ -136,8 +136,9 @@ class TestCarlemanTerms:
                 assert value >= 0.0, name
 
     def test_stationary_hand_quadrature(self):
-        # time-constant state on two points and one step: every integral is
-        # a short explicit sum, evaluated here independently with raw weights
+        # time-constant state on two points and one step, with the drift
+        # source that holds it: every integral is a short explicit sum,
+        # evaluated here independently with raw weights
         mesh = build_mesh(2)
         tree = build_tree(1, 1.0)
         region = OmegaRegion(mesh, (0.25, 0.75))
@@ -148,8 +149,7 @@ class TestCarlemanTerms:
         f_vec = lap @ w_vec
         sources = SourcePair(f=AdaptedField(tree, mesh, [f_vec[np.newaxis, :]]),
                              g=AdaptedField(tree, mesh, [np.zeros((1, mesh.N))]))
-        w = solve_w_equation(sources, tree, mesh, w0=w_vec)
-        np.testing.assert_allclose(w.levels[1], np.vstack([w_vec, w_vec]), rtol=1e-12)
+        w = AdaptedField(tree, mesh, [w_vec[np.newaxis, :], np.vstack([w_vec, w_vec])])
 
         terms = carleman_terms(w, sources, weights, tree, mesh, region)
         shift = np.exp(-2.0 * terms.log_shift)
@@ -399,9 +399,8 @@ class TestSweep:
         # A huge noise coefficient at the first level makes the control cost
         # overflow while every solve stays finite.
         def coeff_factory(tree, mesh, rng):
-            coeffs = Coefficients.constant(tree, mesh, 0.5, 0.5)
-            coeffs.a2_levels[0] = np.full((1, mesh.N), 1e155)
-            return coeffs
+            a1 = [np.full((1, mesh.N), 0.5) for _ in range(tree.depth)]
+            return Coefficients(tree, mesh, a1, [np.full((1, mesh.N), 1e155)] + a1[1:])
         settings = self._settings([1 / 8])
         settings.coeff_factory = coeff_factory
         settings.cg_maxiter = 500

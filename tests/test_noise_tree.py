@@ -24,10 +24,9 @@ class TestTreeConstruction:
         assert tree.dt == pytest.approx(1 / 3)
 
     def test_depth_cap(self):
-        with pytest.raises(ResourceLimitError):
+        assert build_tree(16, 1.0).depth == 16
+        with pytest.raises(ResourceLimitError, match="depth 17 exceeds cap 16"):
             build_tree(17, 1.0)
-        # explicit cap override is allowed
-        assert build_tree(5, 1.0, depth_cap=5).depth == 5
 
 
 class TestExactness:
@@ -118,10 +117,10 @@ class TestAdaptedField:
         mesh = build_mesh(6)
         tree = build_tree(3, 1.0)
         basis = np.sin(np.outer(np.arange(1, 4) * np.pi, mesh.interior))
-        field = AdaptedField.random(tree, mesh, np.random.default_rng(9), modes=3, scale=2.0)
+        field = AdaptedField.random(tree, mesh, np.random.default_rng(9), modes=3)
         rng = np.random.default_rng(9)
         for k, arr in enumerate(field.levels):
-            np.testing.assert_allclose(arr, 2.0 * rng.standard_normal((1 << k, 3)) @ basis,
+            np.testing.assert_allclose(arr, rng.standard_normal((1 << k, 3)) @ basis,
                                        rtol=1e-14, atol=1e-14)
         plain = AdaptedField.random(tree, mesh, np.random.default_rng(9))
         rng = np.random.default_rng(9)
