@@ -11,7 +11,8 @@ inner product gives, for a node with transpose-solved children zhat =
 The step matrix is symmetric, so that solve is the forward step's own:
 both sweeps apply one factored operator.  On a level whose matrix is
 shared by its nodes, with inverse M, the solve and the split are fused:
-a node's children form one row [z_minus | z_plus] of length 2N, and
+a node's children, in ``noise_tree.EDGE_SIGNS`` order, form one row
+[z_minus | z_plus] of length 2N, and
 Z = row @ [-M; M]/(2 sqrt(dt)) and zeta = row @ [M; M]/2 are one matmul
 each (the operator's ``split``, built with it for the tree's dt), the
 transpose of the forward step's edge map.  That order sums 2N
@@ -64,10 +65,6 @@ class BackwardSolution:
     def z0(self) -> np.ndarray:
         return self.z.levels[0][..., 0, :]
 
-    @property
-    def zT(self) -> np.ndarray:
-        return self.z.levels[-1]
-
 
 def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
                   a2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,9 +91,7 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
         pairs = z_children.reshape(-1, 2 * step.n)
         coeff, zeta = (pairs @ diff).reshape(parents), (pairs @ mean).reshape(parents)
     else:
-        zhat = step.solve(z_children)
-        zhat = zhat.reshape(zhat.shape[:-2] + (-1, 2, step.n))
-        zeta, coeff = martingale_coeff(zhat[..., 1, :], zhat[..., 0, :], dt)
+        zeta, coeff = martingale_coeff(step.solve(z_children), dt)
     z = np.multiply(dt * a2, coeff)
     z += zeta
     return z, coeff, zeta
@@ -135,7 +130,7 @@ def duality_residual(forward: AdaptedField, backward: BackwardSolution,
                      controls: ControlPair | None, tree: ScenarioTree,
                      mesh: Mesh) -> tuple[float, float]:
     """Absolute residual of the telescoped pairing identity, plus its scale."""
-    lhs_T = tree_inner(tree, mesh, tree.depth, forward.levels[-1], backward.zT)
+    lhs_T = tree_inner(tree, mesh, tree.depth, forward.levels[-1], backward.z.levels[-1])
     lhs_0 = tree_inner(tree, mesh, 0, forward.levels[0], backward.z.levels[0])
     rhs_u = rhs_v = 0.0
     if controls is not None:

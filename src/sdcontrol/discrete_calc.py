@@ -8,12 +8,12 @@ The difference and average operators map primal -> star and star -> interior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import SingularSystemError
 from .mesh import Mesh, integrate
+from .noise_tree import EDGE_SIGNS
 
 _PIVOT_RTOL = 1e-13
 # Magnitudes allowed for the prefix products of the per-node substitution.
@@ -34,16 +34,6 @@ class GridFunction:
                 f"grid function needs {self.mesh.N + 2} closure values, got shape {vals.shape}"
             )
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, mesh: Mesh, f: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(mesh, np.asarray(f(mesh.closure), dtype=float))
-
-    @classmethod
-    def from_interior(cls, mesh: Mesh, interior) -> "GridFunction":
-        vals = np.zeros(mesh.N + 2)
-        vals[1:-1] = np.asarray(interior, dtype=float)
-        return cls(mesh, vals)
 
     @property
     def interior(self) -> np.ndarray:
@@ -241,7 +231,8 @@ class StepOperator:
         they fall below 1e-150, which needs dt below about 3e-5.
 
         A shared matrix, with inverse M, also gets ``split``: the (2N, N)
-        matrices [-M; M]/(2 sqrt(dt)) and [M; M]/2.  A row [c0 | c1] of a
+        matrices kron(EDGE_SIGNS, M)/(2 sqrt(dt)) = [-M; M]/(2 sqrt(dt))
+        and [M; M]/2.  A row [c0 | c1] of a
         node's two children times them gives the martingale coefficient
         and the conditional mean of the solved children, (M c1 - M c0)/(2
         sqrt(dt)) and (M c0 + M c1)/2: the transpose of the forward step's
@@ -262,7 +253,7 @@ class StepOperator:
             ) from exc
         if op.nodes == 1:
             m = op._inverse
-            op.split = (np.vstack([-m, m]) / (2.0 * np.sqrt(dt)), np.vstack([m, m]) / 2.0)
+            op.split = (np.kron(EDGE_SIGNS, m) / (2.0 * np.sqrt(dt)), np.vstack([m, m]) / 2.0)
         return op
 
     @property

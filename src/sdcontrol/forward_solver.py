@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .mesh import Mesh
 from .discrete_calc import StepOperator
-from .noise_tree import AdaptedField, ScenarioTree, tree_inner
+from .noise_tree import EDGE_SIGNS, AdaptedField, ScenarioTree, tree_inner
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,6 @@ class Coefficients:
         self._steps: list[StepOperator] | None = None
 
     @classmethod
-    def zero(cls, tree: ScenarioTree, mesh: Mesh) -> "Coefficients":
-        z = [np.zeros((1, mesh.N)) for _ in range(tree.depth)]
-        return cls(tree, mesh, z, z)
-
-    @classmethod
     def from_functions(cls, tree: ScenarioTree, mesh: Mesh, f1, f2) -> "Coefficients":
         """Deterministic coefficients a(x, t) sampled at left endpoints."""
         return cls(tree, mesh, sampled_levels(tree, mesh, f1), sampled_levels(tree, mesh, f2))
@@ -123,9 +118,6 @@ class Coefficients:
         """Nodewise uniform coefficients in [-mag, mag], adapted by construction."""
         a1 = uniform_levels(tree, mesh, rng, mag1)
         return cls(tree, mesh, a1, uniform_levels(tree, mesh, rng, mag2))
-
-    def at(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.a1_levels[level], self.a2_levels[level]
 
     @property
     def sup_norm(self) -> float:
@@ -198,22 +190,18 @@ class ControlPair:
         return pair
 
 
-# Increment signs of a node's two children: child 2n takes -sqrt(dt), 2n+1 takes +sqrt(dt).
-_EDGE_SIGNS = np.array([[-1.0], [1.0]])
-
-
 def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndarray,
                  a2: np.ndarray) -> np.ndarray:
     """One implicit step of node rows (..., B, N) to their children (..., 2B, N).
 
     ``step`` is the level's factored step matrix; node n's children are
-    rows 2n (increment -sqrt(dt)) and 2n+1 (+sqrt(dt)), the order that
-    ``backward_step`` splits.  ``u`` is the drift control, already zero
+    rows 2n and 2n+1, their increments signed as ``EDGE_SIGNS``, the order
+    that ``backward_step`` splits.  ``u`` is the drift control, already zero
     outside the window; ``u``, ``v`` and ``a2`` broadcast against ``y``,
     and leading axes (samples) are kept.
     """
     drift, noise = y + dt * u, a2 * y + v
-    rhs = drift[..., np.newaxis, :] + noise[..., np.newaxis, :] * (_EDGE_SIGNS * np.sqrt(dt))
+    rhs = drift[..., np.newaxis, :] + noise[..., np.newaxis, :] * (EDGE_SIGNS * np.sqrt(dt))
     return step.solve(rhs.reshape(rhs.shape[:-3] + (-1, step.n)))
 
 

@@ -8,7 +8,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class ExperimentConfig:
                 setattr(cfg, key, copy.deepcopy(value))
         return cfg
 
-    def to_dict(self) -> dict:
-        return copy.deepcopy(asdict(self))
-
     def validate(self) -> list[str]:
         """Collect violated constraints (empty when the config is runnable).
 
@@ -141,6 +138,8 @@ class ExperimentConfig:
         check("seed", self.seed, "a non-negative integer", lambda v: v >= 0, integer=True)
         check("N", self.N, f"an integer in 2..{N_CAP}", lambda v: 2 <= v <= N_CAP, integer=True)
         check("depth", self.depth, in_depth_range, depth, integer=True)
+        if not (isinstance(self.output, str) and self.output):
+            problems.append(f"output must be a non-empty string, got {self.output!r}")
         typed = [check(f"weights.{k}", w[k], number) for k in ("lam", "mu", "delta0", "x0", "K", "eps0")]
         typed += [check("T", self.T, number), check("omega", self.omega, number, items="interval"),
                   check("omega0", self.omega0, number, items="interval")]
@@ -343,8 +342,8 @@ def run_identity_checks(seed: int = 1234) -> list[tuple[str, bool, str]]:
             signs = tree.edge_signs(k)
             worst = max(worst, abs(signs.mean()) * tree.increment)
             worst = max(worst, np.abs((signs * tree.increment) ** 2 - tree.dt).max())
-        vals = rngs[2].standard_normal(tree.num_nodes(depth))
-        mean, _ = nt.martingale_coeff(vals[1::2], vals[0::2], tree.dt)
+        vals = rngs[2].standard_normal((tree.num_nodes(depth), 1))
+        mean, _ = nt.martingale_coeff(vals, tree.dt)
         worst = max(worst, abs(mean.mean() - vals.mean()) / _scale(vals))
     results.append(("tree exactness (depths 1-10)", worst <= 1e-14, f"max residual {worst:.2e}"))
 

@@ -119,17 +119,6 @@ class CarlemanTerms:
         ratio = np.where(zero, np.where(lhs == 0.0, 0.0, np.inf), lhs / np.where(zero, 1.0, rhs))
         return float(ratio) if ratio.ndim == 0 else ratio
 
-    def all_terms(self) -> dict[str, float | np.ndarray]:
-        return {
-            "lhs_state": self.lhs_state,
-            "lhs_gradient": self.lhs_gradient,
-            "rhs_window": self.rhs_window,
-            "rhs_diffusion": self.rhs_diffusion,
-            "rhs_drift": self.rhs_drift,
-            "rhs_initial": self.rhs_initial,
-            "rhs_terminal": self.rhs_terminal,
-        }
-
 
 def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
     """Staggered differences with Dirichlet padding, per node (star points)."""

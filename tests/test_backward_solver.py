@@ -29,7 +29,7 @@ class TestBackwardStep:
     def test_zero_terminal_data(self):
         mesh = build_mesh(5)
         tree = build_tree(3, 1.0)
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_backward(np.zeros((8, mesh.N)), coeffs, tree, mesh)
         for arr in sol.z.levels + sol.Z.levels + sol.zeta.levels:
             np.testing.assert_array_equal(arr, 0.0)
@@ -126,7 +126,7 @@ class TestBackwardStep:
 
         # the solver reproduces the same pieces
         region = OmegaRegion(mesh, (0.5, 0.9))
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         controls = ControlPair(
             u=AdaptedField(tree, mesh, [u0[np.newaxis, :]]),
             v=AdaptedField(tree, mesh, [v0[np.newaxis, :]]),
@@ -209,8 +209,7 @@ class TestSolveBackward:
         # matches the transposed deterministic scheme
         det = zT_single.copy()
         for k in range(tree.depth - 1, -1, -1):
-            a1, _ = coeffs.at(k)
-            det = np.linalg.solve(dense_step(mesh, tree.dt, a1[0]).T, det)
+            det = np.linalg.solve(dense_step(mesh, tree.dt, coeffs.a1_levels[k][0]).T, det)
         np.testing.assert_allclose(sol.z0, det, rtol=1e-12)
 
     @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
@@ -225,7 +224,7 @@ class TestSolveBackward:
         mesh = build_mesh(5)
         tree = build_tree(3, 1.0)
         rng = np.random.default_rng(2)
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs, tree, mesh)
         assert sol.z.levels[0].shape == (1, mesh.N)
         np.testing.assert_array_equal(sol.z0, sol.z.levels[0][0])
@@ -238,7 +237,7 @@ class TestSolveBackward:
         sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs, tree, mesh)
         root_dt = np.sqrt(tree.dt)
         for k in range(tree.depth):
-            a1, _ = coeffs.at(k)
+            a1 = coeffs.a1_levels[k]
             a1_child = np.repeat(a1, (2 << k) // a1.shape[0], axis=0)
             zhat = np.array([np.linalg.solve(dense_step(mesh, tree.dt, a).T, z)
                              for a, z in zip(a1_child, sol.z.levels[k + 1])])

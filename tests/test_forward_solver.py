@@ -16,6 +16,10 @@ def region_controls(tree, mesh, region, rng):
     return ControlPair(u=u, v=v, region=region)
 
 
+def zero_field(tree, mesh):
+    return AdaptedField(tree, mesh, [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)])
+
+
 def first_mode(mesh):
     return np.sin(np.pi * mesh.interior)
 
@@ -88,11 +92,11 @@ class TestForwardStep:
         e_j[0, j] = c
         zeros = np.zeros((1, mesh.N))
         out = forward_step(heat_step(mesh, dt), dt, zeros, zeros, e_j, zeros)
-        # oracle: dense solve of (I - dt*D2) x = c*sqrt(dt)*e_j; child 2n takes
-        # the increment -sqrt(dt), child 2n+1 takes +sqrt(dt)
+        # oracle: dense solve of (I - dt*D2) x = c*sqrt(dt)*e_j, times the
+        # sign of each child's increment on a one-step tree with this dt
         oracle = np.linalg.solve(dense_step(mesh, dt, zeros[0]), np.sqrt(dt) * e_j[0])
-        np.testing.assert_allclose(out[0], -oracle, rtol=1e-12)
-        np.testing.assert_allclose(out[1], oracle, rtol=1e-12)
+        for child, sign in enumerate(build_tree(1, dt).edge_signs(1)):
+            np.testing.assert_allclose(out[child], sign * oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_sample_batch_equals_per_sample_steps(self, nodes):
@@ -134,7 +138,7 @@ class TestSolveForward:
     def test_sine_mode_decay_single_step(self):
         mesh = build_mesh(9)
         tree = build_tree(1, 0.5)
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
         factor = 1.0 / (1.0 + tree.dt * first_eigenvalue(mesh.h))
@@ -144,7 +148,7 @@ class TestSolveForward:
     def test_sine_mode_decay_multi_step(self):
         mesh = build_mesh(9)
         tree = build_tree(5, 1.0)
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
         factor = (1.0 + tree.dt * first_eigenvalue(mesh.h)) ** (-tree.depth)
@@ -169,13 +173,12 @@ class TestSolveForward:
                                              lambda x, t: np.zeros_like(x))
         region = OmegaRegion(mesh, (0.3, 0.7))
         v = AdaptedField.random(tree, mesh, rng, tree.depth)
-        controls = ControlPair(u=AdaptedField.zeros(tree, mesh, tree.depth), v=v, region=region)
+        controls = ControlPair(u=zero_field(tree, mesh), v=v, region=region)
         sol = solve_forward(first_mode(mesh), controls, coeffs, tree, mesh)
 
         det = first_mode(mesh)
         for k in range(tree.depth):
-            a1, _ = coeffs.at(k)
-            det = np.linalg.solve(dense_step(mesh, tree.dt, a1[0]), det)
+            det = np.linalg.solve(dense_step(mesh, tree.dt, coeffs.a1_levels[k][0]), det)
             # each child pair cancels its increment, so only the drift
             # survives in the mean
             leaf_mean = sol.levels[k + 1].mean(axis=0)
@@ -191,8 +194,9 @@ class TestSolveForward:
         controls = region_controls(tree, mesh, region, rng)
         base = solve_forward(first_mode(mesh), controls, coeffs, tree, mesh)
 
-        perturbed = ControlPair(u=controls.u.copy(), v=controls.v.copy(), region=region)
-        perturbed.v.levels[3][:] += 5.0
+        late_v = AdaptedField(tree, mesh, [a.copy() for a in controls.v.levels])
+        late_v.levels[3][:] += 5.0
+        perturbed = ControlPair(u=controls.u, v=late_v, region=region)
         late = solve_forward(first_mode(mesh), perturbed, coeffs, tree, mesh)
         for k in range(4):
             np.testing.assert_array_equal(base.levels[k], late.levels[k])
@@ -243,10 +247,10 @@ class TestSolveForward:
         mesh = build_mesh(6)
         tree = build_tree(2, 1.0)
         region = OmegaRegion(mesh, (0.3, 0.7))
-        u = AdaptedField.zeros(tree, mesh, tree.depth)
+        u = zero_field(tree, mesh)
         u.levels[0][0, 0] = 1.0  # x_1 lies outside (0.3, 0.7)
         with pytest.raises(ConfigurationError):
-            ControlPair(u=u, v=AdaptedField.zeros(tree, mesh, tree.depth), region=region)
+            ControlPair(u=u, v=zero_field(tree, mesh), region=region)
 
 
     def test_windowed_pair_masks_the_drift_control(self):
@@ -281,7 +285,7 @@ class TestEnergyGrowth:
     def test_zero_initial_energy(self):
         mesh = build_mesh(5)
         tree = build_tree(3, 1.0)
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_forward(np.zeros(mesh.N), None, coeffs, tree, mesh)
         assert energy_growth_rate(sol, coeffs) == 0.0
         assert tree_inner(tree, mesh, tree.depth, sol.levels[-1], sol.levels[-1]) == 0.0

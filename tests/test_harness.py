@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ class TestConfig:
         cfg = ExperimentConfig()
         cfg.N = 12
         cfg.weights["lam"] = 3.0
-        as_dict = cfg.to_dict()
+        as_dict = dataclasses.asdict(cfg)
         again = ExperimentConfig.from_dict(as_dict)
         assert again == cfg
         assert json.loads(json.dumps(as_dict)) == as_dict
@@ -202,7 +203,7 @@ class TestCli:
     def _write_config(self, tmp_path, **overrides):
         cfg = ExperimentConfig.from_dict(overrides)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
         return str(path)
 
     def test_missing_config_exits_2(self, capsys):
@@ -256,6 +257,10 @@ class TestCli:
         ("carleman", {"modes": -3}, "carleman.modes"),
         ("coefficients", {"a1": {"kind": "constant", "magnitud": 5.0}},
          "coefficients.a1.magnitud"),
+        ("output", None, "output"),
+        ("output", ["a"], "output"),
+        ("output", 1, "output"),
+        ("output", "", "output"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})

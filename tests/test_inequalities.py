@@ -12,6 +12,15 @@ from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import AdaptedField, build_tree, time_pairing, tree_inner
 from sdcontrol.weights import WeightParams, build_weights
 
+# The seven integrals of the weighted estimate, as CarlemanTerms fields.
+TERM_NAMES = ("lhs_state", "lhs_gradient", "rhs_window", "rhs_diffusion", "rhs_drift",
+              "rhs_initial", "rhs_terminal")
+
+
+def zero_sources(tree, mesh):
+    levels = [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)]
+    return SourcePair(f=AdaptedField(tree, mesh, levels), g=AdaptedField(tree, mesh, levels))
+
 
 def mild_weights(**overrides):
     # small factors keep raw exp(2*s*phi) representable for the hand oracle
@@ -29,8 +38,7 @@ class TestSourceSolve:
     def test_zero_sources_zero_solution(self):
         mesh = build_mesh(5)
         tree = build_tree(4, 1.0)
-        sources = SourcePair(f=AdaptedField.zeros(tree, mesh, tree.depth),
-                             g=AdaptedField.zeros(tree, mesh, tree.depth))
+        sources = zero_sources(tree, mesh)
         w = solve_w_equation(sources, tree, mesh)
         for arr in w.levels:
             np.testing.assert_array_equal(arr, 0.0)
@@ -51,8 +59,7 @@ class TestSourceSolve:
         # second-difference eigenvalue, so I + dt*D2 is singular
         mesh = build_mesh(2)
         tree = build_tree(9, 1.0)
-        sources = SourcePair(f=AdaptedField.zeros(tree, mesh, tree.depth),
-                             g=AdaptedField.zeros(tree, mesh, tree.depth))
+        sources = zero_sources(tree, mesh)
         with pytest.raises(SingularSystemError):
             solve_w_equation(sources, tree, mesh)
 
@@ -80,8 +87,7 @@ class TestCarlemanTerms:
         mesh = build_mesh(4)
         tree = build_tree(2, 1.0)
         region = OmegaRegion(mesh, (0.3, 0.7))
-        sources = SourcePair(f=AdaptedField.zeros(tree, mesh, tree.depth),
-                             g=AdaptedField.zeros(tree, mesh, tree.depth))
+        sources = zero_sources(tree, mesh)
         w = solve_w_equation(sources, tree, mesh)
         return w, sources, mild_weights(), tree, mesh, region
 
@@ -96,8 +102,7 @@ class TestCarlemanTerms:
         tree = build_tree(2, 1.0)
         region = OmegaRegion(mesh, (0.2, 0.8))
         weights = build_weights(WeightParams(T=1.0, lam=4.0, mu=1.2, delta=0.25, x0=0.5))
-        sources = SourcePair(f=AdaptedField.zeros(tree, mesh, tree.depth),
-                             g=AdaptedField.zeros(tree, mesh, tree.depth))
+        sources = zero_sources(tree, mesh)
         w = solve_w_equation(sources, tree, mesh)
         with pytest.raises(RegimeError) as err:
             carleman_terms(w, sources, weights, tree, mesh, region)
@@ -118,8 +123,8 @@ class TestCarlemanTerms:
             g=AdaptedField(tree, mesh, [2 * a for a in sources.g.levels]))
         w2 = AdaptedField(tree, mesh, [2 * a for a in w.levels])
         terms2 = carleman_terms(w2, doubled_sources, weights, tree, mesh, region)
-        for name, value in terms.all_terms().items():
-            assert terms2.all_terms()[name] == pytest.approx(4 * value, rel=1e-12)
+        for name in TERM_NAMES:
+            assert getattr(terms2, name) == pytest.approx(4 * getattr(terms, name), rel=1e-12)
         assert terms2.ratio == pytest.approx(terms.ratio, rel=1e-12)
 
     def test_nonnegativity_of_every_term(self):
@@ -132,8 +137,8 @@ class TestCarlemanTerms:
             sources = SourcePair.random(tree, mesh, rng)
             w = solve_w_equation(sources, tree, mesh)
             terms = carleman_terms(w, sources, weights, tree, mesh, region)
-            for name, value in terms.all_terms().items():
-                assert value >= 0.0, name
+            for name in TERM_NAMES:
+                assert getattr(terms, name) >= 0.0, name
 
     def test_stationary_hand_quadrature(self):
         # time-constant state on two points and one step, with the drift
@@ -222,8 +227,9 @@ class TestCarlemanTerms:
         for i, sources in enumerate(singles):
             single = carleman_terms(solve_w_equation(sources, tree, mesh), sources, weights,
                                     tree, mesh, region)
-            for name, value in single.all_terms().items():
-                assert terms.all_terms()[name][i] == pytest.approx(value, rel=1e-12), name
+            for name in TERM_NAMES:
+                assert getattr(terms, name)[i] == pytest.approx(getattr(single, name),
+                                                                rel=1e-12), name
             assert terms.ratio[i] == pytest.approx(single.ratio, rel=1e-12)
 
 
@@ -351,7 +357,7 @@ class TestObservability:
         mesh = build_mesh(2)
         tree = build_tree(3, 1.0)
         region = OmegaRegion(mesh, (0.2, 0.8))
-        coeffs = Coefficients.zero(tree, mesh)
+        coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         weights = build_weights(WeightParams(T=1.0, lam=4.0, mu=1.2, delta=0.25, x0=0.5))
         with pytest.raises(RegimeError):
             observability_sample(coeffs, weights, tree, mesh, region,

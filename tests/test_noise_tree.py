@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sdcontrol.errors import ResourceLimitError
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import (AdaptedField, build_tree, expectation,
-                                  martingale_coeff, time_pairing, tree_inner)
+from sdcontrol.noise_tree import (AdaptedField, build_tree, martingale_coeff, random_levels,
+                                  time_pairing, tree_inner)
 
 
 class TestTreeConstruction:
@@ -45,53 +45,35 @@ class TestExactness:
         rng = np.random.default_rng(0)
         for depth in range(1, 11):
             tree = build_tree(depth, 2.0)
-            vals = rng.standard_normal(tree.num_nodes(depth))
-            mean, _ = martingale_coeff(vals[1::2], vals[0::2], tree.dt)
-            lhs = expectation(tree, depth - 1, mean)
-            rhs = expectation(tree, depth, vals)
+            vals = rng.standard_normal((tree.num_nodes(depth), 1))
+            mean, _ = martingale_coeff(vals, tree.dt)
+            lhs, rhs = mean.mean(), vals.mean()
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
-
-
-class TestExpectation:
-    def test_constant(self):
-        tree = build_tree(4, 1.0)
-        assert expectation(tree, 4, np.full(16, 3.25)) == 3.25
-
-    def test_single_step_average(self):
-        tree = build_tree(1, 1.0)
-        assert expectation(tree, 1, np.array([0.0, 1.0])) == 0.5
-
-    def test_linearity(self):
-        tree = build_tree(5, 1.0)
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal(32)
-        b = rng.standard_normal(32)
-        lhs = expectation(tree, 5, 2.0 * a + 3.0 * b)
-        rhs = 2.0 * expectation(tree, 5, a) + 3.0 * expectation(tree, 5, b)
-        assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
-
-    def test_wrong_count(self):
-        tree = build_tree(2, 1.0)
-        with pytest.raises(ValueError):
-            expectation(tree, 2, np.ones(3))
 
 
 class TestMartingaleCoeff:
     def test_hand_values(self):
-        mean, coeff = martingale_coeff(1.0, 0.0, 0.25)
-        assert mean == 0.5
-        assert coeff == 1.0
+        # rows 2n and 2n+1 are node n's -sqrt(dt) and +sqrt(dt) children
+        mean, coeff = martingale_coeff([[0.0], [1.0]], 0.25)
+        assert mean.shape == coeff.shape == (1, 1)
+        assert mean[0, 0] == 0.5
+        assert coeff[0, 0] == 1.0
 
     def test_deterministic_next_value(self):
-        mean, coeff = martingale_coeff(2.0, 2.0, 0.1)
-        assert coeff == 0.0
-        assert mean == 2.0
+        mean, coeff = martingale_coeff([[2.0], [2.0]], 0.1)
+        assert coeff[0, 0] == 0.0
+        assert mean[0, 0] == 2.0
+
+    def test_odd_child_count_rejected(self):
+        with pytest.raises(ValueError, match="children must be rows"):
+            martingale_coeff(np.ones((3, 2)), 0.1)
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.floats(1e-6, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_reconstruction_exact(self, zp, zm, dt):
-        mean, coeff = martingale_coeff(zp, zm, dt)
+        mean, coeff = martingale_coeff([[zm], [zp]], dt)
+        mean, coeff = mean[0, 0], coeff[0, 0]
         root = np.sqrt(dt)
         assert mean + coeff * root == pytest.approx(zp, abs=1e-9 * max(1, abs(zp)))
         assert mean - coeff * root == pytest.approx(zm, abs=1e-9 * max(1, abs(zm)))
@@ -107,9 +89,9 @@ class TestAdaptedField:
     def test_random_smooth_modes_reproducible(self):
         mesh = build_mesh(6)
         tree = build_tree(3, 1.0)
-        f1 = AdaptedField.random(tree, mesh, np.random.default_rng(9), modes=3)
-        f2 = AdaptedField.random(tree, mesh, np.random.default_rng(9), modes=3)
-        for a, b in zip(f1.levels, f2.levels):
+        f1 = random_levels(mesh, np.random.default_rng(9), (), tree.depth + 1, modes=3)
+        f2 = random_levels(mesh, np.random.default_rng(9), (), tree.depth + 1, modes=3)
+        for a, b in zip(f1, f2):
             np.testing.assert_array_equal(a, b)
 
     def test_random_draws_level_by_level(self):
@@ -117,9 +99,9 @@ class TestAdaptedField:
         mesh = build_mesh(6)
         tree = build_tree(3, 1.0)
         basis = np.sin(np.outer(np.arange(1, 4) * np.pi, mesh.interior))
-        field = AdaptedField.random(tree, mesh, np.random.default_rng(9), modes=3)
+        levels = random_levels(mesh, np.random.default_rng(9), (), tree.depth + 1, modes=3)
         rng = np.random.default_rng(9)
-        for k, arr in enumerate(field.levels):
+        for k, arr in enumerate(levels):
             np.testing.assert_allclose(arr, rng.standard_normal((1 << k, 3)) @ basis,
                                        rtol=1e-14, atol=1e-14)
         plain = AdaptedField.random(tree, mesh, np.random.default_rng(9))
@@ -169,6 +151,16 @@ class TestQuadrature:
         assert got == pytest.approx(by_hand, rel=1e-14)
         # the leaf level lies beyond the left-endpoint sum
         assert time_pairing(self.tree, self.mesh, a[:2], b[:2], w) == got
+
+    def test_time_pairing_rejects_missing_levels(self):
+        # Fewer levels than the depth would leave out late terms of the sum.
+        tree = build_tree(6, 1.0)
+        rng = np.random.default_rng(6)
+        field = AdaptedField.random(tree, self.mesh, rng)
+        assert time_pairing(tree, self.mesh, field, field) > 0.0
+        for a, b in ((field.levels[:2], field), (field, field.levels[:5])):
+            with pytest.raises(ValueError, match="needs 6 levels"):
+                time_pairing(tree, self.mesh, a, b)
 
     def test_sample_axes_give_one_value_per_sample(self):
         rng = np.random.default_rng(5)
