@@ -43,13 +43,13 @@ import numpy as np
 from .discrete_calc import StepOperator
 from .forward_solver import Coefficients, ControlPair
 from .mesh import Mesh
-from .noise_tree import (AdaptedField, ScenarioTree, martingale_coeff, time_pairing,
-                         tree_inner)
+from .noise_tree import ScenarioTree, martingale_coeff, time_pairing, tree_inner
 
 
 @dataclass
 class BackwardSolution:
-    """Adjoint pair plus the dual pairings produced by the transposed sweep.
+    """Adjoint pair plus the dual pairings produced by the transposed sweep,
+    each a tree field (a list of level arrays).
 
     ``z`` spans levels 0..depth (first component, terminal datum at the
     leaves); ``zeta`` and ``Z`` span levels 0..depth-1 and are the exact
@@ -57,13 +57,13 @@ class BackwardSolution:
     keeps its leading sample axes on every level.
     """
 
-    z: AdaptedField
-    zeta: AdaptedField
-    Z: AdaptedField
+    z: list[np.ndarray]
+    zeta: list[np.ndarray]
+    Z: list[np.ndarray]
 
     @property
     def z0(self) -> np.ndarray:
-        return self.z.levels[0][..., 0, :]
+        return self.z[0][..., 0, :]
 
 
 def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
@@ -119,19 +119,15 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
         z_levels[k], coeff_levels[k], zeta_levels[k] = backward_step(
             steps[k], tree.dt, z_levels[k + 1], coeffs.a2_levels[k])
 
-    return BackwardSolution(
-        z=AdaptedField(tree, mesh, z_levels),
-        zeta=AdaptedField(tree, mesh, zeta_levels),
-        Z=AdaptedField(tree, mesh, coeff_levels),
-    )
+    return BackwardSolution(z=z_levels, zeta=zeta_levels, Z=coeff_levels)
 
 
-def duality_residual(forward: AdaptedField, backward: BackwardSolution,
+def duality_residual(forward: list[np.ndarray], backward: BackwardSolution,
                      controls: ControlPair | None, tree: ScenarioTree,
                      mesh: Mesh) -> tuple[float, float]:
     """Absolute residual of the telescoped pairing identity, plus its scale."""
-    lhs_T = tree_inner(tree, mesh, tree.depth, forward.levels[-1], backward.z.levels[-1])
-    lhs_0 = tree_inner(tree, mesh, 0, forward.levels[0], backward.z.levels[0])
+    lhs_T = tree_inner(tree, mesh, tree.depth, forward[-1], backward.z[-1])
+    lhs_0 = tree_inner(tree, mesh, 0, forward[0], backward.z[0])
     rhs_u = rhs_v = 0.0
     if controls is not None:
         rhs_u = time_pairing(tree, mesh, controls.u, backward.zeta,

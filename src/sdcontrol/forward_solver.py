@@ -3,9 +3,10 @@
 Each step solves (I - dt*(second difference + a1)) y_next = y + dt*chi*u
 + (a2*y + v)*dB with the noise and both controls explicit, so the map
 (y0, u, v) -> states is affine and every node-level solve is tridiagonal.
-Coefficients are sampled at the left endpoint of each step.  The step
-takes chi*u as u, since a ``ControlPair`` checks or masks its drift
-control to the window.
+Coefficients are sampled at the left endpoint of each step.  The drift
+control u of a ``ControlPair`` acts only through the window, as chi*u:
+``solve_forward`` applies chi, and ``forward_step`` takes the drift term
+chi*u as its u.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .mesh import Mesh
 from .discrete_calc import StepOperator
-from .noise_tree import EDGE_SIGNS, AdaptedField, ScenarioTree, tree_inner
+from .noise_tree import EDGE_SIGNS, ScenarioTree, tree_inner
 
 
 @dataclass(frozen=True)
@@ -162,32 +163,17 @@ class Coefficients:
 
 @dataclass
 class ControlPair:
-    """Drift control supported in the window, diffusion control everywhere."""
+    """Drift control u and diffusion control v, tree fields over levels
+    0..depth-1, with the window through which u acts.
 
-    u: AdaptedField
-    v: AdaptedField
+    u is the control before chi: the forward sweep steps with
+    ``region.indicator * u``, so values of u outside the window never
+    reach the state.
+    """
+
+    u: list[np.ndarray]
+    v: list[np.ndarray]
     region: OmegaRegion
-
-    def __post_init__(self):
-        outside = ~self.region.mask
-        for k, arr in enumerate(self.u.levels):
-            if arr[:, outside].any():
-                raise ConfigurationError(f"drift control has support outside the window at level {k}")
-
-    @classmethod
-    def windowed(cls, drift: AdaptedField, v: AdaptedField, region: OmegaRegion,
-                 sign: float = 1.0) -> "ControlPair":
-        """Pair whose drift control is sign * indicator * drift.
-
-        The drift control is masked to the window here, so the support scan
-        of the constructor is skipped; the Gramian builds its controls this
-        way on every apply.
-        """
-        weight = sign * region.indicator
-        pair = cls.__new__(cls)
-        pair.u = AdaptedField(drift.tree, drift.mesh, [weight * arr for arr in drift.levels])
-        pair.v, pair.region = v, region
-        return pair
 
 
 def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -196,9 +182,9 @@ def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v:
 
     ``step`` is the level's factored step matrix; node n's children are
     rows 2n and 2n+1, their increments signed as ``EDGE_SIGNS``, the order
-    that ``backward_step`` splits.  ``u`` is the drift control, already zero
-    outside the window; ``u``, ``v`` and ``a2`` broadcast against ``y``,
-    and leading axes (samples) are kept.
+    that ``backward_step`` splits.  ``u`` is the drift term, zero outside
+    the window (``solve_forward`` passes chi*u); ``u``, ``v`` and ``a2``
+    broadcast against ``y``, and leading axes (samples) are kept.
     """
     drift, noise = y + dt * u, a2 * y + v
     rhs = drift[..., np.newaxis, :] + noise[..., np.newaxis, :] * (EDGE_SIGNS * np.sqrt(dt))
@@ -206,8 +192,8 @@ def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v:
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,
-                  tree: ScenarioTree, mesh: Mesh) -> AdaptedField:
-    """States at every tree node, root to leaves; affine in (y0, u, v)."""
+                  tree: ScenarioTree, mesh: Mesh) -> list[np.ndarray]:
+    """State levels at every tree node, root to leaves; affine in (y0, u, v)."""
     coeffs.check_grid(tree, mesh)
     steps = coeffs.step_operators()
     y0 = np.asarray(y0, dtype=float).reshape(mesh.N)
@@ -216,25 +202,24 @@ def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coeffici
     for k in range(tree.depth):
         u = v = 0.0
         if controls is not None:
-            u, v = controls.u.levels[k], controls.v.levels[k]
+            u, v = controls.region.indicator * controls.u[k], controls.v[k]
         levels.append(forward_step(steps[k], tree.dt, levels[k], u, v, coeffs.a2_levels[k]))
+    return levels
 
-    return AdaptedField(tree, mesh, levels)
 
-
-def energy_growth_rate(states: AdaptedField, coeffs: Coefficients) -> float:
+def energy_growth_rate(states: list[np.ndarray], coeffs: Coefficients) -> float:
     """Measured constant c with E||y(t)||^2 <= e^(c*(1+A)*t) * E||y0||^2.
 
     Returns 0 when the initial energy is zero or no growth occurs.
     """
-    tree, mesh = states.tree, states.mesh
-    e0 = tree_inner(tree, mesh, 0, states.levels[0], states.levels[0])
+    tree, mesh = coeffs.tree, coeffs.mesh
+    e0 = tree_inner(tree, mesh, 0, states[0], states[0])
     if e0 == 0.0:
         return 0.0
     a_norm = coeffs.sup_norm
     worst = 0.0
     for k in range(1, tree.depth + 1):
-        ek = tree_inner(tree, mesh, k, states.levels[k], states.levels[k])
+        ek = tree_inner(tree, mesh, k, states[k], states[k])
         t = k * tree.dt
         if ek > e0:
             worst = max(worst, np.log(ek / e0) / ((1.0 + a_norm) * t))

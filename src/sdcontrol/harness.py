@@ -31,6 +31,15 @@ EXIT_NUMERICAL = 3
 # the step solves has covered, and samples per fit or study that run in minutes.
 N_CAP, SAMPLES_CAP = 4095, 100_000
 
+# The keys each coefficient kind reads besides "kind"; validate rejects the rest.
+COEFFICIENT_KEYS = {
+    "zero": (),
+    "constant": ("magnitude",),
+    "sinusoid": ("magnitude", "frequency", "phase"),
+    "adapted_random": ("magnitude",),
+}
+_ANY_COEFFICIENT_KEY = tuple(dict.fromkeys(k for keys in COEFFICIENT_KEYS.values() for k in keys))
+
 
 def _default_coefficients() -> dict:
     return {
@@ -158,14 +167,20 @@ class ExperimentConfig:
             if not isinstance(spec, dict):
                 problems.append(f"coefficients.{name} must be an object with a kind, got {spec!r}")
                 continue
-            if spec.get("kind") not in ("zero", "constant", "sinusoid", "adapted_random"):
+            kind = spec.get("kind")
+            if kind not in COEFFICIENT_KEYS:
                 problems.append(f"coefficients.{name}.kind must be one of "
-                                f"zero|constant|sinusoid|adapted_random, got {spec.get('kind')!r}")
-            for key in ("magnitude", "frequency", "phase"):
-                check(f"coefficients.{name}.{key}", spec.get(key, 0.0), number)
-            problems.extend(f"coefficients.{name}.{key} is not a coefficient key "
-                            "(kind, magnitude, frequency, phase)"
-                            for key in spec if key not in ("kind", "magnitude", "frequency", "phase"))
+                                f"{'|'.join(COEFFICIENT_KEYS)}, got {kind!r}")
+            reads = COEFFICIENT_KEYS.get(kind, _ANY_COEFFICIENT_KEY)
+            for key in [key for key in spec if key != "kind"]:
+                if key not in _ANY_COEFFICIENT_KEY:
+                    problems.append(f"coefficients.{name}.{key} is not a coefficient key "
+                                    f"({', '.join(('kind',) + _ANY_COEFFICIENT_KEY)})")
+                elif key not in reads:
+                    problems.append(f"coefficients.{name}.{key} is not read by kind {kind!r} "
+                                    f"(it reads {', '.join(('kind',) + reads)})")
+                else:
+                    check(f"coefficients.{name}.{key}", spec[key], number)
         if self.y0.get("kind") not in ("sine", "random"):
             problems.append(f"y0.kind must be sine or random, got {self.y0.get('kind')!r}")
         check("y0.coeffs", self.y0.get("coeffs", []), number, items="list")
@@ -355,12 +370,8 @@ def run_identity_checks(seed: int = 1234) -> list[tuple[str, bool, str]]:
         tree = nt.build_tree(depth, 1.0)
         coeffs = Coefficients.adapted_random(tree, mesh, rngs[3], 0.8, 0.8)
         region = OmegaRegion(mesh, (0.3, 0.7))
-        controls = ControlPair(
-            u=nt.AdaptedField(tree, mesh, [region.indicator * a for a in
-                                           nt.AdaptedField.random(tree, mesh, rngs[3], depth).levels]),
-            v=nt.AdaptedField.random(tree, mesh, rngs[3], depth),
-            region=region,
-        )
+        controls = ControlPair(u=nt.random_levels(mesh, rngs[3], (), depth),
+                               v=nt.random_levels(mesh, rngs[3], (), depth), region=region)
         y0 = rngs[3].standard_normal(N)
         zT = rngs[3].standard_normal((tree.num_nodes(depth), N))
         fwd = solve_forward(y0, controls, coeffs, tree, mesh)

@@ -39,7 +39,7 @@ from .backward_solver import BackwardSolution, backward_step, solve_backward
 from .errors import ConfigurationError, ConvergenceError
 from .forward_solver import Coefficients, ControlPair, OmegaRegion, forward_step, solve_forward
 from .mesh import Mesh
-from .noise_tree import AdaptedField, ScenarioTree, time_pairing, tree_inner
+from .noise_tree import ScenarioTree, time_pairing, tree_inner
 
 
 def epsilon_from_mesh(c_eps: float, h: float) -> float:
@@ -84,18 +84,12 @@ class HumSolution:
         return len(self.cg_residuals)
 
 
-def _controls_from_backward(bwd: BackwardSolution, region: OmegaRegion,
-                            sign: float) -> ControlPair:
-    v = AdaptedField(bwd.Z.tree, bwd.Z.mesh, [sign * arr for arr in bwd.Z.levels])
-    return ControlPair.windowed(bwd.zeta, v, region, sign)
-
-
 def gramian_apply(zT: np.ndarray, problem: HumProblem) -> np.ndarray:
     """Terminal state reached from rest under the controls induced by zT."""
     bwd = solve_backward(zT, problem.coeffs, problem.tree, problem.mesh)
-    controls = _controls_from_backward(bwd, problem.region, +1.0)
+    controls = ControlPair(bwd.zeta, bwd.Z, problem.region)
     return solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs,
-                         problem.tree, problem.mesh).levels[-1]
+                         problem.tree, problem.mesh)[-1]
 
 
 def leaf_norm(problem: HumProblem, a: np.ndarray) -> float:
@@ -256,7 +250,7 @@ def riccati_preconditioner(problem: HumProblem):
 
 def free_terminal_state(problem: HumProblem) -> np.ndarray:
     return solve_forward(problem.y0, None, problem.coeffs, problem.tree,
-                         problem.mesh).levels[-1]
+                         problem.mesh)[-1]
 
 
 def evaluate_functional(problem: HumProblem, zT: np.ndarray,
@@ -291,9 +285,9 @@ def solve_hum(problem: HumProblem) -> HumSolution:
                                             riccati_preconditioner(problem))
 
     bwd = solve_backward(zT_star, problem.coeffs, problem.tree, problem.mesh)
-    controls = _controls_from_backward(bwd, problem.region, -1.0)
+    controls = ControlPair([-a for a in bwd.zeta], [-a for a in bwd.Z], problem.region)
     terminal = solve_forward(problem.y0, controls, problem.coeffs, problem.tree,
-                             problem.mesh).levels[-1]
+                             problem.mesh)[-1]
 
     # terminal - eps*z* = b - (Lambda + eps*I) z*, so the closure error is
     # the true residual of the normal equations in the leaf norm.

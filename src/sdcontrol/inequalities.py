@@ -20,8 +20,7 @@ from .backward_solver import solve_backward
 from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion, forward_step
 from .mesh import Mesh, build_mesh
-from .noise_tree import (AdaptedField, ScenarioTree, build_tree, random_levels, time_pairing,
-                         tree_inner)
+from .noise_tree import ScenarioTree, build_tree, random_levels, time_pairing, tree_inner
 from .discrete_calc import StepOperator
 from .weights import CarlemanWeights, WeightParams, build_weights, validate_regime
 
@@ -41,13 +40,14 @@ def _batches(total: int, tree: ScenarioTree, mesh: Mesh) -> list[tuple[int, int]
 
 @dataclass
 class SourcePair:
-    """Drift and diffusion sources driving the weighted-estimate solutions.
+    """Drift and diffusion sources driving the weighted-estimate solutions,
+    tree fields over levels 0..depth-1.
 
     Both fields may carry leading sample axes (a batch of source pairs).
     """
 
-    f: AdaptedField
-    g: AdaptedField
+    f: list[np.ndarray]
+    g: list[np.ndarray]
 
     @classmethod
     def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
@@ -58,11 +58,10 @@ class SourcePair:
         as one call per sample: per sample, f before g.
         """
         levels = random_levels(mesh, rng, tuple(shape) + (2,), tree.depth, modes)
-        return cls(f=AdaptedField(tree, mesh, [lv[..., 0, :, :] for lv in levels]),
-                   g=AdaptedField(tree, mesh, [lv[..., 1, :, :] for lv in levels]))
+        return cls(f=[lv[..., 0, :, :] for lv in levels], g=[lv[..., 1, :, :] for lv in levels])
 
 
-def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh) -> AdaptedField:
+def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh) -> list[np.ndarray]:
     """Integrate dw = -(second difference of w) dt + f dt + g dB on the tree, from w = 0.
 
     Each level's node rows go through one ``forward_step`` to their
@@ -76,11 +75,10 @@ def solve_w_equation(sources: SourcePair, tree: ScenarioTree, mesh: Mesh) -> Ada
     off = np.full(N - 1, dt / h**2)
     step = StepOperator(off, np.full(N, 1.0 - 2.0 * dt / h**2))
 
-    levels = [np.zeros(sources.f.levels[0].shape[:-2] + (1, N))]
+    levels = [np.zeros(sources.f[0].shape[:-2] + (1, N))]
     for k in range(tree.depth):
-        levels.append(forward_step(step, dt, levels[k], sources.f.levels[k],
-                                   sources.g.levels[k], 0.0))
-    return AdaptedField(tree, mesh, levels)
+        levels.append(forward_step(step, dt, levels[k], sources.f[k], sources.g[k], 0.0))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
     return np.diff(padded, axis=-1) / h
 
 
-def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeights,
+def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWeights,
                    tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> CarlemanTerms:
     """Tree-weighted left-endpoint quadrature of every term in the estimate.
 
@@ -155,15 +153,15 @@ def carleman_terms(w: AdaptedField, sources: SourcePair, weights: CarlemanWeight
     state, gradient, diffusion = s**3 * w2_int, s * w2_star, s**2 * w2_int
     window = s**3 * region.indicator * w2_int
 
-    grads = [_gradient(wk, mesh.h) for wk in w.levels[:tree.depth]]
-    leaves = w.levels[tree.depth]
+    grads = [_gradient(wk, mesh.h) for wk in w[:tree.depth]]
+    leaves = w[tree.depth]
     return CarlemanTerms(
         lhs_state=time_pairing(tree, mesh, w, w, state),
         lhs_gradient=time_pairing(tree, mesh, grads, grads, gradient),
         rhs_window=time_pairing(tree, mesh, w, w, window),
         rhs_diffusion=time_pairing(tree, mesh, sources.g, sources.g, diffusion),
         rhs_drift=time_pairing(tree, mesh, sources.f, sources.f, w2_int),
-        rhs_initial=tree_inner(tree, mesh, 0, w.levels[0], w.levels[0], w2_t0) / mesh.h**2,
+        rhs_initial=tree_inner(tree, mesh, 0, w[0], w[0], w2_t0) / mesh.h**2,
         rhs_terminal=tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2,
         log_shift=float(log_shift),
         regime_ratio=float(ratio),
@@ -253,7 +251,7 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
             zT = np.stack([np.asarray(data, dtype=float).reshape(leaves)
                            for data in terminal_data[start:stop]])
         sol = solve_backward(zT, coeffs, tree, mesh)
-        z0 = sol.z.levels[0]
+        z0 = sol.z[0]
         lhs[start:stop] = tree_inner(tree, mesh, 0, z0, z0)
         rhs_diffusion[start:stop] = time_pairing(tree, mesh, sol.Z, sol.Z)
         rhs_window[start:stop] = time_pairing(tree, mesh, sol.z, sol.z, mask)
@@ -308,6 +306,9 @@ class SweepSettings:
 
 @dataclass
 class SweepRow:
+    """One CSV row.  A value left at NaN or None is written empty; a row
+    whose CG fails keeps the iterations it ran in ``cg_iters``."""
+
     h: float
     delta: float = np.nan
     lam: float = np.nan
@@ -318,7 +319,7 @@ class SweepRow:
     obs_C: float = np.nan
     term_ratio: float = np.nan
     cost_ratio: float = np.nan
-    cg_iters: int = 0
+    cg_iters: int | None = None
     closure_err: float = np.nan
     skipped: bool = False
     reason: str = ""
@@ -394,6 +395,7 @@ def h_sweep(settings: SweepSettings) -> list[SweepRow]:
             row.reason = str(exc)
         except ConvergenceError as exc:
             row.skipped = True
+            row.cg_iters = len(exc.residuals)
             row.reason = f"linear solve did not converge: {exc}"
         _blank_non_finite(row)
         rows.append(row)

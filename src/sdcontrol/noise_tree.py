@@ -7,11 +7,17 @@ increments conditional expectations are plain child averages and the
 martingale representation is an exact two-equations-two-unknowns solve,
 so duality and control closure can be tested to machine precision
 instead of Monte-Carlo noise.
+
+A tree field is a plain list of level arrays: entry k has shape (2^k, N),
+one grid vector per node, or (..., 2^k, N) for a batch of samples held
+along leading axes.  Adaptedness is structural: the entry for node n at
+level k is a single value, so it cannot depend on signs drawn after
+level k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,35 +98,6 @@ def martingale_coeff(children, dt: float):
     return mean, coeff
 
 
-@dataclass
-class AdaptedField:
-    """Tree-indexed grid values: one interior vector per node, per level.
-
-    ``levels[k]`` has shape (2^k, N), or (..., 2^k, N) for a batch of
-    samples held along leading axes.  Adaptedness is structural: the entry
-    for node n at level k is a single value, so it cannot depend on signs
-    drawn after level k.
-    """
-
-    tree: ScenarioTree
-    mesh: Mesh
-    levels: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        for k, arr in enumerate(self.levels):
-            expected = (1 << k, self.mesh.N)
-            if arr.shape[-2:] != expected:
-                raise ValueError(f"level {k} values must have shape {expected}, got {arr.shape}")
-
-    @classmethod
-    def random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,
-               num_levels: int | None = None) -> "AdaptedField":
-        """Seeded independent values per node and point, adapted by construction."""
-        if num_levels is None:
-            num_levels = tree.depth + 1
-        return cls(tree, mesh, random_levels(mesh, rng, (), num_levels))
-
-
 def random_levels(mesh: Mesh, rng: np.random.Generator, shape: tuple[int, ...],
                   num_levels: int, modes: int = 0) -> list[np.ndarray]:
     """Seeded nodewise values of levels 0..num_levels-1, each of shape
@@ -170,22 +147,20 @@ def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None):
     """Left-endpoint tree-time quadrature sum_k dt * E[h * sum(weight_k*a_k*b_k)]
     over levels 0..depth-1.
 
-    ``a`` and ``b`` are adapted fields or lists of level arrays (2^k, M),
-    where M need not be N (staggered values work too); leading sample axes,
+    ``a`` and ``b`` are tree fields, lists of level arrays (2^k, M), where
+    M need not be N (staggered values work too); leading sample axes,
     (..., 2^k, M), give an array over them instead of a float.  ``weight``
     is None, one pointwise array used at every level, or a (depth, M) array
     with one row per level.  Each operand needs at least ``depth`` levels;
     a leaf level beyond them is not summed.
     """
-    a_levels = a.levels if isinstance(a, AdaptedField) else a
-    b_levels = b.levels if isinstance(b, AdaptedField) else b
-    if min(len(a_levels), len(b_levels)) < tree.depth:
+    if min(len(a), len(b)) < tree.depth:
         raise ValueError(f"time_pairing needs {tree.depth} levels of each operand, "
-                         f"got {len(a_levels)} and {len(b_levels)}")
+                         f"got {len(a)} and {len(b)}")
     per_level = weight is not None and np.ndim(weight) == 2
     total = 0.0
     for k in range(tree.depth):
-        prod = a_levels[k] * b_levels[k]
+        prod = a[k] * b[k]
         if weight is not None:
             prod = (weight[k] if per_level else weight) * prod
         total += _node_sum(prod) / (1 << k)

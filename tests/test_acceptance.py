@@ -22,7 +22,7 @@ from sdcontrol.hum import (HumProblem, conjugate_gradient, evaluate_functional,
 from sdcontrol.inequalities import (carleman_ratio_study, h_sweep,
                                     observability_sample)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree, martingale_coeff, tree_inner
+from sdcontrol.noise_tree import build_tree, martingale_coeff, random_levels, tree_inner
 from sdcontrol.weights import WeightParams, build_weights, validate_regime
 
 
@@ -106,11 +106,8 @@ def test_criterion_05_duality_identity():
         mag = min(0.9, 0.8 / tree.dt)
         coeffs = Coefficients.adapted_random(tree, mesh, rng, mag, 1.0)
         region = OmegaRegion(mesh, (0.25, 0.75))
-        controls = ControlPair(
-            u=AdaptedField(tree, mesh, [region.indicator * a for a in
-                                        AdaptedField.random(tree, mesh, rng, depth).levels]),
-            v=AdaptedField.random(tree, mesh, rng, depth),
-            region=region)
+        controls = ControlPair(u=random_levels(mesh, rng, (), depth),
+                               v=random_levels(mesh, rng, (), depth), region=region)
         fwd = solve_forward(rng.standard_normal(N), controls, coeffs, tree, mesh)
         bwd = solve_backward(rng.standard_normal((tree.num_nodes(depth), N)),
                              coeffs, tree, mesh)

@@ -8,7 +8,7 @@ from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
                                       solve_forward)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree
+from sdcontrol.noise_tree import build_tree, random_levels
 
 
 def dense_step(mesh, dt, a1):
@@ -19,9 +19,8 @@ def dense_step(mesh, dt, a1):
 
 
 def random_controls(tree, mesh, region, rng):
-    u = AdaptedField(tree, mesh, [region.indicator * a for a in
-                                  AdaptedField.random(tree, mesh, rng, tree.depth).levels])
-    v = AdaptedField.random(tree, mesh, rng, tree.depth)
+    u = random_levels(mesh, rng, (), tree.depth)
+    v = random_levels(mesh, rng, (), tree.depth)
     return ControlPair(u=u, v=v, region=region)
 
 
@@ -31,7 +30,7 @@ class TestBackwardStep:
         tree = build_tree(3, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_backward(np.zeros((8, mesh.N)), coeffs, tree, mesh)
-        for arr in sol.z.levels + sol.Z.levels + sol.zeta.levels:
+        for arr in sol.z + sol.Z + sol.zeta:
             np.testing.assert_array_equal(arr, 0.0)
 
     def test_equal_constant_children(self):
@@ -127,16 +126,12 @@ class TestBackwardStep:
         # the solver reproduces the same pieces
         region = OmegaRegion(mesh, (0.5, 0.9))
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
-        controls = ControlPair(
-            u=AdaptedField(tree, mesh, [u0[np.newaxis, :]]),
-            v=AdaptedField(tree, mesh, [v0[np.newaxis, :]]),
-            region=region,
-        )
+        controls = ControlPair(u=[u0[np.newaxis, :]], v=[v0[np.newaxis, :]], region=region)
         fwd = solve_forward(y0, controls, coeffs, tree, mesh)
-        np.testing.assert_allclose(fwd.levels[-1], np.vstack([y_minus, y_plus]), rtol=1e-13)
+        np.testing.assert_allclose(fwd[-1], np.vstack([y_minus, y_plus]), rtol=1e-13)
         bwd = solve_backward(np.vstack([zm, zp]), coeffs, tree, mesh)
-        np.testing.assert_allclose(bwd.zeta.levels[0][0], zeta, rtol=1e-13)
-        np.testing.assert_allclose(bwd.Z.levels[0][0], coeff, rtol=1e-13)
+        np.testing.assert_allclose(bwd.zeta[0][0], zeta, rtol=1e-13)
+        np.testing.assert_allclose(bwd.Z[0][0], coeff, rtol=1e-13)
 
 
 class TestSolveBackward:
@@ -151,9 +146,9 @@ class TestSolveBackward:
         sa = solve_backward(a, coeffs, tree, mesh)
         sb = solve_backward(b, coeffs, tree, mesh)
         for k in range(tree.depth + 1):
-            combined = 2.0 * sa.z.levels[k] - 3.0 * sb.z.levels[k]
+            combined = 2.0 * sa.z[k] - 3.0 * sb.z[k]
             scale = max(1.0, np.abs(combined).max())
-            assert np.abs(sab.z.levels[k] - combined).max() <= 1e-12 * scale
+            assert np.abs(sab.z[k] - combined).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("adapted", [False, True])
     def test_sample_batch_equals_separate_solves(self, adapted):
@@ -167,7 +162,7 @@ class TestSolveBackward:
         for s in range(zT.shape[0]):
             single = solve_backward(zT[s], coeffs, tree, mesh)
             for name in ("z", "zeta", "Z"):
-                got, ref = getattr(batch, name).levels, getattr(single, name).levels
+                got, ref = getattr(batch, name), getattr(single, name)
                 assert len(got) == len(ref)
                 for k, (g, r) in enumerate(zip(got, ref)):
                     assert g.shape == (3,) + r.shape, (name, k)
@@ -193,7 +188,7 @@ class TestSolveBackward:
         zT = rng.standard_normal((3, tree.num_nodes(tree.depth), mesh.N))
         got, ref = solve_backward(zT, shared, tree, mesh), solve_backward(zT, per_node, tree, mesh)
         for name in ("z", "Z", "zeta"):
-            for k, (g, r) in enumerate(zip(getattr(got, name).levels, getattr(ref, name).levels)):
+            for k, (g, r) in enumerate(zip(getattr(got, name), getattr(ref, name))):
                 assert g.shape == r.shape, (name, k)
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max(), (name, k)
 
@@ -204,7 +199,7 @@ class TestSolveBackward:
         zT_single = np.sin(np.pi * mesh.interior)
         zT = np.tile(zT_single, (16, 1))
         sol = solve_backward(zT, coeffs, tree, mesh)
-        for arr in sol.Z.levels:
+        for arr in sol.Z:
             np.testing.assert_allclose(arr, 0.0, atol=1e-13)
         # matches the transposed deterministic scheme
         det = zT_single.copy()
@@ -226,8 +221,8 @@ class TestSolveBackward:
         rng = np.random.default_rng(2)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs, tree, mesh)
-        assert sol.z.levels[0].shape == (1, mesh.N)
-        np.testing.assert_array_equal(sol.z0, sol.z.levels[0][0])
+        assert sol.z[0].shape == (1, mesh.N)
+        np.testing.assert_array_equal(sol.z0, sol.z[0][0])
 
     def test_martingale_reconstruction_of_transposed_children(self):
         mesh = build_mesh(6)
@@ -240,9 +235,9 @@ class TestSolveBackward:
             a1 = coeffs.a1_levels[k]
             a1_child = np.repeat(a1, (2 << k) // a1.shape[0], axis=0)
             zhat = np.array([np.linalg.solve(dense_step(mesh, tree.dt, a).T, z)
-                             for a, z in zip(a1_child, sol.z.levels[k + 1])])
-            recon_plus = sol.zeta.levels[k] + sol.Z.levels[k] * root_dt
-            recon_minus = sol.zeta.levels[k] - sol.Z.levels[k] * root_dt
+                             for a, z in zip(a1_child, sol.z[k + 1])])
+            recon_plus = sol.zeta[k] + sol.Z[k] * root_dt
+            recon_minus = sol.zeta[k] - sol.Z[k] * root_dt
             np.testing.assert_allclose(zhat[1::2], recon_plus, rtol=0, atol=1e-13)
             np.testing.assert_allclose(zhat[0::2], recon_minus, rtol=0, atol=1e-13)
 

@@ -6,18 +6,17 @@ from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion, energy_growth_rate,
                                       forward_step, solve_forward)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree, tree_inner
+from sdcontrol.noise_tree import build_tree, random_levels, tree_inner
 
 
 def region_controls(tree, mesh, region, rng):
-    u = AdaptedField(tree, mesh, [region.indicator * a for a in
-                                  AdaptedField.random(tree, mesh, rng, tree.depth).levels])
-    v = AdaptedField.random(tree, mesh, rng, tree.depth)
+    u = random_levels(mesh, rng, (), tree.depth)
+    v = random_levels(mesh, rng, (), tree.depth)
     return ControlPair(u=u, v=v, region=region)
 
 
 def zero_field(tree, mesh):
-    return AdaptedField(tree, mesh, [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)])
+    return [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)]
 
 
 def first_mode(mesh):
@@ -131,9 +130,9 @@ class TestSolveForward:
         free = solve_forward(y0, None, coeffs, tree, mesh)
         forced = solve_forward(np.zeros(mesh.N), controls, coeffs, tree, mesh)
         for k in range(tree.depth + 1):
-            combined = free.levels[k] + forced.levels[k]
-            scale = max(1.0, np.abs(full.levels[k]).max())
-            assert np.abs(full.levels[k] - combined).max() <= 1e-12 * scale
+            combined = free[k] + forced[k]
+            scale = max(1.0, np.abs(full[k]).max())
+            assert np.abs(full[k] - combined).max() <= 1e-12 * scale
 
     def test_sine_mode_decay_single_step(self):
         mesh = build_mesh(9)
@@ -142,7 +141,7 @@ class TestSolveForward:
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
         factor = 1.0 / (1.0 + tree.dt * first_eigenvalue(mesh.h))
-        for leaf in sol.levels[-1]:
+        for leaf in sol[-1]:
             np.testing.assert_allclose(leaf, factor * y0, rtol=1e-12)
 
     def test_sine_mode_decay_multi_step(self):
@@ -152,7 +151,7 @@ class TestSolveForward:
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
         factor = (1.0 + tree.dt * first_eigenvalue(mesh.h)) ** (-tree.depth)
-        np.testing.assert_allclose(sol.levels[-1][0], factor * y0, rtol=1e-11)
+        np.testing.assert_allclose(sol[-1][0], factor * y0, rtol=1e-11)
 
     def test_noise_creates_leaf_variance(self):
         mesh = build_mesh(6)
@@ -160,7 +159,7 @@ class TestSolveForward:
         coeffs = Coefficients.constant(tree, mesh, 0.0, 2.0)
         y0 = first_mode(mesh)
         sol = solve_forward(y0, None, coeffs, tree, mesh)
-        leaves = sol.levels[-1]
+        leaves = sol[-1]
         assert leaves.var(axis=0).max() > 1e-4
 
     def test_mean_matches_deterministic_trajectory(self):
@@ -172,7 +171,7 @@ class TestSolveForward:
                                              lambda x, t: 0.5 * np.sin(np.pi * x),
                                              lambda x, t: np.zeros_like(x))
         region = OmegaRegion(mesh, (0.3, 0.7))
-        v = AdaptedField.random(tree, mesh, rng, tree.depth)
+        v = random_levels(mesh, rng, (), tree.depth)
         controls = ControlPair(u=zero_field(tree, mesh), v=v, region=region)
         sol = solve_forward(first_mode(mesh), controls, coeffs, tree, mesh)
 
@@ -181,7 +180,7 @@ class TestSolveForward:
             det = np.linalg.solve(dense_step(mesh, tree.dt, coeffs.a1_levels[k][0]), det)
             # each child pair cancels its increment, so only the drift
             # survives in the mean
-            leaf_mean = sol.levels[k + 1].mean(axis=0)
+            leaf_mean = sol[k + 1].mean(axis=0)
             scale = max(1.0, np.abs(det).max())
             assert np.abs(leaf_mean - det).max() <= 1e-12 * scale * (k + 1)
 
@@ -194,13 +193,13 @@ class TestSolveForward:
         controls = region_controls(tree, mesh, region, rng)
         base = solve_forward(first_mode(mesh), controls, coeffs, tree, mesh)
 
-        late_v = AdaptedField(tree, mesh, [a.copy() for a in controls.v.levels])
-        late_v.levels[3][:] += 5.0
+        late_v = [a.copy() for a in controls.v]
+        late_v[3][:] += 5.0
         perturbed = ControlPair(u=controls.u, v=late_v, region=region)
         late = solve_forward(first_mode(mesh), perturbed, coeffs, tree, mesh)
         for k in range(4):
-            np.testing.assert_array_equal(base.levels[k], late.levels[k])
-        assert np.abs(base.levels[4] - late.levels[4]).max() > 1e-8
+            np.testing.assert_array_equal(base[k], late[k])
+        assert np.abs(base[4] - late[4]).max() > 1e-8
 
     def test_dominance_violation_rejected_before_stepping(self):
         mesh = build_mesh(5)
@@ -243,30 +242,22 @@ class TestSolveForward:
         with pytest.raises(ConfigurationError, match=f"coefficient {name} at level 2 is not finite"):
             Coefficients(tree, mesh, levels["a1"], levels["a2"])
 
-    def test_control_support_validated(self):
-        mesh = build_mesh(6)
-        tree = build_tree(2, 1.0)
-        region = OmegaRegion(mesh, (0.3, 0.7))
-        u = zero_field(tree, mesh)
-        u.levels[0][0, 0] = 1.0  # x_1 lies outside (0.3, 0.7)
-        with pytest.raises(ConfigurationError):
-            ControlPair(u=u, v=zero_field(tree, mesh), region=region)
-
-
-    def test_windowed_pair_masks_the_drift_control(self):
+    def test_drift_control_acts_only_through_the_window(self):
+        # The drift term is chi*u, so values of u outside the window never
+        # reach a state.
         mesh = build_mesh(6)
         tree = build_tree(3, 1.0)
         region = OmegaRegion(mesh, (0.3, 0.7))
         rng = np.random.default_rng(12)
-        drift = AdaptedField.random(tree, mesh, rng, tree.depth)
-        v = AdaptedField.random(tree, mesh, rng, tree.depth)
-        pair = ControlPair.windowed(drift, v, region, sign=-1.0)
-        checked = ControlPair(
-            u=AdaptedField(tree, mesh, [-region.indicator * a for a in drift.levels]),
-            v=v, region=region)
-        for got, ref in zip(pair.u.levels, checked.u.levels):
+        coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.5, 0.5)
+        u = random_levels(mesh, rng, (), tree.depth)
+        v = random_levels(mesh, rng, (), tree.depth)
+        assert all(a[:, ~region.mask].any() for a in u)
+        raw = solve_forward(first_mode(mesh), ControlPair(u, v, region), coeffs, tree, mesh)
+        masked = ControlPair([region.indicator * a for a in u], v, region)
+        windowed = solve_forward(first_mode(mesh), masked, coeffs, tree, mesh)
+        for got, ref in zip(raw, windowed):
             np.testing.assert_array_equal(got, ref)
-        assert pair.v is v and pair.region is region
 
 
 class TestEnergyGrowth:
@@ -288,4 +279,4 @@ class TestEnergyGrowth:
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_forward(np.zeros(mesh.N), None, coeffs, tree, mesh)
         assert energy_growth_rate(sol, coeffs) == 0.0
-        assert tree_inner(tree, mesh, tree.depth, sol.levels[-1], sol.levels[-1]) == 0.0
+        assert tree_inner(tree, mesh, tree.depth, sol[-1], sol[-1]) == 0.0

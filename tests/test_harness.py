@@ -11,7 +11,7 @@ import pytest
 import sdcontrol
 from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import Coefficients
-from sdcontrol.harness import (CSV_HEADER, ExperimentConfig, build_coefficients,
+from sdcontrol.harness import (COEFFICIENT_KEYS, CSV_HEADER, ExperimentConfig, build_coefficients,
                                build_y0, cli, emit_csv, load_config,
                                resolve_epsilon, run_identity_checks,
                                sweep_settings_from_config)
@@ -71,6 +71,21 @@ class TestConfig:
         keys = ["a1.magnitud", "a2.freq", "a2.shift"]
         assert cfg.validate() == [f"coefficients.{key} is not a coefficient key "
                                   "(kind, magnitude, frequency, phase)" for key in keys]
+
+    def test_validate_names_each_key_the_kind_does_not_read(self):
+        # An unread key would be accepted and change nothing.
+        cfg = ExperimentConfig.from_dict(
+            {"coefficients": {"a1": {"kind": "constant", "magnitude": 0.5, "frequency": 3.0,
+                                     "phase": 1.0},
+                              "a2": {"kind": "zero", "magnitude": 9.0}}})
+        assert cfg.validate() == [
+            "coefficients.a1.frequency is not read by kind 'constant' (it reads kind, magnitude)",
+            "coefficients.a1.phase is not read by kind 'constant' (it reads kind, magnitude)",
+            "coefficients.a2.magnitude is not read by kind 'zero' (it reads kind)",
+        ]
+        for kind, keys in COEFFICIENT_KEYS.items():
+            spec = {"kind": kind, **{key: 0.5 for key in keys}}
+            assert ExperimentConfig.from_dict({"coefficients": {"a1": spec}}).validate() == []
 
     def test_validate_applies_weight_rules(self):
         cfg = ExperimentConfig.from_dict({"weights": {"x0": 0.35, "delta0": 0.6}})
@@ -261,6 +276,14 @@ class TestCli:
         ("output", ["a"], "output"),
         ("output", 1, "output"),
         ("output", "", "output"),
+        ("coefficients", {"a1": {"kind": "constant", "magnitude": 0.5, "frequency": 3.0}},
+         "coefficients.a1.frequency"),
+        ("coefficients", {"a1": {"kind": "constant", "magnitude": 0.5, "phase": 1.0}},
+         "coefficients.a1.phase"),
+        ("coefficients", {"a2": {"kind": "zero", "magnitude": 9.0}},
+         "coefficients.a2.magnitude"),
+        ("coefficients", {"a1": {"kind": "adapted_random", "magnitude": 0.5, "phase": 0.2}},
+         "coefficients.a1.phase"),
     ])
     def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, section, value, name):
         path = self._write_config(tmp_path, **{section: value})

@@ -71,9 +71,9 @@ class TestGramian:
         acc = 0.0
         for k in range(3):
             n = problem.tree.num_nodes(k)
-            acc += problem.tree.dt * problem.mesh.h * (bwd.Z.levels[k] ** 2).sum() / n
+            acc += problem.tree.dt * problem.mesh.h * (bwd.Z[k] ** 2).sum() / n
             acc += problem.tree.dt * problem.mesh.h * (
-                problem.region.indicator * bwd.zeta.levels[k] ** 2).sum() / n
+                problem.region.indicator * bwd.zeta[k] ** 2).sum() / n
         assert lam_zz == pytest.approx(acc, rel=1e-10)
 
 
@@ -263,7 +263,7 @@ class TestSolveHum:
         sol = solve_hum(problem)
         np.testing.assert_array_equal(sol.zT_star, 0.0)
         np.testing.assert_array_equal(sol.terminal, 0.0)
-        for arr in sol.controls.u.levels + sol.controls.v.levels:
+        for arr in sol.controls.u + sol.controls.v:
             np.testing.assert_array_equal(arr, 0.0)
         report = report_bounds(sol, problem)
         assert (report.cost_ratio, report.terminal_ratio,

@@ -9,7 +9,7 @@ from sdcontrol.inequalities import (SourcePair, SweepSettings, _batches, carlema
                                     carleman_terms, h_sweep, mesh_size_from_h,
                                     observability_sample, solve_w_equation)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import AdaptedField, build_tree, time_pairing, tree_inner
+from sdcontrol.noise_tree import build_tree, time_pairing, tree_inner
 from sdcontrol.weights import WeightParams, build_weights
 
 # The seven integrals of the weighted estimate, as CarlemanTerms fields.
@@ -19,7 +19,7 @@ TERM_NAMES = ("lhs_state", "lhs_gradient", "rhs_window", "rhs_diffusion", "rhs_d
 
 def zero_sources(tree, mesh):
     levels = [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)]
-    return SourcePair(f=AdaptedField(tree, mesh, levels), g=AdaptedField(tree, mesh, levels))
+    return SourcePair(f=levels, g=levels)
 
 
 def mild_weights(**overrides):
@@ -40,7 +40,7 @@ class TestSourceSolve:
         tree = build_tree(4, 1.0)
         sources = zero_sources(tree, mesh)
         w = solve_w_equation(sources, tree, mesh)
-        for arr in w.levels:
+        for arr in w:
             np.testing.assert_array_equal(arr, 0.0)
 
     @pytest.mark.parametrize("N, depth", [(2, 9), (3, 16)])
@@ -69,17 +69,16 @@ class TestSourceSolve:
         rng = np.random.default_rng(0)
         f0 = rng.standard_normal((1, mesh.N))
         g0 = rng.standard_normal((1, mesh.N))
-        sources = SourcePair(f=AdaptedField(tree, mesh, [f0]),
-                             g=AdaptedField(tree, mesh, [g0]))
+        sources = SourcePair(f=[f0], g=[g0])
         w = solve_w_equation(sources, tree, mesh)
         lap = (np.diag(np.full(mesh.N - 1, 1.0), -1) - 2 * np.eye(mesh.N)
                + np.diag(np.full(mesh.N - 1, 1.0), 1)) / mesh.h**2
         mat = np.eye(mesh.N) + tree.dt * lap
         root = np.sqrt(tree.dt)
         np.testing.assert_allclose(
-            w.levels[1][0], np.linalg.solve(mat, (tree.dt * f0 - root * g0)[0]), rtol=1e-12)
+            w[1][0], np.linalg.solve(mat, (tree.dt * f0 - root * g0)[0]), rtol=1e-12)
         np.testing.assert_allclose(
-            w.levels[1][1], np.linalg.solve(mat, (tree.dt * f0 + root * g0)[0]), rtol=1e-12)
+            w[1][1], np.linalg.solve(mat, (tree.dt * f0 + root * g0)[0]), rtol=1e-12)
 
 
 class TestCarlemanTerms:
@@ -118,10 +117,8 @@ class TestCarlemanTerms:
         w = solve_w_equation(sources, tree, mesh)
         terms = carleman_terms(w, sources, weights, tree, mesh, region)
 
-        doubled_sources = SourcePair(
-            f=AdaptedField(tree, mesh, [2 * a for a in sources.f.levels]),
-            g=AdaptedField(tree, mesh, [2 * a for a in sources.g.levels]))
-        w2 = AdaptedField(tree, mesh, [2 * a for a in w.levels])
+        doubled_sources = SourcePair(f=[2 * a for a in sources.f], g=[2 * a for a in sources.g])
+        w2 = [2 * a for a in w]
         terms2 = carleman_terms(w2, doubled_sources, weights, tree, mesh, region)
         for name in TERM_NAMES:
             assert getattr(terms2, name) == pytest.approx(4 * getattr(terms, name), rel=1e-12)
@@ -152,9 +149,8 @@ class TestCarlemanTerms:
         w_vec = np.array([1.0, -0.5])
         lap = (np.array([[-2.0, 1.0], [1.0, -2.0]]) / mesh.h**2)
         f_vec = lap @ w_vec
-        sources = SourcePair(f=AdaptedField(tree, mesh, [f_vec[np.newaxis, :]]),
-                             g=AdaptedField(tree, mesh, [np.zeros((1, mesh.N))]))
-        w = AdaptedField(tree, mesh, [w_vec[np.newaxis, :], np.vstack([w_vec, w_vec])])
+        sources = SourcePair(f=[f_vec[np.newaxis, :]], g=[np.zeros((1, mesh.N))])
+        w = [w_vec[np.newaxis, :], np.vstack([w_vec, w_vec])]
 
         terms = carleman_terms(w, sources, weights, tree, mesh, region)
         shift = np.exp(-2.0 * terms.log_shift)
@@ -219,9 +215,8 @@ class TestCarlemanTerms:
         weights = mild_weights()
         rng = np.random.default_rng(8)
         singles = [SourcePair.random(tree, mesh, rng) for _ in range(3)]
-        batch = SourcePair(
-            f=AdaptedField(tree, mesh, [np.stack(lv) for lv in zip(*(p.f.levels for p in singles))]),
-            g=AdaptedField(tree, mesh, [np.stack(lv) for lv in zip(*(p.g.levels for p in singles))]))
+        batch = SourcePair(f=[np.stack(lv) for lv in zip(*(p.f for p in singles))],
+                           g=[np.stack(lv) for lv in zip(*(p.g for p in singles))])
         terms = carleman_terms(solve_w_equation(batch, tree, mesh), batch, weights, tree, mesh,
                                region)
         for i, sources in enumerate(singles):
@@ -420,6 +415,20 @@ class TestSweep:
         line = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert "inf" not in line and "nan" not in line
         assert line[9] == "" and line[12] == "true"
+
+    def test_skipped_row_writes_the_iterations_cg_ran(self, tmp_path):
+        # A stalled CG row keeps its iteration count; a row skipped before
+        # CG has none, written empty like its other blank values.
+        settings = self._settings([0.25, 1 / 16])
+        settings.cg_maxiter = 1
+        early, stalled = h_sweep(settings)
+        assert early.skipped and early.cg_iters is None
+        assert stalled.skipped and "stalled" in stalled.reason
+        assert stalled.cg_iters == 1
+        path = tmp_path / "rows.csv"
+        emit_csv([early, stalled], str(path))
+        lines = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [line[10] for line in lines] == ["", "1"]
 
     def test_nan_coefficient_row_is_skipped_naming_it(self):
         def coeff_factory(tree, mesh, rng):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sdcontrol.errors import ResourceLimitError
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import (AdaptedField, build_tree, martingale_coeff, random_levels,
-                                  time_pairing, tree_inner)
+from sdcontrol.noise_tree import (build_tree, martingale_coeff, random_levels, time_pairing,
+                                  tree_inner)
 
 
 class TestTreeConstruction:
@@ -80,11 +80,7 @@ class TestMartingaleCoeff:
 
 
 class TestAdaptedField:
-    def test_shape_validation(self):
-        mesh = build_mesh(3)
-        tree = build_tree(2, 1.0)
-        with pytest.raises(ValueError):
-            AdaptedField(tree, mesh, [np.zeros((2, mesh.N))])
+    """A tree field is a list of level arrays, drawn by ``random_levels``."""
 
     def test_random_smooth_modes_reproducible(self):
         mesh = build_mesh(6)
@@ -104,9 +100,9 @@ class TestAdaptedField:
         for k, arr in enumerate(levels):
             np.testing.assert_allclose(arr, rng.standard_normal((1 << k, 3)) @ basis,
                                        rtol=1e-14, atol=1e-14)
-        plain = AdaptedField.random(tree, mesh, np.random.default_rng(9))
+        plain = random_levels(mesh, np.random.default_rng(9), (), tree.depth + 1)
         rng = np.random.default_rng(9)
-        for k, arr in enumerate(plain.levels):
+        for k, arr in enumerate(plain):
             np.testing.assert_array_equal(arr, rng.standard_normal((1 << k, mesh.N)))
 
     def test_tree_inner_weighting(self):
@@ -123,12 +119,12 @@ class TestQuadrature:
         self.mesh = build_mesh(3)
         self.tree = build_tree(2, 0.5)
         rng = np.random.default_rng(4)
-        self.a = AdaptedField.random(self.tree, self.mesh, rng)
-        self.b = AdaptedField.random(self.tree, self.mesh, rng)
+        self.a = random_levels(self.mesh, rng, (), self.tree.depth + 1)
+        self.b = random_levels(self.mesh, rng, (), self.tree.depth + 1)
         self.w = rng.uniform(0.5, 2.0, size=(2, self.mesh.N))
 
     def test_tree_inner_with_weight(self):
-        a, b, w = self.a.levels[2], self.b.levels[2], self.w[0]
+        a, b, w = self.a[2], self.b[2], self.w[0]
         by_hand = self.mesh.h * sum(w[i] * a[n, i] * b[n, i]
                                     for n in range(4) for i in range(3)) / 4
         got = tree_inner(self.tree, self.mesh, 2, a, b, w)
@@ -136,7 +132,7 @@ class TestQuadrature:
 
     def test_time_pairing_single_mask(self):
         mask = np.array([0.0, 1.0, 1.0])
-        a, b, h, dt = self.a.levels, self.b.levels, self.mesh.h, self.tree.dt
+        a, b, h, dt = self.a, self.b, self.mesh.h, self.tree.dt
         by_hand = (dt * h * (a[0][0, 1] * b[0][0, 1] + a[0][0, 2] * b[0][0, 2])
                    + dt * h * sum(a[1][n, i] * b[1][n, i]
                                   for n in range(2) for i in (1, 2)) / 2)
@@ -144,10 +140,10 @@ class TestQuadrature:
         assert got == pytest.approx(by_hand, rel=1e-14)
 
     def test_time_pairing_per_level_weight_on_level_lists(self):
-        a, b, w, h, dt = self.a.levels, self.b.levels, self.w, self.mesh.h, self.tree.dt
+        a, b, w, h, dt = self.a, self.b, self.w, self.mesh.h, self.tree.dt
         by_hand = sum(dt * h * w[k, i] * a[k][n, i] * b[k][n, i] / 2**k
                       for k in range(2) for n in range(2**k) for i in range(3))
-        got = time_pairing(self.tree, self.mesh, list(a), list(b), w)
+        got = time_pairing(self.tree, self.mesh, a, b, w)
         assert got == pytest.approx(by_hand, rel=1e-14)
         # the leaf level lies beyond the left-endpoint sum
         assert time_pairing(self.tree, self.mesh, a[:2], b[:2], w) == got
@@ -156,9 +152,9 @@ class TestQuadrature:
         # Fewer levels than the depth would leave out late terms of the sum.
         tree = build_tree(6, 1.0)
         rng = np.random.default_rng(6)
-        field = AdaptedField.random(tree, self.mesh, rng)
+        field = random_levels(self.mesh, rng, (), tree.depth + 1)
         assert time_pairing(tree, self.mesh, field, field) > 0.0
-        for a, b in ((field.levels[:2], field), (field, field.levels[:5])):
+        for a, b in ((field[:2], field), (field, field[:5])):
             with pytest.raises(ValueError, match="needs 6 levels"):
                 time_pairing(tree, self.mesh, a, b)
 
