@@ -130,14 +130,20 @@ class Coefficients:
     def step_operators(self) -> list[StepOperator]:
         """Factored implicit step matrix of every level, built on first use.
 
-        Checks diagonal dominance before factoring; every later sweep with
-        these coefficients reuses the operators, which live as long as this
-        object.
+        Checks diagonal dominance before factoring.  A level whose a1 equals
+        the previous level's shares that level's operator (the same
+        object), so a run of equal levels is factored once; every later
+        sweep with these coefficients reuses the operators, which live as
+        long as this object.
         """
         if self._steps is None:
             self.validate_dominance()
-            self._steps = [StepOperator.drift_implicit(self.mesh, self.tree.dt, a1)
-                           for a1 in self.a1_levels]
+            self._steps = []
+            for k, a1 in enumerate(self.a1_levels):
+                if k and np.array_equal(a1, self.a1_levels[k - 1]):
+                    self._steps.append(self._steps[-1])
+                else:
+                    self._steps.append(StepOperator.drift_implicit(self.mesh, self.tree.dt, a1))
         return self._steps
 
     def check_grid(self, tree: ScenarioTree, mesh: Mesh) -> None:

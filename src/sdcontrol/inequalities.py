@@ -16,11 +16,12 @@ from typing import Callable
 import numpy as np
 
 from . import hum as hum_mod
-from .backward_solver import solve_backward
+from .backward_solver import backward_step
 from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion, forward_step
 from .mesh import Mesh, build_mesh
-from .noise_tree import ScenarioTree, build_tree, random_levels, time_pairing, tree_inner
+from .noise_tree import (ScenarioTree, build_tree, level_pairing, random_levels, time_pairing,
+                         tree_inner)
 from .discrete_calc import StepOperator
 from .weights import CarlemanWeights, WeightParams, build_weights, validate_regime
 
@@ -120,8 +121,7 @@ class CarlemanTerms:
 
 def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
     """Staggered differences with Dirichlet padding, per node (star points)."""
-    padded = np.pad(level_values, [(0, 0)] * (level_values.ndim - 1) + [(1, 1)])
-    return np.diff(padded, axis=-1) / h
+    return np.diff(level_values, axis=-1, prepend=0.0, append=0.0) / h
 
 
 def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWeights,
@@ -224,6 +224,11 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     family defaults to seeded leafwise Gaussian data; all-zero samples are
     excluded (they satisfy the inequality for every constant).  Samples
     are swept in batches; the draws are the same as one sample at a time.
+
+    Each batch steps ``backward_step`` from the leaves down and adds every
+    level's diffusion and windowed terms (``level_pairing``) to the
+    per-sample sums as it is produced, so only one level of the backward
+    solution is held at a time.
     """
     if train < 1 or holdout < 0:
         raise ValueError(f"need train >= 1 and holdout >= 0, got {train} and {holdout}")
@@ -238,11 +243,12 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     if terminal_h_scaling:
         eps_factor /= mesh.h**2
 
+    coeffs.check_grid(tree, mesh)
+    steps = coeffs.step_operators()
     lhs = np.empty(total)
     rhs_diffusion = np.empty(total)
     rhs_window = np.empty(total)
     rhs_terminal = np.empty(total)
-    mask = region.indicator
     leaves = (tree.num_nodes(tree.depth), mesh.N)
     for start, stop in _batches(total, tree, mesh):
         if terminal_data is None:
@@ -250,11 +256,14 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
         else:
             zT = np.stack([np.asarray(data, dtype=float).reshape(leaves)
                            for data in terminal_data[start:stop]])
-        sol = solve_backward(zT, coeffs, tree, mesh)
-        z0 = sol.z[0]
-        lhs[start:stop] = tree_inner(tree, mesh, 0, z0, z0)
-        rhs_diffusion[start:stop] = time_pairing(tree, mesh, sol.Z, sol.Z)
-        rhs_window[start:stop] = time_pairing(tree, mesh, sol.z, sol.z, mask)
+        z, diffusion, window = zT, 0.0, 0.0
+        for k in range(tree.depth - 1, -1, -1):
+            z, Z, _ = backward_step(steps[k], tree.dt, z, coeffs.a2_levels[k])
+            diffusion += level_pairing(tree, mesh, k, Z, Z)
+            window += level_pairing(tree, mesh, k, z, z, region.indicator)
+        lhs[start:stop] = tree_inner(tree, mesh, 0, z, z)
+        rhs_diffusion[start:stop] = diffusion
+        rhs_window[start:stop] = window
         rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
 
     rhs = rhs_diffusion + rhs_window + rhs_terminal
@@ -313,7 +322,7 @@ class SweepRow:
     delta: float = np.nan
     lam: float = np.nan
     mu: float = np.nan
-    N: int = 0
+    N: int | None = None
     depth: int = 0
     eps: float = np.nan
     obs_C: float = np.nan

@@ -116,9 +116,22 @@ def random_levels(mesh: Mesh, rng: np.random.Generator, shape: tuple[int, ...],
     return [values[..., (1 << k) - 1:(2 << k) - 1, :] for k in range(num_levels)]
 
 
-def _node_sum(prod: np.ndarray):
-    """Sum over the node and space axes (the last two); keeps leading axes."""
-    return prod.sum() if prod.ndim <= 2 else prod.sum(axis=(-2, -1))
+def _level_sum(a: np.ndarray, b: np.ndarray, weight=None):
+    """Sum of weight*a*b over the last two axes (node, point), keeping
+    leading sample axes, with no product temporary: a scalar or pointwise
+    (M,) weight is a third einsum operand.
+
+    Unweighted einsum adds each sample of a batch in one pass but a lone
+    sample in blocks of 8192 values; a lone sample is therefore reduced as
+    a batch of two stride-0 copies, so its sum is the same in any batch.
+    """
+    if weight is not None:
+        return np.einsum("...ij,...ij,j->...", a, b, np.atleast_1d(weight))
+    if a.size == a.shape[-2] * a.shape[-1] and b.size == b.shape[-2] * b.shape[-1]:
+        lone = (1,) * (max(a.ndim, b.ndim) - 2)
+        a, b = (np.broadcast_to(x, (2,) + x.shape[-2:]) for x in (a, b))
+        return np.einsum("...ij,...ij->...", a, b)[0].reshape(lone)
+    return np.einsum("...ij,...ij->...", a, b)
 
 
 def _scalar_or_array(total):
@@ -127,41 +140,46 @@ def _scalar_or_array(total):
 
 
 def tree_inner(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.ndarray,
-               weight=1.0):
+               weight=None):
     """Probability-weighted mesh inner product E[h * sum(weight*a*b)] of two
-    level-k node arrays; ``weight`` is a scalar or a pointwise array.
+    level-k node arrays; ``weight`` is None, a scalar or a pointwise array.
 
     ``a`` and ``b`` have shape (2^k, N) (a level-0 vector may be (N,)); with
     leading sample axes, (..., 2^k, N), the result is an array over them.
     """
     count = tree.num_nodes(level)
-    prod = weight * np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
-    shaped = prod.shape[-2:] == (count, mesh.N) if prod.ndim >= 2 else prod.size == count * mesh.N
-    if not shaped:
-        raise ValueError(f"level {level} values must have shape ({count}, {mesh.N}), "
-                         f"got {prod.shape}")
-    return _scalar_or_array(mesh.h * _node_sum(prod) / count)
+    a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    for x in (a, b):
+        if x.shape[-2:] != (count, mesh.N):
+            raise ValueError(f"level {level} values must have shape ({count}, {mesh.N}), "
+                             f"got {x.shape}")
+    return _scalar_or_array((mesh.h / count) * _level_sum(a, b, weight))
+
+
+def level_pairing(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.ndarray,
+                  weight=None):
+    """Level k's term dt * 2^-k * h * sum(weight*a*b) of ``time_pairing``,
+    over the sample axes of node arrays (..., 2^k, M); unchecked, so that a
+    sweep can pair each level as it produces it."""
+    return (tree.dt * mesh.h / (1 << level)) * _level_sum(a, b, weight)
 
 
 def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None):
     """Left-endpoint tree-time quadrature sum_k dt * E[h * sum(weight_k*a_k*b_k)]
-    over levels 0..depth-1.
+    over levels 0..depth-1, one ``level_pairing`` per level.
 
     ``a`` and ``b`` are tree fields, lists of level arrays (2^k, M), where
     M need not be N (staggered values work too); leading sample axes,
     (..., 2^k, M), give an array over them instead of a float.  ``weight``
-    is None, one pointwise array used at every level, or a (depth, M) array
-    with one row per level.  Each operand needs at least ``depth`` levels;
-    a leaf level beyond them is not summed.
+    is None, a scalar or pointwise array used at every level, or a
+    (depth, M) array with one row per level.  Each operand needs at least
+    ``depth`` levels; a leaf level beyond them is not summed.
     """
     if min(len(a), len(b)) < tree.depth:
         raise ValueError(f"time_pairing needs {tree.depth} levels of each operand, "
                          f"got {len(a)} and {len(b)}")
-    per_level = weight is not None and np.ndim(weight) == 2
+    per_level = np.ndim(weight) == 2
     total = 0.0
     for k in range(tree.depth):
-        prod = a[k] * b[k]
-        if weight is not None:
-            prod = (weight[k] if per_level else weight) * prod
-        total += _node_sum(prod) / (1 << k)
-    return _scalar_or_array(tree.dt * mesh.h * total)
+        total += level_pairing(tree, mesh, k, a[k], b[k], weight[k] if per_level else weight)
+    return _scalar_or_array(total)

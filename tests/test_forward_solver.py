@@ -223,6 +223,27 @@ class TestSolveForward:
         a1[0][:] = -3.0
         np.testing.assert_array_equal(coeffs.a1_levels[0], 0.5)
 
+    def test_equal_consecutive_levels_share_one_operator(self):
+        mesh = build_mesh(5)
+        tree = build_tree(5, 1.0)
+        shared = Coefficients.constant(tree, mesh, 0.5, 0.5).step_operators()
+        assert all(op is shared[0] for op in shared)
+        # a1 changes at every level: one operator each
+        sinusoidal = Coefficients.from_functions(tree, mesh, lambda x, t: np.sin(3 * t) + x,
+                                                 lambda x, t: 0 * x).step_operators()
+        assert len({id(op) for op in sinusoidal}) == tree.depth
+        adapted = Coefficients.adapted_random(tree, mesh, np.random.default_rng(4),
+                                              0.5, 0.5).step_operators()
+        assert len({id(op) for op in adapted}) == tree.depth
+        # runs of equal levels: an operator is shared within a run only
+        a1 = [np.full((1, mesh.N), c) for c in (0.5, 0.5, 0.25, 0.25, 0.5)]
+        runs = Coefficients(tree, mesh, a1, a1).step_operators()
+        assert runs[0] is runs[1] and runs[2] is runs[3]
+        assert len({id(op) for op in runs}) == 3
+        for op, level in zip(runs, a1):
+            ref = StepOperator.drift_implicit(mesh, tree.dt, level)
+            np.testing.assert_array_equal(op.solve(np.eye(mesh.N)), ref.solve(np.eye(mesh.N)))
+
     @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
     def test_coefficients_of_another_grid_rejected(self, tree_args, N):
         # Built for dt = 1/4 on N = 6; the sweep runs with dt = 1/2 or on N = 5.

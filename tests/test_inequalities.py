@@ -396,6 +396,16 @@ class TestSweep:
         rows = h_sweep(self._settings([0.11]))
         assert rows[0].skipped
 
+    def test_row_skipped_before_its_mesh_writes_no_point_count(self, tmp_path):
+        # h = 0.11 has no N; h = 0.25 has N = 3 but lies outside the schedule
+        rows = h_sweep(self._settings([0.11, 0.25]))
+        assert all(row.skipped for row in rows)
+        assert rows[0].N is None and rows[1].N == 3
+        path = tmp_path / "rows.csv"
+        emit_csv(rows, str(path))
+        lines = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [line[4] for line in lines] == ["", "3"]
+
     def test_non_finite_row_is_skipped_and_blank(self, tmp_path):
         # A huge noise coefficient at the first level makes the control cost
         # overflow while every solve stays finite.

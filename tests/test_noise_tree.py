@@ -174,3 +174,68 @@ class TestQuadrature:
                     self.tree, self.mesh, 2, a[2][i, j], b[2][i, j], self.w[1]), rel=1e-14)
         with pytest.raises(ValueError):
             tree_inner(self.tree, self.mesh, 2, a[1], b[1])
+
+
+def _naive_level(a, b, w):
+    return (w * a * b).sum(axis=(-2, -1))
+
+
+class TestLevelKernel:
+    """``tree_inner`` and ``time_pairing`` against the sums they stand for."""
+
+    @given(depth=st.integers(1, 4), N=st.integers(2, 6), staggered=st.booleans(),
+           lead=st.sampled_from([(), (3,), (2, 3)]),
+           weight_kind=st.sampled_from(["none", "scalar", "pointwise", "per_level"]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_naive_sums(self, depth, N, staggered, lead, weight_kind, seed):
+        mesh, tree = build_mesh(N), build_tree(depth, 0.7)
+        M = N + 1 if staggered else N
+        rng = np.random.default_rng(seed)
+        a = [rng.standard_normal(lead + (1 << k, M)) for k in range(depth + 1)]
+        b = [rng.standard_normal(lead + (1 << k, M)) for k in range(depth + 1)]
+        weight = {"none": None, "scalar": 1.5, "pointwise": rng.uniform(0.5, 2.0, M),
+                  "per_level": rng.uniform(0.5, 2.0, (depth, M))}[weight_kind]
+        rows = [1.0 if weight is None else (weight[k] if weight_kind == "per_level" else weight)
+                for k in range(depth)]
+        naive = sum(tree.dt * mesh.h * 2.0**-k * _naive_level(a[k], b[k], rows[k])
+                    for k in range(depth))
+        got = time_pairing(tree, mesh, a, b, weight)
+        assert np.shape(got) == lead
+        np.testing.assert_allclose(got, naive, rtol=1e-13)
+        if staggered or weight_kind == "per_level":
+            return
+        for k in range(depth + 1):
+            inner = tree_inner(tree, mesh, k, a[k], b[k], weight)
+            w = 1.0 if weight is None else weight
+            np.testing.assert_allclose(inner, mesh.h * 2.0**-k * _naive_level(a[k], b[k], w),
+                                       rtol=1e-13)
+        if lead == ():
+            # a level-0 vector stands for its one node row
+            flat = tree_inner(tree, mesh, 0, a[0][0], b[0][0], weight)
+            assert flat == tree_inner(tree, mesh, 0, a[0], b[0], weight)
+
+    def test_shape_errors(self):
+        mesh, tree = build_mesh(4), build_tree(3, 1.0)
+        with pytest.raises(ValueError, match=r"level 2 values must have shape \(4, 4\)"):
+            tree_inner(tree, mesh, 2, np.ones((2, 4)), np.ones((2, 4)))
+        with pytest.raises(ValueError, match=r"level 0 values must have shape \(1, 4\)"):
+            tree_inner(tree, mesh, 0, np.ones(5), np.ones(5))
+        with pytest.raises(ValueError, match="needs 3 levels"):
+            time_pairing(tree, mesh, [np.ones((1, 4))] * 2, [np.ones((1, 4))] * 3)
+
+    @pytest.mark.parametrize("nodes", [4, 2048])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_sample_sums_the_same_in_any_batch(self, nodes, weighted):
+        # 2048 x 8 values exceed the block in which einsum reduces a lone sample
+        mesh, tree = build_mesh(8), build_tree(11, 1.0)
+        level = nodes.bit_length() - 1
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((5, nodes, mesh.N))
+        w = rng.uniform(0.5, 2.0, mesh.N) if weighted else None
+        batch = tree_inner(tree, mesh, level, x, x, w)
+        for s in range(5):
+            assert tree_inner(tree, mesh, level, x[s], x[s], w) == batch[s]
+            for stop in (s + 1, s + 2):
+                np.testing.assert_array_equal(tree_inner(tree, mesh, level, x[s:stop], x[s:stop], w),
+                                              batch[s:stop])
