@@ -192,8 +192,9 @@ class TestLevelKernel:
         mesh, tree = build_mesh(N), build_tree(depth, 0.7)
         M = N + 1 if staggered else N
         rng = np.random.default_rng(seed)
-        a = [rng.standard_normal(lead + (1 << k, M)) for k in range(depth + 1)]
-        b = [rng.standard_normal(lead + (1 << k, M)) for k in range(depth + 1)]
+        # positive operands: no cancellation, so rtol bounds the reordering alone
+        a = [rng.uniform(0.5, 2.0, lead + (1 << k, M)) for k in range(depth + 1)]
+        b = [rng.uniform(0.5, 2.0, lead + (1 << k, M)) for k in range(depth + 1)]
         weight = {"none": None, "scalar": 1.5, "pointwise": rng.uniform(0.5, 2.0, M),
                   "per_level": rng.uniform(0.5, 2.0, (depth, M))}[weight_kind]
         rows = [1.0 if weight is None else (weight[k] if weight_kind == "per_level" else weight)
