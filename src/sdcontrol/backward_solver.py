@@ -77,6 +77,12 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     matrix) splits the children with one matmul pair on rows
     [child 2n | child 2n+1], the transpose of the edge map of
     ``forward_step``; any other operator solves, then splits.
+    BLAS takes a single row through its vector path, whose roundoff
+    differs from the same row inside a batch, so the lone pair row of a
+    sample batch (level 0 of a batch of one) is multiplied as a stride-0
+    batch of two: a sample's adjoint is then the same in any batch.  An
+    unbatched level keeps the vector path, which cancels equal children
+    exactly at N = 4.
     ``forward_step`` is not fused: its (2N x 2N) map
     doubles the matmul flops, and at N = 63, depth 10 it has measured both
     slower (3.3-4.3 against 2.7 ms per sweep) and faster (2.1-2.5 against
@@ -89,7 +95,10 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
             raise ValueError(f"children must be rows (..., 2B, {step.n}), got shape {z_children.shape}")
         parents = z_children.shape[:-2] + (z_children.shape[-2] // 2, step.n)
         pairs = z_children.reshape(-1, 2 * step.n)
-        coeff, zeta = (pairs @ diff).reshape(parents), (pairs @ mean).reshape(parents)
+        rows = len(pairs)
+        if rows == 1 and z_children.ndim > 2:
+            pairs = np.broadcast_to(pairs, (2, 2 * step.n))
+        coeff, zeta = (pairs @ diff)[:rows].reshape(parents), (pairs @ mean)[:rows].reshape(parents)
     else:
         zeta, coeff = martingale_coeff(step.solve(z_children), dt)
     z = np.multiply(dt * a2, coeff)

@@ -17,16 +17,19 @@ recursion of N x N matrices per level (the tree form of the stochastic
 LQ Riccati equation with control-dependent noise; Ait Rami & Zhou, IEEE
 TAC 45, 2000): ``riccati_levels``, whose P_0 also gives the optimum J* =
 -(h/2) y0^T P_0 y0 (the mean path's on adapted coefficients; no solve
-reads P_0, which a huge level-0 a2 can overflow).  It inverts (Lambda +
-eps*I) exactly when the coefficients are shared by the nodes of each
-level and inverts the mean-path problem on adapted levels.  Its error
-grows like u/eps^2 in float64 (u = 1.1e-16): max|W (Lambda + eps*I) - I|
-for the computed map W is about 5e-15 at eps = 1e-2, 3e-10 at 1e-6 and
-2e-2 at 1e-10 (N = 7, depth 8).  Below about eps = 1e-10 it is no longer
-a near-inverse: the default sweep's h = 1/28 row (eps = 6.9e-13) takes
-tens of PCG iterations, a count set by roundoff, and at h = 1/32 (eps =
-1.3e-14) it is no longer positive definite, which the breakdown guard of
-``conjugate_gradient`` reports as a ConvergenceError.
+reads P_0, which a huge level-0 a2 can overflow).  The recursion also
+folds each level's part of the solve into two fixed matrices, so one
+application is three matmuls per level.  It inverts (Lambda + eps*I)
+exactly when the coefficients are shared by the nodes of each level and
+inverts the mean-path problem on adapted levels.  Its error grows like
+u/eps^2 in float64 (u = 1.1e-16): max|W (Lambda + eps*I) - I| for the
+computed map W is about 1.6e-15 at eps = 1e-2, 1.4e-10 at 1e-6, 3e-4 at
+1e-10 and 0.9 at 1e-12 (N = 7, depth 8, a1 = a2 = 0.5).  Below about
+eps = 1e-10 it is no longer a near-inverse: the default sweep's h = 1/28
+row (eps = 6.9e-13) takes 12 PCG iterations, a count set by roundoff,
+and at h = 1/32 (eps = 1.3e-14) it is no longer positive definite, which
+the breakdown guard of ``conjugate_gradient`` reports as a
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward_solver import BackwardSolution, backward_step, solve_backward
+from .backward_solver import BackwardSolution, solve_backward
+from .discrete_calc import StepOperator
 from .errors import ConfigurationError, ConvergenceError
-from .forward_solver import Coefficients, ControlPair, OmegaRegion, forward_step, solve_forward
+from .forward_solver import Coefficients, ControlPair, OmegaRegion, solve_forward
 from .mesh import Mesh
 from .noise_tree import ScenarioTree, time_pairing, tree_inner
 
@@ -186,30 +190,68 @@ def riccati_levels(coeffs: Coefficients, region: OmegaRegion, epsilon: float):
     symmetric M = (I - dt*(D2 + a1))^-1 and E = diag(indicator):
 
         Q = M P M,  K_u = E (I + dt E Q E)^-1 E,  K_v = (I + Q)^-1,
-        P <- Q - dt Q K_u Q + dt a2 Q K_v a2.
+        P <- Q - dt Q K_u Q + dt a2 (I - K_v) a2      (Q K_v = I - K_v).
 
-    Returns ``(levels, P_0)`` with ``levels[k] = (step, Q, K_u, K_v, a2)``;
-    the optimal cost from y_0 at r = 0 is J* = -(h/2) y_0^T P_0 y_0.  Runs
-    on ``coeffs`` and their cached step operators when every level is
-    shared by its nodes, else on one ``Coefficients`` of the node means
-    (P_0 is then the mean path's).  A level-0 a2 that overflows P_0 leaves
-    it non-finite and the levels intact.  Costs O(depth N^3).
+    Returns ``(levels, P_0)``; the optimal cost from y_0 at r = 0 is J* =
+    -(h/2) y_0^T P_0 y_0.  ``levels[k] = (Bq, Be)`` are the level's maps
+    for ``riccati_preconditioner``, in row form with s = sqrt(dt), A2 =
+    diag(a2) and a node's child rows [c_- | c_+] in ``EDGE_SIGNS`` order:
+
+        Bq (2N x N):  [c_- | c_+] -> the parent's linear term
+                      q = zeta (I - dt K_u Q) + dt Z K_v A2, for zeta and Z
+                      of the solved children (see ``backward_solver``);
+        Be (2N x 2N): [c_- | c_+] -> 2^-(k+1) times the children's control
+                      part dt zeta K_u M -+ s Z K_v M.
+
+    The state part of the forward step, y -> y (I - dt Q K_u) M -+
+    s y A2 K_v M, is 2 Bq^T (M, Q and K_u are symmetric), so the state
+    weighted by its node probability, 2^-k y, steps by Bq^T and Be alone.
+
+    On shared coefficients the levels use ``coeffs``' cached step
+    operators; otherwise each level factors an operator of its node means
+    and drops it once its maps are built (P_0 is then the mean path's).
+    K_u is nonzero only on the window, an interval of grid points, so only
+    its window block is inverted.  A level-0 a2 that overflows P_0 leaves
+    it non-finite and the levels intact.  Costs O(depth N^3) and keeps
+    6 N^2 values per level.
     """
     tree, mesh = coeffs.tree, coeffs.mesh
-    if any(a.shape[0] > 1 for a in coeffs.a1_levels + coeffs.a2_levels):
-        coeffs = Coefficients(tree, mesh, [a.mean(axis=0, keepdims=True) for a in coeffs.a1_levels],
-                              [a.mean(axis=0, keepdims=True) for a in coeffs.a2_levels])
-    dt, eye, steps = tree.dt, np.eye(mesh.N), coeffs.step_operators()
-    window = np.outer(region.indicator, region.indicator)
-    levels, P = [None] * tree.depth, eye / epsilon
+    n, dt, s = mesh.N, tree.dt, np.sqrt(tree.dt)
+    adapted = any(a.shape[0] > 1 for a in coeffs.a1_levels + coeffs.a2_levels)
+    steps = None if adapted else coeffs.step_operators()
+    eye = np.eye(n)
+    # K_u's window block is (I + dt Q_ww)^-1, so K_u Q is K_w Q_w on rows w.
+    inside = np.flatnonzero(region.mask)
+    w = slice(inside[0], inside[-1] + 1)
+    eye_w = np.eye(len(inside))
+    levels, P, last = [None] * tree.depth, eye / epsilon, None
     for k in range(tree.depth - 1, -1, -1):
-        step, a2 = steps[k], coeffs.a2_levels[k]
-        M = step.solve(eye)
+        a1, a2 = coeffs.a1_levels[k], coeffs.a2_levels[k]
+        if adapted:
+            step, a2 = StepOperator.drift_implicit(mesh, dt, a1.mean(axis=0)), a2.mean(axis=0)
+        else:
+            step, a2 = steps[k], a2[0]
+        if step is not last:
+            last, M = step, step.solve(eye)
         Q = M @ P @ M
-        K_u = window * np.linalg.inv(eye + dt * window * Q)
+        K_w = np.linalg.inv(eye_w + dt * Q[w, w])
         K_v = np.linalg.inv(eye + Q)
-        levels[k] = (step, Q, K_u, K_v, a2)
-        P = Q - dt * (Q @ K_u @ Q) + dt * a2.T * (Q @ K_v) * a2
+        KwQ, MKv = K_w @ Q[w], M @ K_v
+        # Child-pair rows split into zeta = (c_- + c_+) M/2 and
+        # Z = (c_+ - c_-) M/(2s), so each map is a sum and a difference.
+        half = 0.5 * M - (0.5 * dt) * (M[:, w] @ KwQ)
+        noise = (0.5 * s) * MKv * a2
+        weight = 0.5 ** (k + 1)
+        G = (0.5 * dt * weight) * ((M[:, w] @ K_w) @ M[w])
+        H = (0.5 * weight) * (MKv @ M)
+        Bq, Be = np.empty((2 * n, n)), np.empty((2 * n, 2 * n))
+        np.subtract(half, noise, out=Bq[:n])
+        np.add(half, noise, out=Bq[n:])
+        np.add(G, H, out=Be[:n, :n])
+        np.subtract(G, H, out=Be[:n, n:])
+        Be[n:, :n], Be[n:, n:] = Be[:n, n:], Be[:n, :n]
+        levels[k] = (Bq, Be)
+        P = Q - dt * (Q[:, w] @ KwQ) + dt * a2[:, np.newaxis] * (eye - K_v) * a2
         P = 0.5 * (P + P.T)
     return levels, P
 
@@ -219,31 +261,32 @@ def riccati_preconditioner(problem: HumProblem):
     coefficients are shared by its nodes: w = (r - y_D)/eps for the state y
     of the tracking problem of ``riccati_levels`` from y_0 = 0.
 
-    Each application steps the linear term back from q_D = r/eps with
-    ``backward_step`` (zeta and Z of the children's q), q = zeta - dt Q K_u
-    zeta + dt a2 K_v Z, then ``forward_step`` from y = 0 with the optimal
-    controls u = K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  On adapted
-    levels it inverts the mean-path problem, an SPD approximation of
-    (Lambda + eps*I)^-1.  Costs about one sweep per direction to apply.
+    Each application steps the linear term back from q_D = r/eps, one
+    matmul pair per level on the child-pair rows of q: ``Bq`` gives the
+    parents' q and ``Be`` the children's part of the optimal controls u =
+    K_u (zeta - Q y) and v = K_v (Z - Q a2 y).  It then steps the
+    probability-weighted optimal state 2^-k y forward from 0, one matmul
+    by Bq^T and one add per level.  That is 8 N^2 multiply-adds per parent
+    node, and no solve.  On adapted levels it inverts the mean-path
+    problem, an SPD approximation of (Lambda + eps*I)^-1.
     """
-    tree, n, eps, dt = problem.tree, problem.mesh.N, problem.epsilon, problem.tree.dt
+    n, eps, depth = problem.mesh.N, problem.epsilon, problem.tree.depth
     levels, _ = riccati_levels(problem.coeffs, problem.region, eps)
 
-    # Row form: node vectors and a2 are rows, and Q, K_u, K_v are symmetric.
     def apply(r):
         r = np.asarray(r, dtype=float)
-        q = r.reshape(-1, n) / eps
-        zeta, Z = [None] * tree.depth, [None] * tree.depth
-        for k in range(tree.depth - 1, -1, -1):
-            step, Q, K_u, K_v, a2 = levels[k]
-            _, Z[k], zeta[k] = backward_step(step, dt, q, a2)
-            q = zeta[k] - dt * (zeta[k] @ K_u) @ Q + dt * a2 * (Z[k] @ K_v)
-        y = np.zeros((1, n))
-        for k, (step, Q, K_u, K_v, a2) in enumerate(levels):
-            u = (zeta[k] - y @ Q) @ K_u
-            v = (Z[k] - (a2 * y) @ Q) @ K_v
-            y = forward_step(step, dt, y, u, v, a2)
-        return (r - y.reshape(r.shape)) / eps
+        pairs = r.reshape(-1, 2 * n) / eps
+        e = [None] * depth
+        for k in range(depth - 1, -1, -1):
+            Bq, Be = levels[k]
+            e[k] = pairs @ Be
+            if k:
+                pairs = (pairs @ Bq).reshape(-1, 2 * n)
+        y = e[0]  # 2^-1 y_1: y_0 = 0 adds no state part
+        for k in range(1, depth):
+            y = y.reshape(-1, n) @ levels[k][0].T
+            y += e[k]
+        return (r - np.ldexp(y, depth).reshape(r.shape)) / eps
 
     return apply
 

@@ -169,6 +169,20 @@ class TestSolveBackward:
                     np.testing.assert_allclose(g[s], r, rtol=1e-13, atol=1e-13 * np.abs(r).max())
             np.testing.assert_allclose(batch.z0[s], single.z0, rtol=1e-13)
 
+    @pytest.mark.parametrize("N, depth", [(7, 8), (8, 8), (15, 8), (8, 11)])
+    def test_a_sample_sweeps_the_same_in_any_batch(self, N, depth):
+        # Level 0 of a batch of one sample is one pair row; it must round
+        # like the same row inside a larger batch, or a sample's adjoint
+        # would move with the batch boundaries of the observability fit.
+        mesh, tree = build_mesh(N), build_tree(depth, 1.0)
+        coeffs = Coefficients.constant(tree, mesh, 0.5, 0.7)
+        zT = np.random.default_rng(N).standard_normal((3, tree.num_nodes(tree.depth), N))
+        alone, *batches = [solve_backward(zT[:size], coeffs, tree, mesh) for size in (1, 2, 3)]
+        for name in ("z", "zeta", "Z"):
+            for batch in batches:
+                for k, (got, ref) in enumerate(zip(getattr(batch, name), getattr(alone, name))):
+                    assert np.array_equal(got[:1], ref), (name, k, len(batch.z[0]))
+
     @pytest.mark.parametrize("adapted_a2", [False, True])
     def test_shared_levels_match_their_per_node_copies(self, adapted_a2):
         # The same levels once as shared matrices (the split matmuls) and

@@ -34,6 +34,14 @@ def dense_gramian(problem):
     return mat
 
 
+def preconditioner_matrix(problem):
+    """The Riccati preconditioner applied to every unit leaf vector."""
+    shape = (problem.tree.num_nodes(problem.tree.depth), problem.mesh.N)
+    precondition = riccati_preconditioner(problem)
+    return np.column_stack([precondition(e.reshape(shape)).ravel()
+                            for e in np.eye(shape[0] * shape[1])])
+
+
 class TestGramian:
     def test_zero_maps_to_zero(self):
         problem, _ = small_problem()
@@ -190,8 +198,33 @@ class TestRiccatiPreconditioner:
                              region=OmegaRegion(mesh, (0.3, 0.7)), tree=tree, mesh=mesh,
                              epsilon=1e-2)
         inverse = np.linalg.inv(dense_gramian(problem) + problem.epsilon * np.eye(40))
-        precondition = riccati_preconditioner(problem)
-        applied = np.column_stack([precondition(e.reshape(8, 5)).ravel() for e in np.eye(40)])
+        applied = preconditioner_matrix(problem)
+        assert np.abs(applied - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+    @pytest.mark.parametrize("interval", [(0.3, 0.7), (0.0, 0.4), (0.0, 1.0)])
+    def test_inverts_time_varying_shared_coefficients(self, interval):
+        # every level has its own a1, a2 and step inverse, so a map built
+        # from another level's factors cannot pass; the windows take the
+        # middle, the first and all of the grid points
+        mesh, tree = build_mesh(5), build_tree(3, 1.0)
+        coeffs = Coefficients.from_functions(tree, mesh, lambda x, t: np.cos(3 * t) - x,
+                                             lambda x, t: 0.5 + t * np.sin(4 * x))
+        problem = HumProblem(y0=np.ones(5), coeffs=coeffs, region=OmegaRegion(mesh, interval),
+                             tree=tree, mesh=mesh, epsilon=1e-2)
+        inverse = np.linalg.inv(dense_gramian(problem) + problem.epsilon * np.eye(40))
+        applied = preconditioner_matrix(problem)
+        assert np.abs(applied - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+    def test_adapted_coefficients_invert_the_node_mean_problem(self):
+        problem, _ = small_problem(N=5, depth=3, eps=1e-2, seed=7)
+        coeffs = problem.coeffs
+        means = Coefficients(problem.tree, problem.mesh,
+                             [a.mean(axis=0, keepdims=True) for a in coeffs.a1_levels],
+                             [a.mean(axis=0, keepdims=True) for a in coeffs.a2_levels])
+        mean_problem = HumProblem(y0=problem.y0, coeffs=means, region=problem.region,
+                                  tree=problem.tree, mesh=problem.mesh, epsilon=problem.epsilon)
+        inverse = np.linalg.inv(dense_gramian(mean_problem) + problem.epsilon * np.eye(40))
+        applied = preconditioner_matrix(problem)
         assert np.abs(applied - inverse).max() <= 1e-12 * np.abs(inverse).max()
 
     @pytest.mark.parametrize("adapted", [False, True])
