@@ -196,17 +196,33 @@ class StepOperator:
         off = np.broadcast_to(np.asarray(off, dtype=float), (nodes, n - 1))
 
         scale = np.abs(diag).max(axis=1)
-        piv = diag.copy()
+        vanishing = None  # (row, scale) of the first vanishing pivot
         # Past a vanishing pivot the values are meaningless (NaN counts as
         # vanishing); only the first is reported.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, n):
-                piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
-        small = ~(np.abs(piv) > _PIVOT_RTOL * scale[:, np.newaxis])
-        if small.any():
-            i = int(small.any(axis=0).argmax())
+        if nodes == 1:
+            # The same recurrence on plain floats, which gives the same
+            # pivots without one numpy call per row on (1,)-arrays.
+            d, o, tol = diag[0].tolist(), off[0].tolist(), _PIVOT_RTOL * float(scale[0])
+            p = d[0]
+            for i in range(n):
+                if i:
+                    p = d[i] - o[i - 1] / p * o[i - 1]
+                if not abs(p) > tol:
+                    vanishing = i, scale[0]
+                    break
+        else:
+            piv = diag.copy()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for i in range(1, n):
+                    piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
+            small = ~(np.abs(piv) > _PIVOT_RTOL * scale[:, np.newaxis])
+            if small.any():
+                i = int(small.any(axis=0).argmax())
+                vanishing = i, scale[small[:, i]][0]
+        if vanishing is not None:
+            row, row_scale = vanishing
             raise SingularSystemError(
-                f"vanishing pivot at row {i} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small[:, i]][0]:g})"
+                f"vanishing pivot at row {row} (|pivot| <= {_PIVOT_RTOL:g} * {row_scale:g})"
             )
         self.nodes, self.n = nodes, n
         self._inverse = self._prefix = self.split = None

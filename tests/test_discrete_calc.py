@@ -369,6 +369,29 @@ class TestStepOperator:
         with pytest.raises(SingularSystemError, match=f"vanishing pivot at row {k}"):
             StepOperator(off, diag)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_shared_matrix_reports_the_pivot_of_its_per_node_copies(self, n, data, seed):
+        # One shared matrix runs the pivot recurrence on plain floats, per-node
+        # matrices run it on arrays; both must name the same row and scale,
+        # a NaN pivot (here from the off-diagonal entry above row k) counting
+        # as vanishing.
+        k = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        piv = rng.uniform(1, 2, n) * rng.choice([-1.0, 1.0], n)
+        piv[k] = 0.0
+        off = rng.uniform(0.5, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        diag = piv.copy()
+        diag[1:k + 1] += off[:k] ** 2 / piv[:k]
+        if k and data.draw(st.booleans()):
+            off[k - 1] = np.nan
+        messages = []
+        for d in (diag, np.stack([diag, diag])):
+            with pytest.raises(SingularSystemError, match=f"vanishing pivot at row {k} ") as info:
+                StepOperator(off, d)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_singular_drift_matrix_names_the_step(self):
         # N=2: the matrix is [[d, -c], [-c, d]] with c = dt/h^2, singular when d = c.
         mesh = build_mesh(2)

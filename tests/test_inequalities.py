@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from sdcontrol.backward_solver import solve_backward
+from sdcontrol import inequalities
+from sdcontrol.backward_solver import backward_step, solve_backward
 from sdcontrol.errors import RegimeError, SingularSystemError
 from sdcontrol.forward_solver import Coefficients, OmegaRegion
 from sdcontrol.harness import emit_csv
@@ -15,6 +19,24 @@ from sdcontrol.weights import WeightParams, build_weights
 # The seven integrals of the weighted estimate, as CarlemanTerms fields.
 TERM_NAMES = ("lhs_state", "lhs_gradient", "rhs_window", "rhs_diffusion", "rhs_drift",
               "rhs_initial", "rhs_terminal")
+
+
+def raised_within(call, seconds=20.0):
+    """Run ``call`` on a daemon thread and return the exception it raised
+    (None if it returned), failing if it has not finished in ``seconds``."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"the call did not finish in {seconds} s"
+    return raised[0] if raised else None
 
 
 def zero_sources(tree, mesh):
@@ -336,6 +358,83 @@ class TestObservability:
         np.testing.assert_array_equal(alone.train_ratios, held.train_ratios)
         assert alone.samples == train and alone.holdout_ratios.size == 0
         assert alone.holdout_violations == 0 and alone.holdout_max_ratio == 0.0
+
+    @pytest.mark.parametrize("train, holdout", [
+        (3, 2),     # one batch
+        (100, 60),  # a batch of 128 at N=8, depth 5, then a short one of 32
+    ])
+    def test_drawn_ahead_fit_leaves_the_generator_as_plain_draws(self, train, holdout):
+        mesh, tree, region, coeffs, weights, _ = self._setup()
+        threads = threading.active_count()
+        rng = np.random.default_rng(11)
+        observability_sample(coeffs, weights, tree, mesh, region, rng, train, holdout, 1.0)
+        assert threading.active_count() == threads
+        plain = np.random.default_rng(11)
+        for start, stop in _batches(train + holdout, tree, mesh):
+            plain.standard_normal((stop - start, tree.num_nodes(tree.depth), mesh.N))
+        assert rng.bit_generator.state == plain.bit_generator.state
+
+    def test_drawn_ahead_values_survive_frequent_thread_switches(self):
+        # one sample per batch at N=8, depth 11: twelve hand-offs between the
+        # helper and the sweep, with the interpreter switching threads often
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=11)
+        plain = np.random.default_rng(12)
+        data = [plain.standard_normal((tree.num_nodes(tree.depth), mesh.N)) for _ in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fit = observability_sample(coeffs, weights, tree, mesh, region,
+                                       np.random.default_rng(12), 6, 6, 1.0)
+        finally:
+            sys.setswitchinterval(interval)
+        from_data = observability_sample(coeffs, weights, tree, mesh, region, None, 6, 6, 1.0,
+                                         terminal_data=data)
+        np.testing.assert_array_equal(fit.lhs, from_data.lhs)
+        for name, terms in from_data.rhs_terms.items():
+            np.testing.assert_array_equal(fit.rhs_terms[name], terms)
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_failed_draw_is_raised_by_the_fit(self, failing):
+        # four batches of 16 at N=8, depth 8
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=8)
+
+        class DrawFailed(Exception):
+            pass
+
+        class FailingGenerator:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(0), 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls > failing:
+                    raise DrawFailed(self.calls)
+                return self.rng.standard_normal(out=out)
+
+        threads = threading.active_count()
+        raised = raised_within(lambda: observability_sample(
+            coeffs, weights, tree, mesh, region, FailingGenerator(), 40, 24, 1.0))
+        assert isinstance(raised, DrawFailed)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_failed_sweep_stops_the_draws(self, failing, monkeypatch):
+        # the first backward step of batch `failing` of four raises
+        mesh, tree, region, coeffs, weights, rng = self._setup(depth=8)
+        calls = []
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) > failing * tree.depth:
+                raise FloatingPointError(len(calls))
+            return backward_step(*args)
+
+        monkeypatch.setattr(inequalities, "backward_step", failing_step)
+        threads = threading.active_count()
+        raised = raised_within(lambda: observability_sample(
+            coeffs, weights, tree, mesh, region, rng, 40, 24, 1.0))
+        assert isinstance(raised, FloatingPointError)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("train, holdout", [(0, 5), (5, -1)])
     def test_sample_counts_out_of_range_rejected(self, train, holdout):
