@@ -18,10 +18,10 @@ each (the operator's ``split``, built with it for the tree's dt), the
 transpose of the forward step's edge map.  That order sums 2N
 products per entry in the matmul, so equal children give Z = 0 only up
 to roundoff, |Z| <= N eps (|M| |z_child|)/sqrt(dt): for children equal
-to 2 at dt = 0.1 it is 0 at N = 4, 2.2e-16 at N = 8 and 6.0e-16 at
-N = 63.  Taking the difference z_plus - z_minus first would keep Z
-exactly 0, but measured 25-30 % slower per observability fit (N = 8,
-depth 8, 400 samples).  Levels with one matrix per node, and operators
+to 2 at dt = 0.1 it is 2.2e-16 at N = 4, 3.6e-16 at N = 8 and 1.2e-15
+at N = 63, alone or in a batch.  Taking the difference z_plus - z_minus
+first would keep Z exactly 0, but measured 25-30 % slower per
+observability fit (N = 8, depth 8, 400 samples).  Levels with one matrix per node, and operators
 built without a split, solve first and split with ``martingale_coeff``.
 
 With these definitions the pairing of state and adjoint telescopes
@@ -78,11 +78,10 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     [child 2n | child 2n+1], the transpose of the edge map of
     ``forward_step``; any other operator solves, then splits.
     BLAS takes a single row through its vector path, whose roundoff
-    differs from the same row inside a batch, so the lone pair row of a
-    sample batch (level 0 of a batch of one) is multiplied as a stride-0
-    batch of two: a sample's adjoint is then the same in any batch.  An
-    unbatched level keeps the vector path, which cancels equal children
-    exactly at N = 4.
+    differs from the same row inside a batch, so a lone pair row (level 0
+    of an unbatched sweep or of a batch of one) is multiplied as a
+    stride-0 batch of two: a sample's adjoint then has the same bits in
+    any batch and without a sample axis.
     ``forward_step`` is not fused: its (2N x 2N) map
     doubles the matmul flops, and at N = 63, depth 10 it has measured both
     slower (3.3-4.3 against 2.7 ms per sweep) and faster (2.1-2.5 against
@@ -96,7 +95,7 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
         parents = z_children.shape[:-2] + (z_children.shape[-2] // 2, step.n)
         pairs = z_children.reshape(-1, 2 * step.n)
         rows = len(pairs)
-        if rows == 1 and z_children.ndim > 2:
+        if rows == 1:
             pairs = np.broadcast_to(pairs, (2, 2 * step.n))
         coeff, zeta = (pairs @ diff)[:rows].reshape(parents), (pairs @ mean)[:rows].reshape(parents)
     else:
@@ -106,17 +105,17 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     return z, coeff, zeta
 
 
-def solve_backward(zT: np.ndarray, coeffs: Coefficients, tree: ScenarioTree,
-                   mesh: Mesh) -> BackwardSolution:
-    """Sweep from the leaf data down to the root; linear in the leaf data.
+def solve_backward(zT: np.ndarray, coeffs: Coefficients) -> BackwardSolution:
+    """Sweep from the leaf data down to the root of ``coeffs.tree``; linear
+    in the leaf data.
 
     ``zT`` has shape (2^depth, N), or (..., 2^depth, N) for a batch of
     samples swept at once; every level keeps the leading axes.
     """
-    coeffs.check_grid(tree, mesh)
+    tree = coeffs.tree
     steps = coeffs.step_operators()
     zT = np.asarray(zT, dtype=float)
-    leaves = (tree.num_nodes(tree.depth), mesh.N)
+    leaves = (tree.num_nodes(tree.depth), coeffs.mesh.N)
     zT = zT.reshape(zT.shape[:-2] + leaves if zT.ndim > 2 else leaves)
 
     z_levels = [None] * (tree.depth + 1)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .mesh import Mesh
 from .discrete_calc import StepOperator
-from .noise_tree import EDGE_SIGNS, ScenarioTree, tree_inner
+from .noise_tree import EDGE_SIGNS, ScenarioTree
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,12 @@ class OmegaRegion:
             raise ConfigurationError(
                 f"control interval {self.interval} contains no interior points at N={self.mesh.N}"
             )
+
+    def check_mesh(self, mesh: Mesh) -> None:
+        """Raise ConfigurationError unless this window was built on ``mesh``."""
+        if self.mesh != mesh:
+            raise ConfigurationError(
+                f"control window built for N={self.mesh.N} cannot act on a mesh with N={mesh.N}")
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -120,13 +126,6 @@ class Coefficients:
         a1 = uniform_levels(tree, mesh, rng, mag1)
         return cls(tree, mesh, a1, uniform_levels(tree, mesh, rng, mag2))
 
-    @property
-    def sup_norm(self) -> float:
-        """|a1|_inf + |a2|_inf over all levels and nodes."""
-        m1 = max((np.abs(a).max() for a in self.a1_levels), default=0.0)
-        m2 = max((np.abs(a).max() for a in self.a2_levels), default=0.0)
-        return float(m1 + m2)
-
     def step_operators(self) -> list[StepOperator]:
         """Factored implicit step matrix of every level, built on first use.
 
@@ -148,8 +147,10 @@ class Coefficients:
 
     def check_grid(self, tree: ScenarioTree, mesh: Mesh) -> None:
         """Raise ConfigurationError unless these coefficients were built on
-        ``tree`` and ``mesh``: a sweep on another grid would factor with one
-        dt and step the explicit terms with another."""
+        ``tree`` and ``mesh``.  The sweeps read their grid from the
+        coefficients; an entry point handed a grid as well (``HumProblem``,
+        ``observability_sample``) checks it here once, since stepping with
+        another grid's dt or N would be silently wrong."""
         if self.tree != tree or self.mesh != mesh:
             raise ConfigurationError(
                 f"coefficients built for depth {self.tree.depth}, T={self.tree.T:g}, "
@@ -197,12 +198,12 @@ def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v:
     return step.solve(rhs.reshape(rhs.shape[:-3] + (-1, step.n)))
 
 
-def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coefficients,
-                  tree: ScenarioTree, mesh: Mesh) -> list[np.ndarray]:
-    """State levels at every tree node, root to leaves; affine in (y0, u, v)."""
-    coeffs.check_grid(tree, mesh)
+def solve_forward(y0: np.ndarray, controls: ControlPair | None,
+                  coeffs: Coefficients) -> list[np.ndarray]:
+    """State levels at every node of ``coeffs.tree``, root to leaves; affine in (y0, u, v)."""
+    tree = coeffs.tree
     steps = coeffs.step_operators()
-    y0 = np.asarray(y0, dtype=float).reshape(mesh.N)
+    y0 = np.asarray(y0, dtype=float).reshape(coeffs.mesh.N)
 
     levels = [y0[np.newaxis, :].copy()]
     for k in range(tree.depth):
@@ -211,22 +212,3 @@ def solve_forward(y0: np.ndarray, controls: ControlPair | None, coeffs: Coeffici
             u, v = controls.region.indicator * controls.u[k], controls.v[k]
         levels.append(forward_step(steps[k], tree.dt, levels[k], u, v, coeffs.a2_levels[k]))
     return levels
-
-
-def energy_growth_rate(states: list[np.ndarray], coeffs: Coefficients) -> float:
-    """Measured constant c with E||y(t)||^2 <= e^(c*(1+A)*t) * E||y0||^2.
-
-    Returns 0 when the initial energy is zero or no growth occurs.
-    """
-    tree, mesh = coeffs.tree, coeffs.mesh
-    e0 = tree_inner(tree, mesh, 0, states[0], states[0])
-    if e0 == 0.0:
-        return 0.0
-    a_norm = coeffs.sup_norm
-    worst = 0.0
-    for k in range(1, tree.depth + 1):
-        ek = tree_inner(tree, mesh, k, states[k], states[k])
-        t = k * tree.dt
-        if ek > e0:
-            worst = max(worst, np.log(ek / e0) / ((1.0 + a_norm) * t))
-    return float(worst)

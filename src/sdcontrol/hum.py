@@ -53,8 +53,13 @@ def epsilon_from_mesh(c_eps: float, h: float) -> float:
     return float(np.exp(-c_eps / h))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HumProblem:
+    """One penalized control problem, validated once here: the sweeps read
+    the grid of ``coeffs``, so it must be ``tree`` and ``mesh``, and the
+    window must be built on ``mesh``.  Frozen, so no field can change after
+    the checks; ``dataclasses.replace`` builds a checked variant."""
+
     y0: np.ndarray
     coeffs: Coefficients
     region: OmegaRegion
@@ -67,7 +72,9 @@ class HumProblem:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ConfigurationError(f"penalty must be positive, got {self.epsilon}")
-        self.y0 = np.asarray(self.y0, dtype=float).reshape(self.mesh.N)
+        self.coeffs.check_grid(self.tree, self.mesh)
+        self.region.check_mesh(self.mesh)
+        object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float).reshape(self.mesh.N))
         self.coeffs.validate_dominance()
 
 
@@ -90,10 +97,9 @@ class HumSolution:
 
 def gramian_apply(zT: np.ndarray, problem: HumProblem) -> np.ndarray:
     """Terminal state reached from rest under the controls induced by zT."""
-    bwd = solve_backward(zT, problem.coeffs, problem.tree, problem.mesh)
+    bwd = solve_backward(zT, problem.coeffs)
     controls = ControlPair(bwd.zeta, bwd.Z, problem.region)
-    return solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs,
-                         problem.tree, problem.mesh)[-1]
+    return solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs)[-1]
 
 
 def leaf_norm(problem: HumProblem, a: np.ndarray) -> float:
@@ -292,8 +298,7 @@ def riccati_preconditioner(problem: HumProblem):
 
 
 def free_terminal_state(problem: HumProblem) -> np.ndarray:
-    return solve_forward(problem.y0, None, problem.coeffs, problem.tree,
-                         problem.mesh)[-1]
+    return solve_forward(problem.y0, None, problem.coeffs)[-1]
 
 
 def evaluate_functional(problem: HumProblem, zT: np.ndarray,
@@ -301,7 +306,7 @@ def evaluate_functional(problem: HumProblem, zT: np.ndarray,
     """Quadratic cost of a candidate terminal datum, from its backward sweep ``bwd`` if given."""
     tree, mesh = problem.tree, problem.mesh
     if bwd is None:
-        bwd = solve_backward(zT, problem.coeffs, tree, mesh)
+        bwd = solve_backward(zT, problem.coeffs)
     quad = (time_pairing(tree, mesh, bwd.Z, bwd.Z)
             + time_pairing(tree, mesh, bwd.zeta, bwd.zeta, problem.region.indicator))
     penalty = problem.epsilon * tree_inner(tree, mesh, tree.depth, zT, zT)
@@ -327,10 +332,9 @@ def solve_hum(problem: HumProblem) -> HumSolution:
     zT_star, residuals = conjugate_gradient(apply_op, b, problem.cg_tol, problem.cg_maxiter,
                                             riccati_preconditioner(problem))
 
-    bwd = solve_backward(zT_star, problem.coeffs, problem.tree, problem.mesh)
+    bwd = solve_backward(zT_star, problem.coeffs)
     controls = ControlPair([-a for a in bwd.zeta], [-a for a in bwd.Z], problem.region)
-    terminal = solve_forward(problem.y0, controls, problem.coeffs, problem.tree,
-                             problem.mesh)[-1]
+    terminal = solve_forward(problem.y0, controls, problem.coeffs)[-1]
 
     # terminal - eps*z* = b - (Lambda + eps*I) z*, so the closure error is
     # the true residual of the normal equations in the leaf norm.

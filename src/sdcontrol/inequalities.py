@@ -180,6 +180,7 @@ def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWe
     ``w`` and ``sources`` may carry leading sample axes; the terms are then
     arrays over the samples.
     """
+    region.check_mesh(mesh)
     ok, ratio = validate_regime(weights, mesh.h)
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
@@ -290,6 +291,8 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     total = train + holdout
     if terminal_data is not None and len(terminal_data) != total:
         raise ValueError(f"terminal_data must supply {total} samples, got {len(terminal_data)}")
+    coeffs.check_grid(tree, mesh)
+    region.check_mesh(mesh)
     ok, ratio = validate_regime(weights, mesh.h)
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
@@ -298,7 +301,6 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     if terminal_h_scaling:
         eps_factor /= mesh.h**2
 
-    coeffs.check_grid(tree, mesh)
     steps = coeffs.step_operators()
     lhs = np.empty(total)
     rhs_diffusion = np.empty(total)

@@ -108,9 +108,8 @@ def test_criterion_05_duality_identity():
         region = OmegaRegion(mesh, (0.25, 0.75))
         controls = ControlPair(u=random_levels(mesh, rng, (), depth),
                                v=random_levels(mesh, rng, (), depth), region=region)
-        fwd = solve_forward(rng.standard_normal(N), controls, coeffs, tree, mesh)
-        bwd = solve_backward(rng.standard_normal((tree.num_nodes(depth), N)),
-                             coeffs, tree, mesh)
+        fwd = solve_forward(rng.standard_normal(N), controls, coeffs)
+        bwd = solve_backward(rng.standard_normal((tree.num_nodes(depth), N)), coeffs)
         res, scale = duality_residual(fwd, bwd, controls, tree, mesh)
         worst = max(worst, res / scale)
     report(5, worst <= 1e-10, f"max relative residual {worst:.3e} over 50 instances "

@@ -4,7 +4,6 @@ import pytest
 from sdcontrol.backward_solver import (backward_step, duality_residual,
                                        solve_backward)
 from sdcontrol.discrete_calc import StepOperator
-from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
                                       solve_forward)
 from sdcontrol.mesh import build_mesh
@@ -29,32 +28,28 @@ class TestBackwardStep:
         mesh = build_mesh(5)
         tree = build_tree(3, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
-        sol = solve_backward(np.zeros((8, mesh.N)), coeffs, tree, mesh)
+        sol = solve_backward(np.zeros((8, mesh.N)), coeffs)
         for arr in sol.z + sol.Z + sol.zeta:
             np.testing.assert_array_equal(arr, 0.0)
 
     def test_equal_constant_children(self):
-        mesh = build_mesh(4)
-        dt = 0.1
-        c = 2.0
-        children = np.full((2, mesh.N), c)
-        step = StepOperator.drift_implicit(mesh, dt, np.zeros((1, mesh.N)))
-        z, coeff, zeta = backward_step(step, dt, children, np.zeros((1, mesh.N)))
-        np.testing.assert_array_equal(coeff, 0.0)
-        np.testing.assert_array_equal(z, zeta)
-        oracle = np.linalg.solve(dense_step(mesh, dt, np.zeros(mesh.N)).T, np.full(mesh.N, c))
-        np.testing.assert_allclose(z[0], oracle, rtol=1e-14)
-
-        # The shared kernel sums 2N products that cancel in pairs, so from
-        # N = 8 on Z is roundoff, bounded by N eps (|M| |c|) / sqrt(dt).
-        mesh = build_mesh(63)
-        children = np.full((2, mesh.N), c)
-        step = StepOperator.drift_implicit(mesh, dt, np.zeros((1, mesh.N)))
-        z, coeff, zeta = backward_step(step, dt, children, np.zeros((1, mesh.N)))
-        oracle = np.linalg.solve(dense_step(mesh, dt, np.zeros(mesh.N)).T, np.full(mesh.N, c))
-        assert (np.abs(coeff) <= mesh.N * np.finfo(float).eps * oracle / np.sqrt(dt)).all()
-        np.testing.assert_array_equal(z, zeta)
-        np.testing.assert_allclose(z[0], oracle, rtol=1e-13)
+        # The shared kernel sums 2N products that cancel in pairs, so Z is
+        # roundoff, bounded by N eps max(|M| |c|) / sqrt(dt), and so is
+        # z - zeta = dt a2 Z (|dt a2| < 1), for one pair row alone and
+        # for pair rows inside a sample batch.
+        dt, c = 0.1, 2.0
+        for N in (4, 8, 63):
+            mesh = build_mesh(N)
+            dense = dense_step(mesh, dt, np.zeros(N))
+            oracle = np.linalg.solve(dense.T, np.full(N, c))
+            bound = N * np.finfo(float).eps * (np.abs(np.linalg.inv(dense)) @ np.full(N, c)).max()
+            bound /= np.sqrt(dt)
+            step = StepOperator.drift_implicit(mesh, dt, np.zeros((1, N)))
+            for shape in ((2, N), (3, 2, N)):
+                z, coeff, zeta = backward_step(step, dt, np.full(shape, c), np.full((1, N), 0.7))
+                assert np.abs(coeff).max() <= bound, (N, shape)
+                assert np.abs(z - zeta).max() <= bound, (N, shape)
+                np.testing.assert_allclose(zeta, np.broadcast_to(oracle, zeta.shape), rtol=1e-13)
 
     @pytest.mark.parametrize("nodes", [1, 4])
     def test_matches_dense_transposed_step(self, nodes):
@@ -127,9 +122,9 @@ class TestBackwardStep:
         region = OmegaRegion(mesh, (0.5, 0.9))
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         controls = ControlPair(u=[u0[np.newaxis, :]], v=[v0[np.newaxis, :]], region=region)
-        fwd = solve_forward(y0, controls, coeffs, tree, mesh)
+        fwd = solve_forward(y0, controls, coeffs)
         np.testing.assert_allclose(fwd[-1], np.vstack([y_minus, y_plus]), rtol=1e-13)
-        bwd = solve_backward(np.vstack([zm, zp]), coeffs, tree, mesh)
+        bwd = solve_backward(np.vstack([zm, zp]), coeffs)
         np.testing.assert_allclose(bwd.zeta[0][0], zeta, rtol=1e-13)
         np.testing.assert_allclose(bwd.Z[0][0], coeff, rtol=1e-13)
 
@@ -142,9 +137,9 @@ class TestSolveBackward:
         coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.6, 0.8)
         a = rng.standard_normal((16, mesh.N))
         b = rng.standard_normal((16, mesh.N))
-        sab = solve_backward(2.0 * a - 3.0 * b, coeffs, tree, mesh)
-        sa = solve_backward(a, coeffs, tree, mesh)
-        sb = solve_backward(b, coeffs, tree, mesh)
+        sab = solve_backward(2.0 * a - 3.0 * b, coeffs)
+        sa = solve_backward(a, coeffs)
+        sb = solve_backward(b, coeffs)
         for k in range(tree.depth + 1):
             combined = 2.0 * sa.z[k] - 3.0 * sb.z[k]
             scale = max(1.0, np.abs(combined).max())
@@ -158,9 +153,9 @@ class TestSolveBackward:
         coeffs = (Coefficients.adapted_random(tree, mesh, rng, 0.6, 0.8) if adapted
                   else Coefficients.constant(tree, mesh, 0.5, 0.7))
         zT = rng.standard_normal((3, tree.num_nodes(tree.depth), mesh.N))
-        batch = solve_backward(zT, coeffs, tree, mesh)
+        batch = solve_backward(zT, coeffs)
         for s in range(zT.shape[0]):
-            single = solve_backward(zT[s], coeffs, tree, mesh)
+            single = solve_backward(zT[s], coeffs)
             for name in ("z", "zeta", "Z"):
                 got, ref = getattr(batch, name), getattr(single, name)
                 assert len(got) == len(ref)
@@ -177,11 +172,24 @@ class TestSolveBackward:
         mesh, tree = build_mesh(N), build_tree(depth, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.5, 0.7)
         zT = np.random.default_rng(N).standard_normal((3, tree.num_nodes(tree.depth), N))
-        alone, *batches = [solve_backward(zT[:size], coeffs, tree, mesh) for size in (1, 2, 3)]
+        alone, *batches = [solve_backward(zT[:size], coeffs) for size in (1, 2, 3)]
         for name in ("z", "zeta", "Z"):
             for batch in batches:
                 for k, (got, ref) in enumerate(zip(getattr(batch, name), getattr(alone, name))):
                     assert np.array_equal(got[:1], ref), (name, k, len(batch.z[0]))
+
+    @pytest.mark.parametrize("N", [4, 7, 8, 15, 31, 63])
+    @pytest.mark.parametrize("depth", [3, 6, 8])
+    def test_a_sweep_is_the_same_with_or_without_a_sample_axis(self, N, depth):
+        # Level 0 of an unbatched sweep is one pair row, and so is level 0
+        # of a batch of one sample: both must round alike.
+        mesh, tree = build_mesh(N), build_tree(depth, 1.0)
+        coeffs = Coefficients.constant(tree, mesh, 0.5, 0.7)
+        zT = np.random.default_rng(N + depth).standard_normal((tree.num_nodes(depth), N))
+        plain, batched = solve_backward(zT, coeffs), solve_backward(zT[None], coeffs)
+        for name in ("z", "zeta", "Z"):
+            for k, (got, ref) in enumerate(zip(getattr(batched, name), getattr(plain, name))):
+                assert np.array_equal(got[0], ref), (name, k)
 
     @pytest.mark.parametrize("adapted_a2", [False, True])
     def test_shared_levels_match_their_per_node_copies(self, adapted_a2):
@@ -200,7 +208,7 @@ class TestSolveBackward:
         assert [op.nodes for op in shared.step_operators()] == [1] * tree.depth
         assert [op.prefix_form for op in per_node.step_operators()] == [False] + [True] * 5
         zT = rng.standard_normal((3, tree.num_nodes(tree.depth), mesh.N))
-        got, ref = solve_backward(zT, shared, tree, mesh), solve_backward(zT, per_node, tree, mesh)
+        got, ref = solve_backward(zT, shared), solve_backward(zT, per_node)
         for name in ("z", "Z", "zeta"):
             for k, (g, r) in enumerate(zip(getattr(got, name), getattr(ref, name))):
                 assert g.shape == r.shape, (name, k)
@@ -212,7 +220,7 @@ class TestSolveBackward:
         coeffs = Coefficients.constant(tree, mesh, 0.5, 0.0)
         zT_single = np.sin(np.pi * mesh.interior)
         zT = np.tile(zT_single, (16, 1))
-        sol = solve_backward(zT, coeffs, tree, mesh)
+        sol = solve_backward(zT, coeffs)
         for arr in sol.Z:
             np.testing.assert_allclose(arr, 0.0, atol=1e-13)
         # matches the transposed deterministic scheme
@@ -221,20 +229,12 @@ class TestSolveBackward:
             det = np.linalg.solve(dense_step(mesh, tree.dt, coeffs.a1_levels[k][0]).T, det)
         np.testing.assert_allclose(sol.z0, det, rtol=1e-12)
 
-    @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
-    def test_coefficients_of_another_grid_rejected(self, tree_args, N):
-        # Built for dt = 1/4 on N = 6; the sweep runs with dt = 1/2 or on N = 5.
-        mesh = build_mesh(6)
-        coeffs = Coefficients.constant(build_tree(4, 1.0), mesh, 0.5, 0.5)
-        with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
-            solve_backward(np.ones((16, N)), coeffs, build_tree(*tree_args), build_mesh(N))
-
     def test_root_value_is_deterministic_scalar_node(self):
         mesh = build_mesh(5)
         tree = build_tree(3, 1.0)
         rng = np.random.default_rng(2)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
-        sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs, tree, mesh)
+        sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs)
         assert sol.z[0].shape == (1, mesh.N)
         np.testing.assert_array_equal(sol.z0, sol.z[0][0])
 
@@ -243,7 +243,7 @@ class TestSolveBackward:
         tree = build_tree(3, 1.0)
         rng = np.random.default_rng(3)
         coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.5, 0.5)
-        sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs, tree, mesh)
+        sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs)
         root_dt = np.sqrt(tree.dt)
         for k in range(tree.depth):
             a1 = coeffs.a1_levels[k]
@@ -270,8 +270,8 @@ class TestDuality:
             controls = random_controls(tree, mesh, region, rng)
             y0 = rng.standard_normal(N)
             zT = rng.standard_normal((tree.num_nodes(depth), N))
-            fwd = solve_forward(y0, controls, coeffs, tree, mesh)
-            bwd = solve_backward(zT, coeffs, tree, mesh)
+            fwd = solve_forward(y0, controls, coeffs)
+            bwd = solve_backward(zT, coeffs)
             res, scale = duality_residual(fwd, bwd, controls, tree, mesh)
             assert res <= 1e-10 * scale
 
@@ -282,8 +282,8 @@ class TestDuality:
         coeffs = Coefficients.constant(tree, mesh, 0.7, 0.9)
         y0 = rng.standard_normal(mesh.N)
         zT = rng.standard_normal((32, mesh.N))
-        fwd = solve_forward(y0, None, coeffs, tree, mesh)
-        bwd = solve_backward(zT, coeffs, tree, mesh)
+        fwd = solve_forward(y0, None, coeffs)
+        bwd = solve_backward(zT, coeffs)
         res, scale = duality_residual(fwd, bwd, None, tree, mesh)
         assert res <= 1e-12 * scale
 
@@ -309,7 +309,7 @@ class TestTimeConsistency:
             tree = build_tree(depth, T)
             coeffs = Coefficients.constant(tree, mesh, a1_const, 0.0)
             zT = np.tile(zT_single, (tree.num_nodes(depth), 1))
-            sol = solve_backward(zT, coeffs, tree, mesh)
+            sol = solve_backward(zT, coeffs)
             errors.append(np.abs(sol.z0 - exact).max())
         ratio = errors[0] / errors[1]
         # halving dt should roughly halve the error

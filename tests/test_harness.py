@@ -120,7 +120,8 @@ class TestCoefficientBuilders:
             coeffs = build_coefficients(cfg, tree, mesh, rng)
             assert isinstance(coeffs, Coefficients)
             if kind == "zero":
-                assert coeffs.sup_norm == 0.0
+                for level in coeffs.a1_levels + coeffs.a2_levels:
+                    np.testing.assert_array_equal(level, 0.0)
             if kind == "sinusoid":
                 expected = 0.3 * np.sin(2 * np.pi * mesh.interior)
                 np.testing.assert_allclose(coeffs.a1_levels[0][0], expected)

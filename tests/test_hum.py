@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ class TestGramian:
         from sdcontrol.backward_solver import solve_backward
         z = rng.standard_normal((8, 5))
         lam_zz = tree_inner(problem.tree, problem.mesh, 3, gramian_apply(z, problem), z)
-        bwd = solve_backward(z, problem.coeffs, problem.tree, problem.mesh)
+        bwd = solve_backward(z, problem.coeffs)
         acc = 0.0
         for k in range(3):
             n = problem.tree.num_nodes(k)
@@ -292,7 +294,7 @@ class TestRiccatiLevels:
 class TestSolveHum:
     def test_zero_initial_state(self):
         problem, _ = small_problem(seed=6)
-        problem.y0 = np.zeros(problem.mesh.N)
+        problem = dataclasses.replace(problem, y0=np.zeros(problem.mesh.N))
         sol = solve_hum(problem)
         np.testing.assert_array_equal(sol.zT_star, 0.0)
         np.testing.assert_array_equal(sol.terminal, 0.0)
@@ -366,7 +368,7 @@ class TestSolveHum:
         ratios = []
         for seed in range(5):
             problem, _ = small_problem(N=6, depth=5, eps=1e-4, seed=seed)
-            problem.y0 = np.sin(np.pi * problem.mesh.interior)
+            problem = dataclasses.replace(problem, y0=np.sin(np.pi * problem.mesh.interior))
             sol = solve_hum(problem)
             ratios.append(report_bounds(sol, problem).cost_ratio)
         assert max(ratios) <= 10.0 * min(ratios)
@@ -375,11 +377,17 @@ class TestSolveHum:
         # Coefficients built for dt = 1/4 driving a problem on a tree with dt = 1/2.
         mesh = build_mesh(4)
         coeffs = Coefficients.constant(build_tree(4, 1.0), mesh, 0.5, 0.5)
-        problem = HumProblem(y0=np.ones(mesh.N), coeffs=coeffs,
-                             region=OmegaRegion(mesh, (0.3, 0.7)), tree=build_tree(4, 2.0),
-                             mesh=mesh, epsilon=1e-3)
         with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
-            solve_hum(problem)
+            HumProblem(y0=np.ones(mesh.N), coeffs=coeffs, region=OmegaRegion(mesh, (0.3, 0.7)),
+                       tree=build_tree(4, 2.0), mesh=mesh, epsilon=1e-3)
+
+    def test_fields_fixed_after_the_checks(self):
+        # The grid is checked only when the problem is built.
+        problem, _ = small_problem()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.tree = build_tree(4, 2.0)
+        with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
+            dataclasses.replace(problem, tree=build_tree(4, 2.0))
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigurationError):

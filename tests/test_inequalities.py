@@ -6,9 +6,10 @@ import pytest
 
 from sdcontrol import inequalities
 from sdcontrol.backward_solver import backward_step, solve_backward
-from sdcontrol.errors import RegimeError, SingularSystemError
+from sdcontrol.errors import ConfigurationError, RegimeError, SingularSystemError
 from sdcontrol.forward_solver import Coefficients, OmegaRegion
 from sdcontrol.harness import emit_csv
+from sdcontrol.hum import HumProblem
 from sdcontrol.inequalities import (SourcePair, SweepSettings, _batches, carleman_ratio_study,
                                     carleman_terms, h_sweep, mesh_size_from_h,
                                     observability_sample, solve_w_equation)
@@ -329,7 +330,7 @@ class TestObservability:
         lhs, diffusion, window, terminal = (np.empty(total) for _ in range(4))
         eps_factor = np.exp(-1.0 / mesh.h)
         for i, zT in enumerate(data):
-            sol = solve_backward(zT, coeffs, tree, mesh)
+            sol = solve_backward(zT, coeffs)
             lhs[i] = tree_inner(tree, mesh, 0, sol.z0, sol.z0)
             diffusion[i] = time_pairing(tree, mesh, sol.Z, sol.Z)
             window[i] = time_pairing(tree, mesh, sol.z, sol.z, region.indicator)
@@ -456,6 +457,44 @@ class TestObservability:
         with pytest.raises(RegimeError):
             observability_sample(coeffs, weights, tree, mesh, region,
                                  np.random.default_rng(0), 2, 2, 1.0)
+
+
+class TestGridChecks:
+    """The sweeps take their grid from the coefficients; an entry point
+    handed a grid as well checks it, and its window's mesh, before any sweep."""
+
+    @pytest.mark.parametrize("entry", ["hum", "observability"])
+    @pytest.mark.parametrize("tree_args,N", [((4, 1.0), 5), ((4, 2.0), 6)])
+    def test_another_grid_rejected(self, entry, tree_args, N):
+        # Built for dt = 1/4 on N = 6; the entry point is handed dt = 1/2 or N = 5.
+        coeffs = Coefficients.constant(build_tree(4, 1.0), build_mesh(6), 0.5, 0.5)
+        tree, mesh = build_tree(*tree_args), build_mesh(N)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        with pytest.raises(ConfigurationError, match="cannot drive a sweep"):
+            if entry == "hum":
+                HumProblem(y0=np.ones(N), coeffs=coeffs, region=region, tree=tree, mesh=mesh,
+                           epsilon=1e-3)
+            else:
+                observability_sample(coeffs, mild_weights(), tree, mesh, region,
+                                     np.random.default_rng(0), 2, 2, 1.0)
+
+    @pytest.mark.parametrize("entry", ["hum", "observability", "carleman"])
+    def test_window_of_another_mesh_rejected(self, entry):
+        tree, mesh = build_tree(3, 1.0), build_mesh(8)
+        coeffs = Coefficients.constant(tree, mesh, 0.5, 0.5)
+        region = OmegaRegion(build_mesh(9), (0.3, 0.7))
+        sources = zero_sources(tree, mesh)
+        calls = {
+            "hum": lambda: HumProblem(y0=np.ones(mesh.N), coeffs=coeffs, region=region,
+                                      tree=tree, mesh=mesh, epsilon=1e-3),
+            "observability": lambda: observability_sample(
+                coeffs, mild_weights(), tree, mesh, region, np.random.default_rng(0),
+                2, 2, 1.0),
+            "carleman": lambda: carleman_terms(solve_w_equation(sources, tree, mesh), sources,
+                                               mild_weights(), tree, mesh, region),
+        }
+        with pytest.raises(ConfigurationError, match="N=9 cannot act on a mesh with N=8"):
+            calls[entry]()
 
 
 class TestSweep:
