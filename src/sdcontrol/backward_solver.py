@@ -6,7 +6,7 @@ inner product gives, for a node with transpose-solved children zhat =
 
     zeta = (zhat_plus + zhat_minus) / 2          (conditional mean)
     Z    = (zhat_plus - zhat_minus) / (2 sqrt(dt))  (martingale coefficient)
-    z    = zeta + dt * a2 * Z
+    z    = zeta + dt * a2 * Z                    (adjoint, rebuilt bit for bit)
 
 The step matrix is symmetric, so that solve is the forward step's own:
 both sweeps apply one factored operator.  On a level whose matrix is
@@ -30,6 +30,8 @@ exactly across levels:
     E<y(T), z_T> - E<y0, z(0)> = sum_k dt E<chi*u_k, zeta_k> + sum_k dt E<v_k, Z_k>
 
 for every input, which is the identity the control synthesis rests on.
+It reads z only at the leaves and the root, so ``solve_backward`` keeps
+those two with zeta and Z, and carries z from one level to the next.
 A freestanding discretization of the adjoint equation would satisfy it only
 up to O(dt) and the closure tests downstream would be meaningless.
 """
@@ -48,22 +50,18 @@ from .noise_tree import ScenarioTree, martingale_coeff, time_pairing, tree_inner
 
 @dataclass
 class BackwardSolution:
-    """Adjoint pair plus the dual pairings produced by the transposed sweep,
-    each a tree field (a list of level arrays).
-
-    ``z`` spans levels 0..depth (first component, terminal datum at the
-    leaves); ``zeta`` and ``Z`` span levels 0..depth-1 and are the exact
-    dual pairings of the drift and diffusion controls.  A batched sweep
-    keeps its leading sample axes on every level.
+    """The transposed sweep's leaf datum ``zT`` (the caller's array, not
+    copied), root value ``z0`` (..., N) and dual pairings ``zeta`` and
+    ``Z`` of the drift and diffusion controls, tree fields over levels
+    0..depth-1.  The adjoint at a level k < depth is not stored: it is
+    ``zeta[k] + dt * a2[k] * Z[k]``, bit for bit what ``backward_step``
+    returned.  A batched sweep keeps its leading sample axes on every level.
     """
 
-    z: list[np.ndarray]
+    zT: np.ndarray
+    z0: np.ndarray
     zeta: list[np.ndarray]
     Z: list[np.ndarray]
-
-    @property
-    def z0(self) -> np.ndarray:
-        return self.z[0][..., 0, :]
 
 
 def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
@@ -118,24 +116,22 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients) -> BackwardSolution:
     leaves = (tree.num_nodes(tree.depth), coeffs.mesh.N)
     zT = zT.reshape(zT.shape[:-2] + leaves if zT.ndim > 2 else leaves)
 
-    z_levels = [None] * (tree.depth + 1)
     zeta_levels = [None] * tree.depth
     coeff_levels = [None] * tree.depth
-    z_levels[tree.depth] = zT.copy()
-
+    z = zT
     for k in range(tree.depth - 1, -1, -1):
-        z_levels[k], coeff_levels[k], zeta_levels[k] = backward_step(
-            steps[k], tree.dt, z_levels[k + 1], coeffs.a2_levels[k])
+        z, coeff_levels[k], zeta_levels[k] = backward_step(
+            steps[k], tree.dt, z, coeffs.a2_levels[k])
 
-    return BackwardSolution(z=z_levels, zeta=zeta_levels, Z=coeff_levels)
+    return BackwardSolution(zT=zT, z0=z[..., 0, :], zeta=zeta_levels, Z=coeff_levels)
 
 
 def duality_residual(forward: list[np.ndarray], backward: BackwardSolution,
                      controls: ControlPair | None, tree: ScenarioTree,
                      mesh: Mesh) -> tuple[float, float]:
     """Absolute residual of the telescoped pairing identity, plus its scale."""
-    lhs_T = tree_inner(tree, mesh, tree.depth, forward[-1], backward.z[-1])
-    lhs_0 = tree_inner(tree, mesh, 0, forward[0], backward.z[0])
+    lhs_T = tree_inner(tree, mesh, tree.depth, forward[-1], backward.zT)
+    lhs_0 = tree_inner(tree, mesh, 0, forward[0], backward.z0[..., np.newaxis, :])
     rhs_u = rhs_v = 0.0
     if controls is not None:
         rhs_u = time_pairing(tree, mesh, controls.u, backward.zeta,

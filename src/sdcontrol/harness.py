@@ -511,6 +511,8 @@ def _cmd_observability(cfg: ExperimentConfig, args) -> int:
             coeffs, weights, tree, mesh, region, rng,
             obs["train"], obs["holdout"], cfg.weights["c_eps"],
             safety=obs["safety"], terminal_h_scaling=label == "h_scaled")
+        if not np.isfinite([fit.fitted_C, fit.holdout_max_ratio]).all():
+            raise FloatingPointError(f"the {label} observability fit is not finite")
         payload[label] = {
             "fitted_C": fit.fitted_C, "bound_C": fit.bound_C,
             "holdout_violations": fit.holdout_violations,
@@ -608,7 +610,7 @@ def cli(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularSystemError, ConvergenceError) as exc:
+    except (SingularSystemError, ConvergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residuals:
             print(f"residual history tail: {exc.residuals[-5:]}", file=sys.stderr)

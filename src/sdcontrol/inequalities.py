@@ -326,8 +326,9 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
             rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
 
     rhs = rhs_diffusion + rhs_window + rhs_terminal
-    keep = rhs > 0
+    keep = rhs != 0.0  # all-zero samples only: an overflowed one must fit as NaN
     ratios = np.where(keep, lhs / np.where(keep, rhs, 1.0), 0.0)
+    ratios[np.isinf(rhs)] = np.nan  # lhs/inf would read 0
     train_keep = keep[:train]
     train_ratios = ratios[:train][train_keep]
     holdout_keep = keep[train:]

@@ -17,6 +17,19 @@ def dense_step(mesh, dt, a1):
     return np.eye(mesh.N) - dt * (lap + np.diag(a1))
 
 
+def adjoint_levels(sol, coeffs):
+    """The adjoint z at levels 0..depth, rebuilt from the sweep's pairings
+    as ``backward_step`` forms it, with the leaf datum on top."""
+    dt = coeffs.tree.dt
+    return [zeta + dt * a2 * Z
+            for zeta, a2, Z in zip(sol.zeta, coeffs.a2_levels, sol.Z)] + [sol.zT]
+
+
+def solution_fields(sol, coeffs):
+    """The rebuilt adjoint and both pairings of a sweep, by name."""
+    return {"z": adjoint_levels(sol, coeffs), "zeta": sol.zeta, "Z": sol.Z}
+
+
 def random_controls(tree, mesh, region, rng):
     u = random_levels(mesh, rng, (), tree.depth)
     v = random_levels(mesh, rng, (), tree.depth)
@@ -29,7 +42,7 @@ class TestBackwardStep:
         tree = build_tree(3, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_backward(np.zeros((8, mesh.N)), coeffs)
-        for arr in sol.z + sol.Z + sol.zeta:
+        for arr in adjoint_levels(sol, coeffs) + [sol.z0] + sol.Z + sol.zeta:
             np.testing.assert_array_equal(arr, 0.0)
 
     def test_equal_constant_children(self):
@@ -130,6 +143,33 @@ class TestBackwardStep:
 
 
 class TestSolveBackward:
+    @pytest.mark.parametrize("N, T, a2, adapted, prefix", [
+        (9, 0.9, 0.7, False, [False] * 4),                # shared: the split matmuls
+        (9, 0.9, 0.7, True, [False, True, True, True]),   # per node, prefix form
+        (63, 1e-6, 1e3, True, [False] * 4),               # per node, row-by-row substitution
+    ])
+    @pytest.mark.parametrize("samples", [(), (3,)])
+    def test_pairings_rebuild_every_stepped_adjoint(self, N, T, a2, adapted, prefix, samples):
+        # The solution stores no adjoint level; zeta + dt a2 Z must give the
+        # z that backward_step returns, bit for bit, on every kind of level.
+        # dt is no power of two and dt a2 Z is not small beside zeta, so
+        # the rebuild must also multiply in backward_step's order.
+        mesh, tree = build_mesh(N), build_tree(4, T)
+        rng = np.random.default_rng(N)
+        coeffs = (Coefficients.adapted_random(tree, mesh, rng, 0.5, a2) if adapted
+                  else Coefficients.constant(tree, mesh, 0.5, a2))
+        steps = coeffs.step_operators()
+        assert [op.prefix_form for op in steps] == prefix
+        assert [op.nodes for op in steps] == ([1, 2, 4, 8] if adapted else [1] * 4)
+        zT = rng.standard_normal(samples + (tree.num_nodes(tree.depth), N))
+        bwd = solve_backward(zT, coeffs)
+        assert np.shares_memory(bwd.zT, zT)
+        rebuilt, z = adjoint_levels(bwd, coeffs), zT
+        for k in range(tree.depth - 1, -1, -1):
+            z, _, _ = backward_step(steps[k], tree.dt, z, coeffs.a2_levels[k])
+            assert np.array_equal(rebuilt[k], z), k
+        assert np.array_equal(bwd.z0, z[..., 0, :])
+
     def test_linear_in_terminal_data(self):
         mesh = build_mesh(6)
         tree = build_tree(4, 1.0)
@@ -140,10 +180,11 @@ class TestSolveBackward:
         sab = solve_backward(2.0 * a - 3.0 * b, coeffs)
         sa = solve_backward(a, coeffs)
         sb = solve_backward(b, coeffs)
+        zab, za, zb = (adjoint_levels(sol, coeffs) for sol in (sab, sa, sb))
         for k in range(tree.depth + 1):
-            combined = 2.0 * sa.z[k] - 3.0 * sb.z[k]
+            combined = 2.0 * za[k] - 3.0 * zb[k]
             scale = max(1.0, np.abs(combined).max())
-            assert np.abs(sab.z[k] - combined).max() <= 1e-12 * scale
+            assert np.abs(zab[k] - combined).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("adapted", [False, True])
     def test_sample_batch_equals_separate_solves(self, adapted):
@@ -156,8 +197,9 @@ class TestSolveBackward:
         batch = solve_backward(zT, coeffs)
         for s in range(zT.shape[0]):
             single = solve_backward(zT[s], coeffs)
-            for name in ("z", "zeta", "Z"):
-                got, ref = getattr(batch, name), getattr(single, name)
+            fields = solution_fields(single, coeffs)
+            for name, got in solution_fields(batch, coeffs).items():
+                ref = fields[name]
                 assert len(got) == len(ref)
                 for k, (g, r) in enumerate(zip(got, ref)):
                     assert g.shape == (3,) + r.shape, (name, k)
@@ -173,10 +215,12 @@ class TestSolveBackward:
         coeffs = Coefficients.constant(tree, mesh, 0.5, 0.7)
         zT = np.random.default_rng(N).standard_normal((3, tree.num_nodes(tree.depth), N))
         alone, *batches = [solve_backward(zT[:size], coeffs) for size in (1, 2, 3)]
-        for name in ("z", "zeta", "Z"):
-            for batch in batches:
-                for k, (got, ref) in enumerate(zip(getattr(batch, name), getattr(alone, name))):
-                    assert np.array_equal(got[:1], ref), (name, k, len(batch.z[0]))
+        for batch in batches:
+            assert np.array_equal(batch.z0[:1], alone.z0), len(batch.zT)
+            fields = solution_fields(alone, coeffs)
+            for name, got in solution_fields(batch, coeffs).items():
+                for k, (g, r) in enumerate(zip(got, fields[name])):
+                    assert np.array_equal(g[:1], r), (name, k, len(batch.zT))
 
     @pytest.mark.parametrize("N", [4, 7, 8, 15, 31, 63])
     @pytest.mark.parametrize("depth", [3, 6, 8])
@@ -187,9 +231,11 @@ class TestSolveBackward:
         coeffs = Coefficients.constant(tree, mesh, 0.5, 0.7)
         zT = np.random.default_rng(N + depth).standard_normal((tree.num_nodes(depth), N))
         plain, batched = solve_backward(zT, coeffs), solve_backward(zT[None], coeffs)
-        for name in ("z", "zeta", "Z"):
-            for k, (got, ref) in enumerate(zip(getattr(batched, name), getattr(plain, name))):
-                assert np.array_equal(got[0], ref), (name, k)
+        assert np.array_equal(batched.z0[0], plain.z0)
+        fields = solution_fields(plain, coeffs)
+        for name, got in solution_fields(batched, coeffs).items():
+            for k, (g, r) in enumerate(zip(got, fields[name])):
+                assert np.array_equal(g[0], r), (name, k)
 
     @pytest.mark.parametrize("adapted_a2", [False, True])
     def test_shared_levels_match_their_per_node_copies(self, adapted_a2):
@@ -209,8 +255,9 @@ class TestSolveBackward:
         assert [op.prefix_form for op in per_node.step_operators()] == [False] + [True] * 5
         zT = rng.standard_normal((3, tree.num_nodes(tree.depth), mesh.N))
         got, ref = solve_backward(zT, shared), solve_backward(zT, per_node)
-        for name in ("z", "Z", "zeta"):
-            for k, (g, r) in enumerate(zip(getattr(got, name), getattr(ref, name))):
+        fields = solution_fields(ref, per_node)
+        for name, got_levels in solution_fields(got, shared).items():
+            for k, (g, r) in enumerate(zip(got_levels, fields[name])):
                 assert g.shape == r.shape, (name, k)
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max(), (name, k)
 
@@ -235,8 +282,9 @@ class TestSolveBackward:
         rng = np.random.default_rng(2)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs)
-        assert sol.z[0].shape == (1, mesh.N)
-        np.testing.assert_array_equal(sol.z0, sol.z[0][0])
+        root = adjoint_levels(sol, coeffs)[0]
+        assert root.shape == (1, mesh.N) and sol.z0.shape == (mesh.N,)
+        np.testing.assert_array_equal(sol.z0, root[0])
 
     def test_martingale_reconstruction_of_transposed_children(self):
         mesh = build_mesh(6)
@@ -244,12 +292,13 @@ class TestSolveBackward:
         rng = np.random.default_rng(3)
         coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.5, 0.5)
         sol = solve_backward(rng.standard_normal((8, mesh.N)), coeffs)
+        levels = adjoint_levels(sol, coeffs)
         root_dt = np.sqrt(tree.dt)
         for k in range(tree.depth):
             a1 = coeffs.a1_levels[k]
             a1_child = np.repeat(a1, (2 << k) // a1.shape[0], axis=0)
             zhat = np.array([np.linalg.solve(dense_step(mesh, tree.dt, a).T, z)
-                             for a, z in zip(a1_child, sol.z[k + 1])])
+                             for a, z in zip(a1_child, levels[k + 1])])
             recon_plus = sol.zeta[k] + sol.Z[k] * root_dt
             recon_minus = sol.zeta[k] - sol.Z[k] * root_dt
             np.testing.assert_allclose(zhat[1::2], recon_plus, rtol=0, atol=1e-13)

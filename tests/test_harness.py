@@ -351,6 +351,16 @@ class TestCli:
         assert cli(["observability", "--config", path]) == 0
         assert "fitted_C" in capsys.readouterr().out
 
+    def test_overflowed_observability_fit_exits_3_naming_it(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, N=8, depth=5,
+                                  coefficients={"a2": {"kind": "constant", "magnitude": 1e200}},
+                                  observability={"train": 4, "holdout": 4, "safety": 2.0})
+        out = tmp_path / "observability.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli(["observability", "--config", path, "--out", str(out)]) == 3
+        assert "numerical failure: the plain observability fit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_carleman_subcommand(self, tmp_path, capsys):
         path = self._write_config(tmp_path, N=8,
                                   carleman={"samples": 5, "depth": 4, "modes": 2})

@@ -271,6 +271,21 @@ class TestObservability:
         assert fit.excluded == 1
         assert fit.samples == 4
 
+    @pytest.mark.parametrize("a2, terminal_scale", [(1e200, 1.0), (0.5, 1.5e153)])
+    def test_overflowed_sample_makes_the_fit_non_finite(self, a2, terminal_scale):
+        # A huge a2 turns every term NaN; smooth leaf data this large
+        # overflows the terminal term alone, while lhs and the other terms
+        # stay finite.  Neither sample is an all-zero exclusion.
+        mesh, tree, region, coeffs, weights, rng = self._setup(a2=a2)
+        leaves = tree.num_nodes(tree.depth)
+        data = [np.tile(terminal_scale * np.sin(np.pi * mesh.interior), (leaves, 1)),
+                rng.standard_normal((leaves, mesh.N))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = observability_sample(coeffs, weights, tree, mesh, region, rng,
+                                       2, 0, 1.0, terminal_data=data)
+        assert fit.excluded == 0
+        assert not np.isfinite(fit.fitted_C)
+
     def test_ratio_invariant_under_scaling(self):
         mesh, tree, region, coeffs, weights, rng = self._setup()
         leaves = tree.num_nodes(tree.depth)
@@ -333,7 +348,8 @@ class TestObservability:
             sol = solve_backward(zT, coeffs)
             lhs[i] = tree_inner(tree, mesh, 0, sol.z0, sol.z0)
             diffusion[i] = time_pairing(tree, mesh, sol.Z, sol.Z)
-            window[i] = time_pairing(tree, mesh, sol.z, sol.z, region.indicator)
+            z = [zeta + tree.dt * a2 * Z for zeta, a2, Z in zip(sol.zeta, coeffs.a2_levels, sol.Z)]
+            window[i] = time_pairing(tree, mesh, z, z, region.indicator)
             terminal[i] = eps_factor * tree_inner(tree, mesh, depth, zT, zT)
         ratios = lhs / (diffusion + window + terminal)
         fitted = ratios[:train].max()
@@ -563,6 +579,19 @@ class TestSweep:
         line = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert "inf" not in line and "nan" not in line
         assert line[9] == "" and line[12] == "true"
+
+    def test_overflowed_observability_fit_writes_obs_C_empty(self, tmp_path):
+        settings = self._settings([1 / 8])
+        settings.coeff_factory = (
+            lambda tree, mesh, rng: Coefficients.constant(tree, mesh, 0.5, 1e150))
+        settings.cg_maxiter = 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = h_sweep(settings)[0]
+        assert row.skipped and np.isnan(row.obs_C)
+        path = tmp_path / "rows.csv"
+        emit_csv([row], str(path))
+        line = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert line[7] == "" and line[12] == "true"
 
     def test_skipped_row_writes_the_iterations_cg_ran(self, tmp_path):
         # A stalled CG row keeps its iteration count; a row skipped before
