@@ -15,8 +15,8 @@ from .forward_solver import Coefficients, ControlPair, OmegaRegion, forward_step
 from .backward_solver import (BackwardSolution, backward_step, solve_backward,
                               duality_residual)
 from .hum import (HumProblem, HumSolution, CostReport, gramian_apply, solve_hum,
-                  report_bounds, evaluate_functional, functional_gradient,
-                  conjugate_gradient, epsilon_from_mesh)
+                  report_bounds, evaluate_functional, conjugate_gradient,
+                  epsilon_from_mesh)
 from .inequalities import (SourcePair, CarlemanTerms, FittedConstant, SweepRow,
                            SweepSettings, solve_w_equation, carleman_terms,
                            carleman_ratio_study, observability_sample, h_sweep)

@@ -30,8 +30,8 @@ exactly across levels:
     E<y(T), z_T> - E<y0, z(0)> = sum_k dt E<chi*u_k, zeta_k> + sum_k dt E<v_k, Z_k>
 
 for every input, which is the identity the control synthesis rests on.
-It reads z only at the leaves and the root, so ``solve_backward`` keeps
-those two with zeta and Z, and carries z from one level to the next.
+It reads y and z only at the root and the leaves, all that the sweeps
+keep of them (``solve_backward`` keeps zeta and Z as well).
 A freestanding discretization of the adjoint equation would satisfy it only
 up to O(dt) and the closure tests downstream would be meaningless.
 """
@@ -126,12 +126,13 @@ def solve_backward(zT: np.ndarray, coeffs: Coefficients) -> BackwardSolution:
     return BackwardSolution(zT=zT, z0=z[..., 0, :], zeta=zeta_levels, Z=coeff_levels)
 
 
-def duality_residual(forward: list[np.ndarray], backward: BackwardSolution,
+def duality_residual(y0: np.ndarray, yT: np.ndarray, backward: BackwardSolution,
                      controls: ControlPair | None, tree: ScenarioTree,
                      mesh: Mesh) -> tuple[float, float]:
-    """Absolute residual of the telescoped pairing identity, plus its scale."""
-    lhs_T = tree_inner(tree, mesh, tree.depth, forward[-1], backward.zT)
-    lhs_0 = tree_inner(tree, mesh, 0, forward[0], backward.z0[..., np.newaxis, :])
+    """Absolute residual of the telescoped pairing identity of the state's
+    root ``y0`` and leaves ``yT`` with ``backward``, plus its scale."""
+    lhs_T = tree_inner(tree, mesh, tree.depth, yT, backward.zT)
+    lhs_0 = tree_inner(tree, mesh, 0, y0, backward.z0[..., np.newaxis, :])
     rhs_u = rhs_v = 0.0
     if controls is not None:
         rhs_u = time_pairing(tree, mesh, controls.u, backward.zeta,

@@ -199,16 +199,15 @@ def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v:
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None,
-                  coeffs: Coefficients) -> list[np.ndarray]:
-    """State levels at every node of ``coeffs.tree``, root to leaves; affine in (y0, u, v)."""
+                  coeffs: Coefficients) -> np.ndarray:
+    """Leaf states (2^depth, N) of ``coeffs.tree`` reached from ``y0`` (not
+    written to), carrying one level as ``solve_backward`` does; affine in (y0, u, v)."""
     tree = coeffs.tree
     steps = coeffs.step_operators()
-    y0 = np.asarray(y0, dtype=float).reshape(coeffs.mesh.N)
-
-    levels = [y0[np.newaxis, :].copy()]
+    y = np.asarray(y0, dtype=float).reshape(1, coeffs.mesh.N)
     for k in range(tree.depth):
         u = v = 0.0
         if controls is not None:
             u, v = controls.region.indicator * controls.u[k], controls.v[k]
-        levels.append(forward_step(steps[k], tree.dt, levels[k], u, v, coeffs.a2_levels[k]))
-    return levels
+        y = forward_step(steps[k], tree.dt, y, u, v, coeffs.a2_levels[k])
+    return y

@@ -374,9 +374,9 @@ def run_identity_checks(seed: int = 1234) -> list[tuple[str, bool, str]]:
                                v=nt.random_levels(mesh, rngs[3], (), depth), region=region)
         y0 = rngs[3].standard_normal(N)
         zT = rngs[3].standard_normal((tree.num_nodes(depth), N))
-        fwd = solve_forward(y0, controls, coeffs)
+        yT = solve_forward(y0, controls, coeffs)
         bwd = solve_backward(zT, coeffs)
-        res, scale = duality_residual(fwd, bwd, controls, tree, mesh)
+        res, scale = duality_residual(y0, yT, bwd, controls, tree, mesh)
         worst = max(worst, res / scale)
     results.append(("pairing identity (10 random instances)", worst <= 1e-10,
                     f"max rel residual {worst:.2e}"))

@@ -80,8 +80,12 @@ class HumProblem:
 
 @dataclass
 class HumSolution:
+    """Minimizer, controlled and free leaf states, and ``control_cost``, the
+    energy sum_k dt E(|chi*u_k|^2 + |v_k|^2) of the controls (u, v) =
+    -(zeta, Z) of ``solve_backward(zT_star, coeffs)``, which are not kept."""
+
     zT_star: np.ndarray
-    controls: ControlPair
+    control_cost: float
     terminal: np.ndarray
     free_terminal: np.ndarray
     functional_value: float
@@ -96,10 +100,10 @@ class HumSolution:
 
 
 def gramian_apply(zT: np.ndarray, problem: HumProblem) -> np.ndarray:
-    """Terminal state reached from rest under the controls induced by zT."""
+    """Leaf states reached from rest under the controls (zeta, Z) of zT's backward sweep."""
     bwd = solve_backward(zT, problem.coeffs)
     controls = ControlPair(bwd.zeta, bwd.Z, problem.region)
-    return solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs)[-1]
+    return solve_forward(np.zeros(problem.mesh.N), controls, problem.coeffs)
 
 
 def leaf_norm(problem: HumProblem, a: np.ndarray) -> float:
@@ -297,34 +301,26 @@ def riccati_preconditioner(problem: HumProblem):
     return apply
 
 
-def free_terminal_state(problem: HumProblem) -> np.ndarray:
-    return solve_forward(problem.y0, None, problem.coeffs)[-1]
-
-
-def evaluate_functional(problem: HumProblem, zT: np.ndarray,
-                        bwd: BackwardSolution | None = None) -> float:
-    """Quadratic cost of a candidate terminal datum, from its backward sweep ``bwd`` if given."""
+def _costs(problem: HumProblem, zT: np.ndarray, bwd: BackwardSolution) -> tuple[float, float]:
+    """Energy of the controls -(zeta, Z) of the sweep ``bwd`` from zT (exact
+    from zeta and Z, as (-a)*(-a) = a*a), and the quadratic cost of zT."""
     tree, mesh = problem.tree, problem.mesh
-    if bwd is None:
-        bwd = solve_backward(zT, problem.coeffs)
     quad = (time_pairing(tree, mesh, bwd.Z, bwd.Z)
             + time_pairing(tree, mesh, bwd.zeta, bwd.zeta, problem.region.indicator))
     penalty = problem.epsilon * tree_inner(tree, mesh, tree.depth, zT, zT)
     linear = tree_inner(tree, mesh, 0, problem.y0, bwd.z0)
-    return float(0.5 * quad + 0.5 * penalty - linear)
+    return quad, float(0.5 * quad + 0.5 * penalty - linear)
 
 
-def functional_gradient(problem: HumProblem, zT: np.ndarray,
-                        b: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the cost in the weighted leaf inner product."""
-    if b is None:
-        b = free_terminal_state(problem)
-    return gramian_apply(zT, problem) + problem.epsilon * zT - b
+def evaluate_functional(problem: HumProblem, zT: np.ndarray) -> float:
+    """Quadratic cost of a candidate terminal datum."""
+    return _costs(problem, zT, solve_backward(zT, problem.coeffs))[1]
 
 
 def solve_hum(problem: HumProblem) -> HumSolution:
-    """Minimize the penalized cost and synthesize the control pair."""
-    b = free_terminal_state(problem)
+    """Minimize the penalized cost and synthesize the control pair, (u, v) =
+    -(zeta, Z) of the minimizer's sweep, negated in place after pricing."""
+    b = solve_forward(problem.y0, None, problem.coeffs)
 
     def apply_op(z):
         return gramian_apply(z, problem) + problem.epsilon * z
@@ -333,8 +329,11 @@ def solve_hum(problem: HumProblem) -> HumSolution:
                                             riccati_preconditioner(problem))
 
     bwd = solve_backward(zT_star, problem.coeffs)
-    controls = ControlPair([-a for a in bwd.zeta], [-a for a in bwd.Z], problem.region)
-    terminal = solve_forward(problem.y0, controls, problem.coeffs)[-1]
+    cost, value = _costs(problem, zT_star, bwd)
+    for a in bwd.zeta + bwd.Z:
+        np.negative(a, out=a)
+    terminal = solve_forward(problem.y0, ControlPair(bwd.zeta, bwd.Z, problem.region),
+                             problem.coeffs)
 
     # terminal - eps*z* = b - (Lambda + eps*I) z*, so the closure error is
     # the true residual of the normal equations in the leaf norm.
@@ -345,10 +344,10 @@ def solve_hum(problem: HumProblem) -> HumSolution:
 
     return HumSolution(
         zT_star=zT_star,
-        controls=controls,
+        control_cost=cost,
         terminal=terminal,
         free_terminal=b,
-        functional_value=evaluate_functional(problem, zT_star, bwd),
+        functional_value=value,
         cg_residuals=residuals,
         closure_error=closure,
         closure_bound=bound,
@@ -372,9 +371,7 @@ def report_bounds(sol: HumSolution, problem: HumProblem) -> CostReport:
     Ratios are reported as 0 when the initial state vanishes.
     """
     tree, mesh = problem.tree, problem.mesh
-    controls = sol.controls
-    cost = (time_pairing(tree, mesh, controls.v, controls.v)
-            + time_pairing(tree, mesh, controls.u, controls.u, problem.region.indicator))
+    cost = sol.control_cost
     e0 = tree_inner(tree, mesh, 0, problem.y0, problem.y0)
     eT = tree_inner(tree, mesh, tree.depth, sol.terminal, sol.terminal)
     if e0 == 0.0:

@@ -375,21 +375,21 @@ class SweepSettings:
 
 @dataclass
 class SweepRow:
-    """One CSV row.  A value left at NaN or None is written empty; a row
-    whose CG fails keeps the iterations it ran in ``cg_iters``."""
+    """One CSV row.  None (not computed) and NaN (not finite, blanked) are
+    written empty; a row whose CG fails keeps the iterations it ran in ``cg_iters``."""
 
     h: float
-    delta: float = np.nan
+    delta: float | None = None
     lam: float = np.nan
     mu: float = np.nan
     N: int | None = None
     depth: int = 0
-    eps: float = np.nan
-    obs_C: float = np.nan
-    term_ratio: float = np.nan
-    cost_ratio: float = np.nan
+    eps: float | None = None
+    obs_C: float | None = None
+    term_ratio: float | None = None
+    cost_ratio: float | None = None
     cg_iters: int | None = None
-    closure_err: float = np.nan
+    closure_err: float | None = None
     skipped: bool = False
     reason: str = ""
 
@@ -406,14 +406,15 @@ _COMPUTED_FIELDS = ("delta", "eps", "obs_C", "term_ratio", "cost_ratio", "closur
 
 
 def _blank_non_finite(row: SweepRow) -> None:
-    """Blank NaN/Inf values (written as empty CSV fields); a row that was not
-    already skipped becomes skipped, naming the fields."""
-    bad = [name for name in _COMPUTED_FIELDS if not np.isfinite(getattr(row, name))]
+    """Blank computed NaN/Inf values (written as empty CSV fields) and skip
+    the row, naming the fields after any reason it already has."""
+    bad = [name for name in _COMPUTED_FIELDS
+           if getattr(row, name) is not None and not np.isfinite(getattr(row, name))]
     for name in bad:
         setattr(row, name, np.nan)
-    if bad and not row.skipped:
+    if bad:
         row.skipped = True
-        row.reason = f"non-finite values in {', '.join(bad)}"
+        row.reason = "; ".join(filter(None, (row.reason, f"non-finite values in {', '.join(bad)}")))
 
 
 def h_sweep(settings: SweepSettings) -> list[SweepRow]:

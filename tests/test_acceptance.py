@@ -17,7 +17,6 @@ from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
                                       solve_forward)
 from sdcontrol.harness import (ExperimentConfig, cli, sweep_settings_from_config)
 from sdcontrol.hum import (HumProblem, conjugate_gradient, evaluate_functional,
-                           free_terminal_state, functional_gradient,
                            gramian_apply, solve_hum)
 from sdcontrol.inequalities import (carleman_ratio_study, h_sweep,
                                     observability_sample)
@@ -108,9 +107,10 @@ def test_criterion_05_duality_identity():
         region = OmegaRegion(mesh, (0.25, 0.75))
         controls = ControlPair(u=random_levels(mesh, rng, (), depth),
                                v=random_levels(mesh, rng, (), depth), region=region)
-        fwd = solve_forward(rng.standard_normal(N), controls, coeffs)
+        y0 = rng.standard_normal(N)
+        yT = solve_forward(y0, controls, coeffs)
         bwd = solve_backward(rng.standard_normal((tree.num_nodes(depth), N)), coeffs)
-        res, scale = duality_residual(fwd, bwd, controls, tree, mesh)
+        res, scale = duality_residual(y0, yT, bwd, controls, tree, mesh)
         worst = max(worst, res / scale)
     report(5, worst <= 1e-10, f"max relative residual {worst:.3e} over 50 instances "
            "(tol 1e-10)", started, 30.0)
@@ -180,7 +180,7 @@ def test_criterion_08_cg_vs_dense_oracle():
     started = time.time()
     problem, rng = _dense_problem(108, eps=2e-4)
     mat = _assemble(problem) + problem.epsilon * np.eye(64)
-    b = free_terminal_state(problem).ravel()
+    b = solve_forward(problem.y0, None, problem.coeffs).ravel()
     x_dense = np.linalg.solve(mat, b)
     x_cg, _ = conjugate_gradient(
         lambda z: gramian_apply(z.reshape(16, 4), problem).ravel() + problem.epsilon * z,
@@ -193,8 +193,8 @@ def test_criterion_09_gradient_check():
     started = time.time()
     problem, rng = _dense_problem(109)
     z = rng.standard_normal((16, 4))
-    b = free_terminal_state(problem)
-    grad = functional_gradient(problem, z, b)
+    b = solve_forward(problem.y0, None, problem.coeffs)
+    grad = gramian_apply(z, problem) + problem.epsilon * z - b
     worst = 0.0
     step = 1e-3
     for _ in range(20):

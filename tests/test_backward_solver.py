@@ -135,8 +135,8 @@ class TestBackwardStep:
         region = OmegaRegion(mesh, (0.5, 0.9))
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         controls = ControlPair(u=[u0[np.newaxis, :]], v=[v0[np.newaxis, :]], region=region)
-        fwd = solve_forward(y0, controls, coeffs)
-        np.testing.assert_allclose(fwd[-1], np.vstack([y_minus, y_plus]), rtol=1e-13)
+        yT = solve_forward(y0, controls, coeffs)
+        np.testing.assert_allclose(yT, np.vstack([y_minus, y_plus]), rtol=1e-13)
         bwd = solve_backward(np.vstack([zm, zp]), coeffs)
         np.testing.assert_allclose(bwd.zeta[0][0], zeta, rtol=1e-13)
         np.testing.assert_allclose(bwd.Z[0][0], coeff, rtol=1e-13)
@@ -319,9 +319,9 @@ class TestDuality:
             controls = random_controls(tree, mesh, region, rng)
             y0 = rng.standard_normal(N)
             zT = rng.standard_normal((tree.num_nodes(depth), N))
-            fwd = solve_forward(y0, controls, coeffs)
+            yT = solve_forward(y0, controls, coeffs)
             bwd = solve_backward(zT, coeffs)
-            res, scale = duality_residual(fwd, bwd, controls, tree, mesh)
+            res, scale = duality_residual(y0, yT, bwd, controls, tree, mesh)
             assert res <= 1e-10 * scale
 
     def test_duality_without_controls(self):
@@ -331,9 +331,9 @@ class TestDuality:
         coeffs = Coefficients.constant(tree, mesh, 0.7, 0.9)
         y0 = rng.standard_normal(mesh.N)
         zT = rng.standard_normal((32, mesh.N))
-        fwd = solve_forward(y0, None, coeffs)
+        yT = solve_forward(y0, None, coeffs)
         bwd = solve_backward(zT, coeffs)
-        res, scale = duality_residual(fwd, bwd, None, tree, mesh)
+        res, scale = duality_residual(y0, yT, bwd, None, tree, mesh)
         assert res <= 1e-12 * scale
 
 

@@ -34,6 +34,20 @@ def dense_step(mesh, dt, a1):
     return np.eye(mesh.N) - dt * (lap + np.diag(a1))
 
 
+def state_levels(y0, controls, coeffs):
+    """The state at levels 0..depth, stepped with ``forward_step`` as
+    ``solve_forward`` steps it; the mirror of the backward tests'
+    ``adjoint_levels``, for the tests that read inner levels."""
+    tree, steps = coeffs.tree, coeffs.step_operators()
+    levels = [np.asarray(y0, dtype=float).reshape(1, coeffs.mesh.N)]
+    for k in range(tree.depth):
+        u = v = 0.0
+        if controls is not None:
+            u, v = controls.region.indicator * controls.u[k], controls.v[k]
+        levels.append(forward_step(steps[k], tree.dt, levels[k], u, v, coeffs.a2_levels[k]))
+    return levels
+
+
 def heat_step(mesh, dt):
     return StepOperator.drift_implicit(mesh, dt, np.zeros(mesh.N))
 
@@ -117,6 +131,31 @@ class TestForwardStep:
 
 
 class TestSolveForward:
+    @pytest.mark.parametrize("N, T, a2, adapted, prefix", [
+        (9, 0.9, 0.7, False, [False] * 4),                # shared: one inverse per level
+        (9, 0.9, 0.7, True, [False, True, True, True]),   # per node, prefix form
+        (63, 1e-6, 1e3, True, [False] * 4),               # per node, row-by-row substitution
+    ])
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_returns_the_stepped_leaves(self, N, T, a2, adapted, prefix, controlled):
+        # The sweep keeps one level; its leaves must be those of stepping
+        # every level with forward_step, bit for bit, and y0 stays untouched.
+        mesh, tree = build_mesh(N), build_tree(4, T)
+        rng = np.random.default_rng(N)
+        coeffs = (Coefficients.adapted_random(tree, mesh, rng, 0.5, a2) if adapted
+                  else Coefficients.constant(tree, mesh, 0.5, a2))
+        steps = coeffs.step_operators()
+        assert [op.prefix_form for op in steps] == prefix
+        assert [op.nodes for op in steps] == ([1, 2, 4, 8] if adapted else [1] * 4)
+        controls = (region_controls(tree, mesh, OmegaRegion(mesh, (0.3, 0.7)), rng)
+                    if controlled else None)
+        y0 = rng.standard_normal(N)
+        kept = y0.copy()
+        leaves = solve_forward(y0, controls, coeffs)
+        assert leaves.shape == (tree.num_nodes(tree.depth), N)
+        assert np.array_equal(y0, kept)
+        assert np.array_equal(leaves, state_levels(kept, controls, coeffs)[-1])
+
     def test_superposition(self):
         mesh = build_mesh(7)
         tree = build_tree(4, 1.0)
@@ -126,9 +165,9 @@ class TestSolveForward:
         controls = region_controls(tree, mesh, region, rng)
         y0 = rng.standard_normal(mesh.N)
 
-        full = solve_forward(y0, controls, coeffs)
-        free = solve_forward(y0, None, coeffs)
-        forced = solve_forward(np.zeros(mesh.N), controls, coeffs)
+        full = state_levels(y0, controls, coeffs)
+        free = state_levels(y0, None, coeffs)
+        forced = state_levels(np.zeros(mesh.N), controls, coeffs)
         for k in range(tree.depth + 1):
             combined = free[k] + forced[k]
             scale = max(1.0, np.abs(full[k]).max())
@@ -139,9 +178,9 @@ class TestSolveForward:
         tree = build_tree(1, 0.5)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         y0 = first_mode(mesh)
-        sol = solve_forward(y0, None, coeffs)
+        leaves = solve_forward(y0, None, coeffs)
         factor = 1.0 / (1.0 + tree.dt * first_eigenvalue(mesh.h))
-        for leaf in sol[-1]:
+        for leaf in leaves:
             np.testing.assert_allclose(leaf, factor * y0, rtol=1e-12)
 
     def test_sine_mode_decay_multi_step(self):
@@ -149,17 +188,16 @@ class TestSolveForward:
         tree = build_tree(5, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
         y0 = first_mode(mesh)
-        sol = solve_forward(y0, None, coeffs)
+        leaves = solve_forward(y0, None, coeffs)
         factor = (1.0 + tree.dt * first_eigenvalue(mesh.h)) ** (-tree.depth)
-        np.testing.assert_allclose(sol[-1][0], factor * y0, rtol=1e-11)
+        np.testing.assert_allclose(leaves[0], factor * y0, rtol=1e-11)
 
     def test_noise_creates_leaf_variance(self):
         mesh = build_mesh(6)
         tree = build_tree(2, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 2.0)
         y0 = first_mode(mesh)
-        sol = solve_forward(y0, None, coeffs)
-        leaves = sol[-1]
+        leaves = solve_forward(y0, None, coeffs)
         assert leaves.var(axis=0).max() > 1e-4
 
     def test_mean_matches_deterministic_trajectory(self):
@@ -173,7 +211,7 @@ class TestSolveForward:
         region = OmegaRegion(mesh, (0.3, 0.7))
         v = random_levels(mesh, rng, (), tree.depth)
         controls = ControlPair(u=zero_field(tree, mesh), v=v, region=region)
-        sol = solve_forward(first_mode(mesh), controls, coeffs)
+        sol = state_levels(first_mode(mesh), controls, coeffs)
 
         det = first_mode(mesh)
         for k in range(tree.depth):
@@ -191,12 +229,12 @@ class TestSolveForward:
         coeffs = Coefficients.constant(tree, mesh, 0.4, 0.6)
         region = OmegaRegion(mesh, (0.3, 0.7))
         controls = region_controls(tree, mesh, region, rng)
-        base = solve_forward(first_mode(mesh), controls, coeffs)
+        base = state_levels(first_mode(mesh), controls, coeffs)
 
         late_v = [a.copy() for a in controls.v]
         late_v[3][:] += 5.0
         perturbed = ControlPair(u=controls.u, v=late_v, region=region)
-        late = solve_forward(first_mode(mesh), perturbed, coeffs)
+        late = state_levels(first_mode(mesh), perturbed, coeffs)
         for k in range(4):
             np.testing.assert_array_equal(base[k], late[k])
         assert np.abs(base[4] - late[4]).max() > 1e-8
@@ -265,9 +303,9 @@ class TestSolveForward:
         u = random_levels(mesh, rng, (), tree.depth)
         v = random_levels(mesh, rng, (), tree.depth)
         assert all(a[:, ~region.mask].any() for a in u)
-        raw = solve_forward(first_mode(mesh), ControlPair(u, v, region), coeffs)
+        raw = state_levels(first_mode(mesh), ControlPair(u, v, region), coeffs)
         masked = ControlPair([region.indicator * a for a in u], v, region)
-        windowed = solve_forward(first_mode(mesh), masked, coeffs)
+        windowed = state_levels(first_mode(mesh), masked, coeffs)
         for got, ref in zip(raw, windowed):
             np.testing.assert_array_equal(got, ref)
 
@@ -294,8 +332,8 @@ class TestEnergyGrowth:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.8, 0.8)
-            sol = solve_forward(rng.standard_normal(mesh.N), None, coeffs)
-            worst = max(worst, energy_growth_rate(sol, coeffs))
+            states = state_levels(rng.standard_normal(mesh.N), None, coeffs)
+            worst = max(worst, energy_growth_rate(states, coeffs))
         # growth constant stays desk-scale small; reported, not asserted sharp
         assert worst < 5.0
 
@@ -303,6 +341,6 @@ class TestEnergyGrowth:
         mesh = build_mesh(5)
         tree = build_tree(3, 1.0)
         coeffs = Coefficients.constant(tree, mesh, 0.0, 0.0)
-        sol = solve_forward(np.zeros(mesh.N), None, coeffs)
-        assert energy_growth_rate(sol, coeffs) == 0.0
-        assert tree_inner(tree, mesh, tree.depth, sol[-1], sol[-1]) == 0.0
+        states = state_levels(np.zeros(mesh.N), None, coeffs)
+        assert energy_growth_rate(states, coeffs) == 0.0
+        assert tree_inner(tree, mesh, tree.depth, states[-1], states[-1]) == 0.0

@@ -5,13 +5,13 @@ import pytest
 
 from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.errors import ConfigurationError, ConvergenceError
-from sdcontrol.forward_solver import Coefficients, OmegaRegion
+from sdcontrol.backward_solver import solve_backward
+from sdcontrol.forward_solver import Coefficients, OmegaRegion, solve_forward
 from sdcontrol.hum import (HumProblem, conjugate_gradient, epsilon_from_mesh,
-                           evaluate_functional, free_terminal_state,
-                           functional_gradient, gramian_apply, report_bounds,
+                           evaluate_functional, gramian_apply, report_bounds,
                            riccati_levels, riccati_preconditioner, solve_hum)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import build_tree, tree_inner
+from sdcontrol.noise_tree import build_tree, time_pairing, tree_inner
 
 
 def small_problem(N=4, depth=4, eps=1e-3, seed=0, coeff_mag=(0.5, 0.5), **kwargs):
@@ -74,7 +74,6 @@ class TestGramian:
 
     def test_quadratic_form_equals_control_energies(self):
         problem, rng = small_problem(N=5, depth=3, seed=3)
-        from sdcontrol.backward_solver import solve_backward
         z = rng.standard_normal((8, 5))
         lam_zz = tree_inner(problem.tree, problem.mesh, 3, gramian_apply(z, problem), z)
         bwd = solve_backward(z, problem.coeffs)
@@ -133,7 +132,8 @@ class TestConjugateGradient:
             op, b, tol = dense_shift_operator(problem), rng.standard_normal(64), 1e-12
         elif case == "oracle":  # criterion 8's system
             problem, _ = small_problem(seed=108, eps=2e-4)
-            op, b, tol = dense_shift_operator(problem), free_terminal_state(problem).ravel(), 1e-12
+            op, tol = dense_shift_operator(problem), 1e-12
+            b = solve_forward(problem.y0, None, problem.coeffs).ravel()
         else:
             rng = np.random.default_rng(5)
             diag = rng.uniform(1, 100, 50)
@@ -253,7 +253,7 @@ class TestRiccatiPreconditioner:
         # criterion 8's problem and tolerance, with the mean-path preconditioner
         problem, rng = small_problem(seed=108, eps=2e-4)
         mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
-        b = free_terminal_state(problem).ravel()
+        b = solve_forward(problem.y0, None, problem.coeffs).ravel()
         x_dense = np.linalg.solve(mat, b)
         precondition = riccati_preconditioner(problem)
         x_pcg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000,
@@ -298,8 +298,7 @@ class TestSolveHum:
         sol = solve_hum(problem)
         np.testing.assert_array_equal(sol.zT_star, 0.0)
         np.testing.assert_array_equal(sol.terminal, 0.0)
-        for arr in sol.controls.u + sol.controls.v:
-            np.testing.assert_array_equal(arr, 0.0)
+        assert sol.control_cost == 0.0
         report = report_bounds(sol, problem)
         assert (report.cost_ratio, report.terminal_ratio,
                 report.terminal_to_penalty_ratio) == (0.0, 0.0, 0.0)
@@ -308,7 +307,7 @@ class TestSolveHum:
         problem, _ = small_problem(seed=7, cg_tol=1e-12)
         sol = solve_hum(problem)
         mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
-        b = free_terminal_state(problem).ravel()
+        b = solve_forward(problem.y0, None, problem.coeffs).ravel()
         z_dense = np.linalg.solve(mat, b)
         assert np.linalg.norm(sol.zT_star.ravel() - z_dense) <= 1e-8 * np.linalg.norm(z_dense)
 
@@ -356,6 +355,24 @@ class TestSolveHum:
         assert calls["solve_backward"] == calls["gramian_apply"] + 1
         assert sol.functional_value == evaluate_functional(problem, sol.zT_star)
 
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_control_cost_is_the_cost_of_the_negated_pairings(self, adapted):
+        # The synthesis keeps no controls: its cost must be, bit for bit,
+        # that of the controls (-zeta, -Z) of the sweep from the minimizer.
+        problem, _ = small_problem(N=7, depth=6, seed=13)
+        if not adapted:
+            problem = dataclasses.replace(
+                problem, coeffs=Coefficients.constant(problem.tree, problem.mesh, 0.5, 0.5))
+        sol = solve_hum(problem)
+        bwd = solve_backward(sol.zT_star, problem.coeffs)
+        u, v = [-a for a in bwd.zeta], [-a for a in bwd.Z]
+        tree, mesh = problem.tree, problem.mesh
+        cost = (time_pairing(tree, mesh, v, v)
+                + time_pairing(tree, mesh, u, u, problem.region.indicator))
+        assert cost > 0.0
+        assert sol.control_cost == cost
+        assert report_bounds(sol, problem).control_cost == cost
+
     def test_terminal_energy_identity_at_closure(self):
         problem, _ = small_problem(seed=9, eps=1e-3, cg_tol=1e-13)
         sol = solve_hum(problem)
@@ -398,8 +415,8 @@ class TestFunctional:
     def test_gradient_matches_central_differences(self):
         problem, rng = small_problem(seed=10)
         z = rng.standard_normal((16, 4))
-        b = free_terminal_state(problem)
-        grad = functional_gradient(problem, z, b)
+        b = solve_forward(problem.y0, None, problem.coeffs)
+        grad = gramian_apply(z, problem) + problem.epsilon * z - b
         tree, mesh = problem.tree, problem.mesh
         step = 1e-3
         for _ in range(20):

@@ -593,6 +593,20 @@ class TestSweep:
         line = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert line[7] == "" and line[12] == "true"
 
+    def test_skipped_row_also_names_the_fields_it_blanked(self):
+        # The observability fit overflows and CG then breaks down: the
+        # reason keeps the breakdown and adds the blanked obs_C, and names
+        # none of the values the row never computed.
+        settings = self._settings([1 / 8])
+        settings.coeff_factory = (
+            lambda tree, mesh, rng: Coefficients.constant(tree, mesh, 0.5, 1e150))
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = h_sweep(settings)[0]
+        assert row.skipped
+        assert row.reason.startswith("linear solve did not converge: ")
+        assert row.reason.endswith("; non-finite values in obs_C")
+        assert row.reason.count("non-finite") == 1
+
     def test_skipped_row_writes_the_iterations_cg_ran(self, tmp_path):
         # A stalled CG row keeps its iteration count; a row skipped before
         # CG has none, written empty like its other blank values.
