@@ -8,8 +8,8 @@ from .discrete_calc import (GridFunction, DualGridFunction, apply_Dh, apply_Ah,
                             apply_Dh2, apply_Dh_dual, apply_Ah_dual,
                             leibniz_residuals, ibp_residuals, consistency_orders,
                             solve_drift_implicit, solve_tridiagonal)
-from .weights import (WeightParams, CarlemanWeights, build_weights, theta,
-                      validate_regime, delta_schedule, schedule_h1, weight_problems)
+from .weights import (WeightParams, CarlemanWeights, build_weights, validate_regime,
+                      delta_schedule, schedule_h1, weight_problems)
 from .noise_tree import ScenarioTree, build_tree, martingale_coeff, tree_inner, time_pairing
 from .forward_solver import Coefficients, ControlPair, OmegaRegion, forward_step, solve_forward
 from .backward_solver import (BackwardSolution, backward_step, solve_backward,

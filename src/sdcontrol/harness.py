@@ -152,12 +152,9 @@ class ExperimentConfig:
         typed = [check(f"weights.{k}", w[k], number) for k in ("lam", "mu", "delta0", "x0", "K", "eps0")]
         typed += [check("T", self.T, number), check("omega", self.omega, number, items="interval"),
                   check("omega0", self.omega0, number, items="interval")]
-        if all(typed):
-            if not (0 <= self.omega[0] and self.omega[1] <= 1):
-                problems.append(f"omega must lie in [0, 1], got {self.omega}")
-            # the weights' own rules, with the margin at the coarsest mesh
+        if all(typed):  # the weights' own rules, with the margin at the coarsest mesh
             problems.extend(weight_problems(self.T, w["lam"], w["mu"], w["delta0"], w["x0"],
-                                            w["eps0"], self.omega0, self.omega))
+                                            w["K"], w["eps0"], self.omega0, self.omega))
         check("weights.c_eps", w["c_eps"], "a positive number", positive)
         check("hum.cg_tol", hum["cg_tol"], "a positive number", positive)
         check("hum.cg_maxiter", hum["cg_maxiter"], "an integer >= 1", count, integer=True)

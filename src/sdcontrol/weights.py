@@ -1,12 +1,14 @@
 """Carleman weight family and its parameter-regime guards.
 
 The profile is the explicit quadratic psi(x) = K - (x - x0)^2 with its peak
-inside the inner observation window, so all four admissibility conditions
+inside the inner observation window.  Its four admissibility conditions
 (positivity on the extended interval, nonvanishing slope away from the
-window, inward-pointing slopes at both endpoints) hold by construction and
-are still checked numerically.  The time factor blows up at both endpoints
-of [0, T]; products such as exp(s*phi) routinely leave the double range, so
-the probe helpers below combine exponents before exponentiating.
+window, inward-pointing slopes at both endpoints) follow from the rules of
+``weight_problems``: positivity is one of them, and the slope -2(x - x0)
+vanishes only at x0, which lies inside omega0 inside omega inside [0, 1].
+The time factor blows up at both endpoints of [0, T]; products such as
+exp(s*phi) routinely leave the double range, so the probe helpers below
+combine exponents before exponentiating.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ _PSI_SAMPLES = 2001
 class WeightParams:
     """Parameters of the weight family.
 
-    ``omega0`` must sit strictly inside ``omega``; ``x0`` is the profile
-    peak and must lie in ``omega0``.  ``eps0`` is the regime threshold for
-    lambda*h/(delta*T^2).
+    ``omega0`` must sit strictly inside ``omega``, itself inside [0, 1];
+    ``x0`` is the profile peak and must lie in ``omega0``, and ``K`` must
+    keep the profile positive on the extended interval.  ``eps0`` is the
+    regime threshold for lambda*h/(delta*T^2).
     """
 
     T: float
@@ -44,7 +47,7 @@ class WeightParams:
 
     def __post_init__(self):
         problems = weight_problems(self.T, self.lam, self.mu, self.delta, self.x0,
-                                   self.eps0, self.omega0, self.omega)
+                                   self.K, self.eps0, self.omega0, self.omega)
         if problems:
             raise WeightConfigError(problems[0])
 
@@ -59,9 +62,13 @@ class WeightParams:
 
 
 def weight_problems(T: float, lam: float, mu: float, delta: float, x0: float,
-                    eps0: float, omega0: tuple[float, float],
+                    K: float, eps0: float, omega0: tuple[float, float],
                     omega: tuple[float, float]) -> list[str]:
-    """Violated constraints of the weight parameters (empty when admissible)."""
+    """Violated constraints of the weight parameters (empty when admissible).
+
+    These are all the weight rules; the profile's slope conditions follow
+    from them.  The profile is least at an end of the extended interval.
+    """
     problems = []
     if T <= 0:
         problems.append(f"T must be positive, got {T}")
@@ -75,10 +82,16 @@ def weight_problems(T: float, lam: float, mu: float, delta: float, x0: float,
         problems.append(f"eps0 must lie in (0, 1], got {eps0}")
     a0, b0 = omega0
     a, b = omega
+    if not (0 <= a and b <= 1):
+        problems.append(f"omega must lie in [0, 1], got {omega}")
     if not (a < a0 < b0 < b):
         problems.append(f"omega0={tuple(omega0)} must be strictly inside omega={tuple(omega)}")
     if not a0 < x0 < b0:
         problems.append(f"x0={x0} must lie inside omega0={tuple(omega0)}")
+    psi_min = K - max((EXTENDED_LO - x0) ** 2, (EXTENDED_HI - x0) ** 2)
+    if psi_min <= 0:
+        problems.append(f"profile must stay positive on ({EXTENDED_LO}, {EXTENDED_HI}); "
+                        f"min={psi_min:.6g} (raise K or move x0)")
     return problems
 
 
@@ -93,17 +106,20 @@ class CarlemanWeights:
         p = self.params
         return p.K - (np.asarray(x, dtype=float) - p.x0) ** 2
 
-    def psi_prime(self, x):
-        return -2.0 * (np.asarray(x, dtype=float) - self.params.x0)
-
     def varphi(self, x):
         return np.exp(self.params.mu * self.psi(x))
 
     def phi(self, x):
         return self.varphi(x) - np.exp(2.0 * self.params.mu * self.psi_sup)
 
-    def theta(self, t):
-        return theta(self, t)
+    def theta(self, t) -> float | np.ndarray:
+        """Time factor 1/((t + delta*T)(T + delta*T - t)) on [0, T]."""
+        p = self.params
+        tt = np.asarray(t, dtype=float)
+        if np.any(tt < 0) or np.any(tt > p.T):
+            raise ValueError(f"time must lie in [0, {p.T}]")
+        out = 1.0 / ((tt + p.delta * p.T) * (p.T + p.delta * p.T - tt))
+        return float(out) if out.ndim == 0 else out
 
     def s(self, t):
         return self.params.lam * self.theta(t)
@@ -122,38 +138,11 @@ class CarlemanWeights:
 
 
 def build_weights(params: WeightParams) -> CarlemanWeights:
-    """Validate the profile conditions numerically and build the evaluators."""
+    """The evaluators of an admissible family (``WeightParams`` checked it),
+    with the profile's sup-norm on the extended interval."""
     grid = np.linspace(EXTENDED_LO, EXTENDED_HI, _PSI_SAMPLES)
     psi = params.K - (grid - params.x0) ** 2
-    if psi.min() <= 0:
-        raise WeightConfigError(
-            f"profile must stay positive on ({EXTENDED_LO}, {EXTENDED_HI}); "
-            f"min={psi.min():.6g} (raise K or move x0)"
-        )
-    slope = -2.0 * (grid - params.x0)
-    a0, b0 = params.omega0
-    outside = (grid <= a0) | (grid >= b0)
-    if np.abs(slope[outside]).min() <= 0:
-        raise WeightConfigError("profile slope vanishes outside the inner window")
-    if -2.0 * (0.0 - params.x0) <= 0:
-        raise WeightConfigError(f"profile slope at x=0 must be positive (x0={params.x0})")
-    if -2.0 * (1.0 - params.x0) >= 0:
-        raise WeightConfigError(f"profile slope at x=1 must be negative (x0={params.x0})")
     return CarlemanWeights(params=params, psi_sup=float(np.abs(psi).max()))
-
-
-def theta(w: CarlemanWeights, t) -> float | np.ndarray:
-    """Time factor 1/((t + delta*T)(T + delta*T - t)) on [0, T]."""
-    p = w.params
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0) or np.any(tt > p.T):
-        raise ValueError(f"time must lie in [0, {p.T}]")
-    out = 1.0 / ((tt + p.delta * p.T) * (p.T + p.delta * p.T - tt))
-    return float(out) if out.ndim == 0 else out
-
-
-def regime_ratio(lam: float, h: float, delta: float, T: float) -> float:
-    return lam * h / (delta * T * T)
 
 
 def validate_regime(w: CarlemanWeights, h: float) -> tuple[bool, float]:
@@ -165,7 +154,7 @@ def validate_regime(w: CarlemanWeights, h: float) -> tuple[bool, float]:
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     p = w.params
-    ratio = regime_ratio(p.lam, h, p.delta, p.T)
+    ratio = p.lam * h / (p.delta * p.T * p.T)
     return ratio <= p.eps0 * (1.0 + 8.0 * np.finfo(float).eps), ratio
 
 
@@ -225,11 +214,11 @@ def theta_bound_margins(w: CarlemanWeights) -> dict[str, float]:
     on 512 equispaced times in [0, T]."""
     p = w.params
     t = np.linspace(0.0, p.T, 512)
-    th = theta(w, t)
+    th = w.theta(t)
     mid = (t >= p.T / 4) & (t <= 3 * p.T / 4)
     return {
         "floor": float(th.min() - 1.0 / p.T**2),
         "mid_ceiling": float(16.0 / (3.0 * p.T**2) - th[mid].max()),
-        "endpoint_floor": float(theta(w, 0.0) - (2.0 / 3.0) / (p.delta * p.T**2)),
+        "endpoint_floor": float(w.theta(0.0) - (2.0 / 3.0) / (p.delta * p.T**2)),
         "symmetry": float(np.abs(th - th[::-1]).max()),
     }

@@ -95,6 +95,13 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"omega": [-0.1, 0.7]})
         assert cfg.validate() == ["omega must lie in [0, 1], got [-0.1, 0.7]"]
 
+    def test_validate_reports_profile_rule_next_to_another(self):
+        cfg = ExperimentConfig.from_dict({"weights": {"x0": 0.35, "K": 0.2}})
+        assert cfg.validate() == [
+            "x0=0.35 must lie inside omega0=(0.4, 0.6)",
+            "profile must stay positive on (-0.1, 1.1); min=-0.3625 (raise K or move x0)",
+        ]
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/config.json")
@@ -380,6 +387,17 @@ class TestCli:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stderr == "" and "FAIL" not in done.stdout
+
+    @pytest.mark.parametrize("command", ["sweep", "hum", "observability", "carleman",
+                                         "identities"])
+    def test_nonpositive_profile_exits_2(self, tmp_path, capsys, command):
+        # every subcommand checks every weight rule, also the ones it never reads
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"weights": {"K": 0.2}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: profile must stay positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_coarse_mesh_for_schedule_exits_2(self, tmp_path, capsys):
         path = self._write_config(tmp_path, N=4)

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdcontrol.errors import WeightConfigError
 from sdcontrol.mesh import build_mesh
 from sdcontrol.weights import (WeightParams, build_weights,
                                delta_schedule, probe_gradient_coupling,
-                               probe_second_difference, schedule_h1, theta,
-                               theta_bound_margins, validate_regime)
+                               probe_second_difference, schedule_h1,
+                               theta_bound_margins, validate_regime, weight_problems)
 
 
 def default_weights(**overrides):
@@ -22,33 +23,66 @@ class TestProfileValidation:
         w = default_weights()
         # K - (x - x0)^2 with K=2, x0=0.5
         assert w.psi(0.0) == pytest.approx(1.75)
-        assert w.psi_prime(0.0) == pytest.approx(1.0)
-        assert w.psi_prime(1.0) == pytest.approx(-1.0)
 
     def test_peak_at_zero_rejected(self):
-        # slope at x=0 vanishes when the peak sits on the boundary
-        with pytest.raises(WeightConfigError):
-            build_weights(WeightParams(T=1.0, lam=2.0, mu=1.2, delta=0.25,
-                                       x0=0.0, omega0=(-0.05, 0.05), omega=(-0.1, 0.1)))
+        # the slope at x=0 would vanish with the peak on the boundary, which
+        # needs a window reaching outside [0, 1]
+        with pytest.raises(WeightConfigError, match=r"omega must lie in \[0, 1\]"):
+            WeightParams(T=1.0, lam=2.0, mu=1.2, delta=0.25,
+                         x0=0.0, omega0=(-0.05, 0.05), omega=(-0.1, 0.1))
 
     def test_degenerate_peak_rejected_by_param_check(self):
         with pytest.raises(WeightConfigError):
             WeightParams(T=1.0, lam=2.0, mu=1.2, delta=0.25, x0=0.0)
 
     def test_nonpositive_profile_rejected(self):
-        with pytest.raises(WeightConfigError):
-            build_weights(WeightParams(T=1.0, lam=2.0, mu=1.2, delta=0.25, x0=0.5, K=0.2))
+        with pytest.raises(WeightConfigError, match="profile must stay positive"):
+            WeightParams(T=1.0, lam=2.0, mu=1.2, delta=0.25, x0=0.5, K=0.2)
 
     @pytest.mark.parametrize("bad", [
         dict(lam=1.0), dict(mu=0.9), dict(delta=0.5), dict(delta=0.0),
         dict(eps0=0.0), dict(eps0=1.5), dict(x0=0.35),
-        dict(omega0=(0.2, 0.8)),
+        dict(omega0=(0.2, 0.8)), dict(omega=(-0.5, 1.5)),
     ])
     def test_invalid_params(self, bad):
         kwargs = dict(T=1.0, lam=2.0, mu=1.2, delta=0.25, x0=0.5)
         kwargs.update(bad)
         with pytest.raises(WeightConfigError):
             WeightParams(**kwargs)
+
+
+def _grid_rejects(x0, K):
+    """The profile-positivity check as once made on a 2001-point grid."""
+    return (K - (np.linspace(-0.1, 1.1, 2001) - x0) ** 2).min() <= 0
+
+
+def _flags_positivity(x0, K):
+    problems = weight_problems(1.0, 2.0, 1.2, 0.25, x0, K, 1.0, (0.4, 0.6), (0.3, 0.7))
+    return any("profile must stay positive" in p for p in problems)
+
+
+def _near_boundary(x0, steps):
+    """The boundary value of K, the larger (end - x0)^2, moved ``steps`` ulps up."""
+    K = max((-0.1 - x0) ** 2, (1.1 - x0) ** 2)
+    for _ in range(abs(steps)):
+        K = np.nextafter(K, np.inf if steps > 0 else -np.inf)
+    return float(K)
+
+
+class TestProfileClosedForm:
+    @pytest.mark.parametrize("x0", [0.4 + 1e-12, 0.41, 0.45, 0.5, 0.5 + 2**-40, 0.55,
+                                    0.59, 0.6 - 1e-12])
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    def test_matches_grid_minimum_at_the_boundary(self, x0, steps):
+        K = _near_boundary(x0, steps)
+        assert _flags_positivity(x0, K) == _grid_rejects(x0, K) == (steps <= 0)
+
+    @given(st.floats(0.4, 0.6, exclude_min=True, exclude_max=True),
+           st.integers(-3, 3) | st.floats(0.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_grid_minimum(self, x0, k):
+        K = _near_boundary(x0, k) if isinstance(k, int) else k
+        assert _flags_positivity(x0, K) == _grid_rejects(x0, K)
 
 
 class TestEvaluators:
@@ -81,25 +115,25 @@ class TestEvaluators:
 class TestTimeFactor:
     def test_hand_value_at_zero(self):
         w = default_weights()
-        assert theta(w, 0.0) == pytest.approx(3.2, abs=1e-14)
+        assert w.theta(0.0) == pytest.approx(3.2, abs=1e-14)
 
     def test_symmetry(self):
         w = default_weights()
-        assert theta(w, 0.0) == pytest.approx(theta(w, 1.0), abs=1e-15)
+        assert w.theta(0.0) == pytest.approx(w.theta(1.0), abs=1e-15)
 
     def test_midpoint_minimum(self):
         w = default_weights()
-        mid = theta(w, 0.5)
+        mid = w.theta(0.5)
         assert mid == pytest.approx(1 / 0.5625, abs=1e-12)
         t = np.linspace(0, 1, 101)
-        assert np.min(theta(w, t)) == pytest.approx(mid, abs=1e-12)
+        assert np.min(w.theta(t)) == pytest.approx(mid, abs=1e-12)
 
     def test_domain_check(self):
         w = default_weights()
         with pytest.raises(ValueError):
-            theta(w, -0.1)
+            w.theta(-0.1)
         with pytest.raises(ValueError):
-            theta(w, 1.5)
+            w.theta(1.5)
 
     def test_bound_margins(self):
         margins = theta_bound_margins(default_weights())
