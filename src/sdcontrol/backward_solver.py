@@ -71,7 +71,8 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     ``step`` is the level's factored step matrix, its own transpose, built
     for this ``dt``; leading axes of ``z_children`` (samples) are kept.
     Returns the adjoint z, the martingale coefficient Z and the conditional
-    mean zeta.  An operator with a ``split`` (a shared drift-implicit
+    mean zeta, three new arrays (``z_children`` is not written to).  An
+    operator with a ``split`` (a shared drift-implicit
     matrix) splits the children with one matmul pair on rows
     [child 2n | child 2n+1], the transpose of the edge map of
     ``forward_step``; any other operator solves, then splits.

@@ -277,42 +277,51 @@ class StepOperator:
         """Whether per-node solves use the prefix-product substitution."""
         return self._prefix is not None
 
-    def solve(self, rhs) -> np.ndarray:
+    def solve(self, rhs, out=None) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).
 
         With per-node matrices ``rhs`` has shape (..., P*C, n): along the
         row axis the rows are grouped by node, row r using node r // C, and
-        any leading axes (samples) share the factors.
+        any leading axes (samples) share the factors.  ``out``, a
+        C-contiguous float array of ``rhs``'s shape, receives the solution
+        and is returned; it may be ``rhs`` itself, and the prefix-product
+        substitution then runs in place with no temporary.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-1:] != (self.n,):
             raise ValueError(f"rhs must have {self.n} values along its last axis, got shape {rhs.shape}")
+        if out is None:
+            out = np.empty_like(rhs, order="C")
+        elif out.shape != rhs.shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {rhs.shape}")
         if self._inverse is not None:
-            return (rhs.reshape(-1, self.n) @ self._inverse).reshape(rhs.shape)
+            np.matmul(rhs.reshape(-1, self.n), self._inverse, out=out.reshape(-1, self.n))
+            return out
         if rhs.ndim < 2 or rhs.shape[-2] % self.nodes:
             raise ValueError(
                 f"rhs rows must be grouped by node, a multiple of {self.nodes}, got shape {rhs.shape}"
             )
         if self._prefix is None:
-            return self._eliminate(rhs)
+            return self._eliminate(rhs, out)
         inv_pf, mid, pb = self._prefix
-        y = rhs.reshape(-1, self.nodes, rhs.shape[-2] // self.nodes, self.n) * inv_pf
+        grouped = (-1, self.nodes, rhs.shape[-2] // self.nodes, self.n)
+        y = np.multiply(rhs.reshape(grouped), inv_pf, out=out.reshape(grouped))
         np.cumsum(y, axis=-1, out=y)
         y *= mid
         rev = y[..., ::-1]
         np.cumsum(rev, axis=-1, out=rev)
         y *= pb
-        return y.reshape(rhs.shape)
+        return out
 
-    def _eliminate(self, rhs: np.ndarray) -> np.ndarray:
-        """Thomas substitution with the stored factors.
+    def _eliminate(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Thomas substitution with the stored factors, written to ``out``.
 
         Works space-major with the node axis last, x[i] of shape (S, C, P),
         so every update is one contiguous vector operation over all rows of
         all samples.  Symmetry gives both sweeps the same multipliers.
         """
-        per_node = rhs.shape[-2] // self.nodes
-        x = rhs.reshape(-1, self.nodes, per_node, self.n).transpose(3, 0, 2, 1).copy()
+        grouped = (-1, self.nodes, rhs.shape[-2] // self.nodes, self.n)
+        x = rhs.reshape(grouped).transpose(3, 0, 2, 1).copy()
         rows = list(x)
         prev = rows[0]
         for row, mult in zip(rows[1:], self._mult):
@@ -323,7 +332,8 @@ class StepOperator:
             row *= inv_piv
             row -= mult * prev
             prev = row
-        return x.transpose(1, 3, 2, 0).reshape(rhs.shape)
+        out.reshape(grouped)[...] = x.transpose(1, 3, 2, 0)
+        return out
 
 
 def _prefix_factors(mult, piv):

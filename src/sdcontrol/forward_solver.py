@@ -175,7 +175,8 @@ class ControlPair:
 
     u is the control before chi: the forward sweep steps with
     ``region.indicator * u``, so values of u outside the window never
-    reach the state.
+    reach the state.  ``solve_forward`` reads u and v once, in level
+    order, so they may also be iterators over the levels.
     """
 
     u: list[np.ndarray]
@@ -191,23 +192,47 @@ def forward_step(step: StepOperator, dt: float, y: np.ndarray, u: np.ndarray, v:
     rows 2n and 2n+1, their increments signed as ``EDGE_SIGNS``, the order
     that ``backward_step`` splits.  ``u`` is the drift term, zero outside
     the window (``solve_forward`` passes chi*u); ``u``, ``v`` and ``a2``
-    broadcast against ``y``, and leading axes (samples) are kept.
+    broadcast against ``y``, and the children take the broadcast shape, so
+    leading axes (samples) of any operand are kept.  No operand is written
+    to: the step allocates one parent-sized array (the noise term, then
+    the drift y + dt*u) and the children, whose right-hand sides it
+    solves in place.
     """
-    drift, noise = y + dt * u, a2 * y + v
-    rhs = drift[..., np.newaxis, :] + noise[..., np.newaxis, :] * (EDGE_SIGNS * np.sqrt(dt))
-    return step.solve(rhs.reshape(rhs.shape[:-3] + (-1, step.n)))
+    shape = np.broadcast(y, u, v, a2).shape
+    parents = shape[:-2] + (shape[-2] if len(shape) > 1 else 1, step.n)
+    # Child c's right-hand side is drift + (a2*y + v) * EDGE_SIGNS[c]*sqrt(dt);
+    # one parent-sized array holds the noise, then the drift y + dt*u.
+    parent = np.multiply(a2, y, out=np.empty(parents))
+    parent += v
+    children = parent[..., np.newaxis, :] * (EDGE_SIGNS * np.sqrt(dt))
+    np.multiply(u, dt, out=parent)
+    parent += y
+    children += parent[..., np.newaxis, :]
+    children = children.reshape(parents[:-2] + (-1, step.n))
+    return step.solve(children, out=children)
 
 
 def solve_forward(y0: np.ndarray, controls: ControlPair | None,
                   coeffs: Coefficients) -> np.ndarray:
     """Leaf states (2^depth, N) of ``coeffs.tree`` reached from ``y0`` (not
-    written to), carrying one level as ``solve_backward`` does; affine in (y0, u, v)."""
+    written to), carrying one level as ``solve_backward`` does; affine in (y0, u, v).
+
+    Each control level is read once, in level order, and released after
+    its step, so ``controls.u`` and ``controls.v`` may be iterators that
+    hand over levels they no longer hold (``gramian_apply`` passes such
+    iterators to free each backward level once it is stepped).  Neither
+    the controls' lists nor their arrays are written to.
+    """
     tree = coeffs.tree
     steps = coeffs.step_operators()
     y = np.asarray(y0, dtype=float).reshape(1, coeffs.mesh.N)
+    us, vs = (iter(controls.u), iter(controls.v)) if controls is not None else (None, None)
     for k in range(tree.depth):
         u = v = 0.0
-        if controls is not None:
-            u, v = controls.region.indicator * controls.u[k], controls.v[k]
+        if us is not None:
+            u, v = next(us, None), next(vs, None)
+            if u is None or v is None:
+                raise ValueError(f"controls must provide {tree.depth} levels, got {k}")
+            u = controls.region.indicator * u
         y = forward_step(steps[k], tree.dt, y, u, v, coeffs.a2_levels[k])
     return y

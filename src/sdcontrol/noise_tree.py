@@ -86,15 +86,18 @@ def martingale_coeff(children, dt: float):
     each of shape (..., B, N).
 
     Rows 2n and 2n+1 are node n's children, signed as ``EDGE_SIGNS``;
-    solves z_child = mean + coeff * (+-sqrt(dt)) exactly for both.
+    solves z_child = mean + coeff * (+-sqrt(dt)) exactly for both, each
+    in one new array, scaled in place.
     """
     children = np.asarray(children, dtype=float)
     if children.ndim < 2 or children.shape[-2] % 2:
         raise ValueError(f"children must be rows (..., 2B, N), got shape {children.shape}")
     pairs = children.reshape(children.shape[:-2] + (-1, 2, children.shape[-1]))
     z_minus, z_plus = pairs[..., 0, :], pairs[..., 1, :]
-    mean = 0.5 * (z_plus + z_minus)
-    coeff = (z_plus - z_minus) / (2.0 * np.sqrt(dt))
+    mean = z_plus + z_minus
+    mean *= 0.5
+    coeff = z_plus - z_minus
+    coeff /= 2.0 * np.sqrt(dt)
     return mean, coeff
 
 

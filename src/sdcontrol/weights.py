@@ -22,7 +22,6 @@ from .errors import WeightConfigError
 
 EXTENDED_LO = -0.1
 EXTENDED_HI = 1.1
-_PSI_SAMPLES = 2001
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,10 @@ class CarlemanWeights:
 
 def build_weights(params: WeightParams) -> CarlemanWeights:
     """The evaluators of an admissible family (``WeightParams`` checked it),
-    with the profile's sup-norm on the extended interval."""
-    grid = np.linspace(EXTENDED_LO, EXTENDED_HI, _PSI_SAMPLES)
-    psi = params.K - (grid - params.x0) ** 2
-    return CarlemanWeights(params=params, psi_sup=float(np.abs(psi).max()))
+    with the profile's sup-norm on the extended interval: the profile is
+    positive there (a rule of ``weight_problems``), so it is its peak
+    psi(x0) = K."""
+    return CarlemanWeights(params=params, psi_sup=float(params.K))
 
 
 def validate_regime(w: CarlemanWeights, h: float) -> tuple[bool, float]:

@@ -129,6 +129,35 @@ class TestForwardStep:
             single = forward_step(step, dt, y[s], u[s], v[s], a2)
             np.testing.assert_array_equal(batch[s], single)
 
+    @pytest.mark.parametrize("nodes", [1, 4])
+    @pytest.mark.parametrize("batched", ["controls", "a2"])
+    def test_sample_axis_that_the_state_lacks(self, nodes, batched):
+        # The children take the broadcast shape of all operands, not the
+        # state's: a state from np.zeros(N) (a sweep from rest) stepped by
+        # batched controls, or one node level stepped with a batch of a2.
+        mesh = build_mesh(7)
+        dt = 0.1
+        rng = np.random.default_rng(17)
+        step = StepOperator.drift_implicit(mesh, dt, rng.uniform(-1, 1, (nodes, mesh.N)))
+        rows = 4 if nodes == 4 or batched == "a2" else 1
+        if batched == "controls":
+            y = np.zeros(mesh.N) if rows == 1 else np.zeros((rows, mesh.N))
+            u, v = (rng.standard_normal((3, rows, mesh.N)) for _ in range(2))
+            a2 = rng.uniform(-1, 1, (rows, mesh.N))
+            per_sample = [(u[s], v[s], a2) for s in range(3)]
+        else:
+            y, u, v = (rng.standard_normal((rows, mesh.N)) for _ in range(3))
+            a2 = rng.uniform(-1, 1, (3, rows, mesh.N))
+            per_sample = [(u, v, a2[s]) for s in range(3)]
+        operands = [y, u, v, a2]
+        kept = [a.copy() for a in operands]
+        batch = forward_step(step, dt, y, u, v, a2)
+        assert batch.shape == (3, 2 * rows, mesh.N)
+        for a, b in zip(operands, kept):
+            assert np.array_equal(a, b)
+        for s, (us, vs, a2s) in enumerate(per_sample):
+            np.testing.assert_array_equal(batch[s], forward_step(step, dt, y, us, vs, a2s))
+
 
 class TestSolveForward:
     @pytest.mark.parametrize("N, T, a2, adapted, prefix", [
@@ -155,6 +184,35 @@ class TestSolveForward:
         assert leaves.shape == (tree.num_nodes(tree.depth), N)
         assert np.array_equal(y0, kept)
         assert np.array_equal(leaves, state_levels(kept, controls, coeffs)[-1])
+
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_caller_controls_unchanged_and_iterators_accepted(self, adapted):
+        # The sweep releases each control level after its step but must not
+        # empty or write to a caller's lists; iterators over the same levels
+        # (read once, in order) give the same leaves.
+        mesh, tree = build_mesh(9), build_tree(5, 1.0)
+        rng = np.random.default_rng(23)
+        coeffs = (Coefficients.adapted_random(tree, mesh, rng, 0.5, 0.5) if adapted
+                  else Coefficients.constant(tree, mesh, 0.5, 0.5))
+        controls = region_controls(tree, mesh, OmegaRegion(mesh, (0.3, 0.7)), rng)
+        u_list, v_list = controls.u, controls.v
+        kept_u, kept_v = [a.copy() for a in u_list], [a.copy() for a in v_list]
+        y0 = rng.standard_normal(mesh.N)
+        leaves = solve_forward(y0, controls, coeffs)
+        assert controls.u is u_list and controls.v is v_list
+        assert len(u_list) == len(v_list) == tree.depth
+        for a, b in zip(u_list + v_list, kept_u + kept_v):
+            assert np.array_equal(a, b)
+        streamed = ControlPair(iter(u_list), (a for a in v_list), controls.region)
+        np.testing.assert_array_equal(solve_forward(y0, streamed, coeffs), leaves)
+
+    def test_too_few_control_levels_rejected(self):
+        mesh, tree = build_mesh(5), build_tree(3, 1.0)
+        coeffs = Coefficients.constant(tree, mesh, 0.5, 0.5)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        short = ControlPair(zero_field(tree, mesh)[:2], zero_field(tree, mesh), region)
+        with pytest.raises(ValueError, match="controls must provide 3 levels, got 2"):
+            solve_forward(np.ones(mesh.N), short, coeffs)
 
     def test_superposition(self):
         mesh = build_mesh(7)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestGramian:
         assert lam_zz == pytest.approx(acc, rel=1e-10)
 
 
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_batch_from_rest_equals_per_sample(self, adapted):
+        # The forward sweep starts from np.zeros(N) and its controls carry
+        # the batch's sample axis, which the state lacks at first.
+        problem, rng = small_problem(N=9, depth=5, seed=5)
+        if not adapted:
+            problem = dataclasses.replace(
+                problem, coeffs=Coefficients.constant(problem.tree, problem.mesh, 0.5, 0.5))
+        z = rng.standard_normal((3, 32, 9))
+        batch = gramian_apply(z, problem)
+        assert batch.shape == z.shape
+        for s in range(3):
+            np.testing.assert_array_equal(batch[s], gramian_apply(z[s], problem))
+
+
 def reference_cg(apply_op, b, tol, maxiter):
     """Unpreconditioned CG loop as it ran before preconditioning was added,
     kept as the reference for ``precondition=None`` (histories only)."""
@@ -143,6 +159,32 @@ class TestConjugateGradient:
                        conjugate_gradient(op, b, tol, 500, precondition=None)):
             np.testing.assert_array_equal(res, res_ref)
             np.testing.assert_array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_dense_operator_matches_dense_oracle(self, preconditioned):
+        # The vectors are updated in place; b and the operator's matrices
+        # must come out untouched and the solve must match the dense one.
+        problem, rng = small_problem(seed=6)
+        mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
+        pre = preconditioner_matrix(problem)
+        b = rng.standard_normal(64)
+        kept = b.copy(), mat.copy(), pre.copy()
+        x_cg, res = conjugate_gradient(lambda z: mat @ z, b, 1e-12, 500,
+                                       (lambda r: pre @ r) if preconditioned else None)
+        x_dense = np.linalg.solve(mat, b)
+        assert res[-1] <= 1e-12
+        assert np.linalg.norm(x_cg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+        for a, k in zip((b, mat, pre), kept):
+            assert np.array_equal(a, k)
+
+    def test_operator_returning_its_argument(self):
+        # the identity may hand back the direction itself, which the in-place
+        # updates must not scale
+        b = np.array([1.0, -2.0, 3.0])
+        for precondition in (None, lambda r: r):
+            x, res = conjugate_gradient(lambda z: z, b, 1e-12, 5, precondition)
+            np.testing.assert_array_equal(x, b)
+            assert res == [0.0]
 
     def test_tiny_rhs_is_solved_not_taken_for_zero(self):
         # ||b||^2 underflows to 0 here; the solve must still scale with b.
@@ -436,3 +478,36 @@ class TestFunctional:
         assert epsilon_from_mesh(1.0, 0.125) == pytest.approx(np.exp(-8.0))
         with pytest.raises(ConfigurationError):
             epsilon_from_mesh(-1.0, 0.1)
+
+
+def traced_peak_in_fields(problem, fn):
+    """tracemalloc peak of fn() above what is allocated when it starts, in
+    fields of 2^(depth+1)*N doubles (all levels of one tree field)."""
+    field = 2 ** (problem.tree.depth + 1) * problem.mesh.N * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / field
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks at N = 15, depth 10 with a matrix per node.  The Gramian apply
+    measures 2.0 fields (3.3 when it kept every backward level through
+    the forward sweep) and solve_hum 4.5 (7.3 with a copy of b and
+    allocating CG updates); the bounds leave about 25 % margin."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        problem, _ = small_problem(N=15, depth=10, eps=1e-4, seed=7)
+        problem.coeffs.step_operators()
+        return problem
+
+    def test_gramian_apply_peak(self, problem):
+        z = np.random.default_rng(7).standard_normal((1 << 10, 15))
+        assert traced_peak_in_fields(problem, lambda: gramian_apply(z, problem)) <= 2.5
+
+    def test_solve_hum_peak(self, problem):
+        assert traced_peak_in_fields(problem, lambda: solve_hum(problem)) <= 5.6

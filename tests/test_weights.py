@@ -24,6 +24,13 @@ class TestProfileValidation:
         # K - (x - x0)^2 with K=2, x0=0.5
         assert w.psi(0.0) == pytest.approx(1.75)
 
+    @pytest.mark.parametrize("x0", [0.45, 0.5])
+    def test_sup_is_the_peak_value(self, x0):
+        # the profile is positive on the extended interval, so its sup-norm
+        # is psi(x0) = K exactly, also for a peak between grid points
+        w = default_weights(x0=x0, K=1.7)
+        assert w.psi_sup == 1.7 == w.psi(x0)
+
     def test_peak_at_zero_rejected(self):
         # the slope at x=0 would vanish with the peak on the boundary, which
         # needs a window reaching outside [0, 1]
