@@ -110,14 +110,9 @@ class Coefficients:
         self._steps: list[StepOperator] | None = None
 
     @classmethod
-    def from_functions(cls, tree: ScenarioTree, mesh: Mesh, f1, f2) -> "Coefficients":
-        """Deterministic coefficients a(x, t) sampled at left endpoints."""
-        return cls(tree, mesh, sampled_levels(tree, mesh, f1), sampled_levels(tree, mesh, f2))
-
-    @classmethod
     def constant(cls, tree: ScenarioTree, mesh: Mesh, c1: float, c2: float) -> "Coefficients":
-        return cls.from_functions(tree, mesh, lambda x, t: np.full_like(x, c1),
-                                  lambda x, t: np.full_like(x, c2))
+        return cls(tree, mesh, [np.full((1, mesh.N), c1)] * tree.depth,
+                   [np.full((1, mesh.N), c2)] * tree.depth)
 
     @classmethod
     def adapted_random(cls, tree: ScenarioTree, mesh: Mesh, rng: np.random.Generator,

@@ -191,7 +191,9 @@ class ExperimentConfig:
                              lambda v: 1 <= v <= SAMPLES_CAP, integer=True):
                     break
         check("observability.safety", obs["safety"], "a positive number", positive)
-        check("carleman.depth", car["depth"], in_depth_range, depth, integer=True)
+        # at depth 1 the quadrature reads only w(0) = 0: every ratio is 0
+        check("carleman.depth", car["depth"], f"an integer in 2..{cap}",
+              lambda v: 2 <= v <= cap, integer=True)
         check("carleman.modes", car["modes"], f"an integer in 0..{N_CAP}",
               lambda v: 0 <= v <= N_CAP, integer=True)
         check("sweep.h_values", sweep["h_values"], f"a number >= 1/{N_CAP + 1}",

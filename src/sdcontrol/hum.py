@@ -209,9 +209,11 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precon
         p += z
         del z
         rz = rz_new
+    best = int(np.argmin(residuals))
     raise ConvergenceError(
         f"conjugate gradient stalled at relative residual {residuals[-1]:.3e} "
-        f"after {maxiter} iterations (tol {tol:.3e})",
+        f"after {maxiter} iterations (tol {tol:.3e}); the best was "
+        f"{residuals[best]:.3e} at iteration {best + 1}",
         residuals,
     )
 

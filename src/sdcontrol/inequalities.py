@@ -178,9 +178,13 @@ def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWe
     """Tree-weighted left-endpoint quadrature of every term in the estimate.
 
     ``w`` and ``sources`` may carry leading sample axes; the terms are then
-    arrays over the samples.
+    arrays over the samples.  Raises ConfigurationError unless the tree and
+    the weights share the horizon T.
     """
     region.check_mesh(mesh)
+    if tree.T != weights.params.T:
+        raise ConfigurationError(
+            f"tree horizon T={tree.T:g} differs from the weights' T={weights.params.T:g}")
     ok, ratio = validate_regime(weights, mesh.h)
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
@@ -263,24 +267,25 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
                          tree: ScenarioTree, mesh: Mesh, region: OmegaRegion,
                          rng: np.random.Generator, train: int, holdout: int,
                          c_eps: float, safety: float = 2.0,
-                         terminal_h_scaling: bool = False,
-                         terminal_data: list[np.ndarray] | None = None) -> FittedConstant:
-    """Fit the observability constant on a family of terminal data.
+                         terminal_h_scaling: bool = False) -> FittedConstant:
+    """Fit the observability constant on leafwise Gaussian terminal data from ``rng``.
 
     LHS is the expected initial energy of the backward solution; the RHS
     groups are the diffusion-component energy, the windowed state energy,
     and exp(-c_eps/h) times the terminal energy (times h^-2 when
     ``terminal_h_scaling`` is set, matching the sharper variant).  The
-    family defaults to seeded leafwise Gaussian data; all-zero samples are
-    excluded (they satisfy the inequality for every constant).  Samples
-    are swept in batches; the draws are the same as one sample at a time.
+    first ``train`` samples fit the constant and the next ``holdout`` check
+    it; all-zero samples are excluded (they satisfy the inequality for
+    every constant).  Samples are swept in batches; the draws are the same
+    as one sample at a time.  ``rng`` is used only through
+    ``standard_normal(out=...)``.
 
     Each batch steps ``backward_step`` from the leaves down and adds every
     level's diffusion and windowed terms (``level_pairing``) to the
     per-sample sums as it is produced, so only one level of the backward
     solution is held at a time.
 
-    Drawn samples come from ``_draw_ahead``: one helper thread draws batch
+    The samples come from ``_draw_ahead``: one helper thread draws batch
     i+1 while this thread sweeps batch i, and is joined before the fit
     returns or raises.  The draws are about half of a fit's time; one
     400-sample fit at N = 8, depth 8 (25 batches) took 17.6-19.5 ms against
@@ -289,8 +294,6 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     if train < 1 or holdout < 0:
         raise ValueError(f"need train >= 1 and holdout >= 0, got {train} and {holdout}")
     total = train + holdout
-    if terminal_data is not None and len(terminal_data) != total:
-        raise ValueError(f"terminal_data must supply {total} samples, got {len(terminal_data)}")
     coeffs.check_grid(tree, mesh)
     region.check_mesh(mesh)
     ok, ratio = validate_regime(weights, mesh.h)
@@ -306,13 +309,9 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     rhs_diffusion = np.empty(total)
     rhs_window = np.empty(total)
     rhs_terminal = np.empty(total)
-    leaves = (tree.num_nodes(tree.depth), mesh.N)
     batches = _batches(total, tree, mesh)
-    if terminal_data is None:
-        data = _draw_ahead(rng, [stop - start for start, stop in batches], leaves)
-    else:
-        data = (np.stack([np.asarray(sample, dtype=float).reshape(leaves)
-                          for sample in terminal_data[start:stop]]) for start, stop in batches)
+    data = _draw_ahead(rng, [stop - start for start, stop in batches],
+                       (tree.num_nodes(tree.depth), mesh.N))
     with closing(data):
         for (start, stop), zT in zip(batches, data):
             z, diffusion, window = zT, 0.0, 0.0

@@ -63,9 +63,7 @@ def build_mesh(N: int) -> Mesh:
 
 _PART_SIZES = {
     "interior": lambda N: N,
-    "closure": lambda N: N + 2,
     "star": lambda N: N + 1,
-    "prime": lambda N: N - 1,
     "boundary": lambda N: 2,
 }
 
@@ -73,8 +71,8 @@ _PART_SIZES = {
 def integrate(mesh: Mesh, values, part: str = "interior") -> float:
     """Discrete integral of ``values`` over one part of the mesh.
 
-    Interior/closure/star/prime integrals are h-weighted sums; the
-    boundary integral is the plain (unweighted) sum of the two values.
+    Interior and star integrals are h-weighted sums; the boundary
+    integral is the plain (unweighted) sum of the two values.
     """
     if part not in _PART_SIZES:
         raise ValueError(f"unknown mesh part {part!r}")

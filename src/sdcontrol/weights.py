@@ -6,15 +6,14 @@ inside the inner observation window.  Its four admissibility conditions
 window, inward-pointing slopes at both endpoints) follow from the rules of
 ``weight_problems``: positivity is one of them, and the slope -2(x - x0)
 vanishes only at x0, which lies inside omega0 inside omega inside [0, 1].
-The time factor blows up at both endpoints of [0, T]; products such as
-exp(s*phi) routinely leave the double range, so the probe helpers below
-combine exponents before exponentiating.
+The time factor blows up at both endpoints of [0, T], so products such as
+exp(s*phi) routinely leave the double range; callers combine exponents
+before exponentiating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -171,41 +170,6 @@ def delta_schedule(h: float, h1: float, delta0: float) -> float:
 def schedule_h1(lam: float, eps0: float, delta0: float, T: float) -> float:
     """Coarsest mesh size for which the scheduled regime ratio equals eps0."""
     return eps0 * delta0 * T * T / lam
-
-
-def weighted_stencil_product(w: CarlemanWeights, t: float, x: np.ndarray,
-                             terms: Iterable[tuple[float, float, float]]) -> np.ndarray:
-    """Sum of c * exp(-s*(phi(x+a) + phi(x+b) - 2*phi(x))) over (c, a, b) terms.
-
-    Evaluates stencil products of the form r^2 * (shifted rho)(shifted rho)
-    without ever forming the factors separately, which keeps the exponents
-    O(s*h) instead of O(s).
-    """
-    x = np.asarray(x, dtype=float)
-    s = w.s(t)
-    base = w.phi(x)
-    out = np.zeros_like(base)
-    for c, a, b in terms:
-        expo = -s * (w.phi(x + a) + w.phi(x + b) - 2.0 * base)
-        out = out + c * np.exp(expo)
-    return out
-
-
-def probe_second_difference(w: CarlemanWeights, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """r * (second difference of rho), exponent-factored; expected O(s^2)."""
-    s = w.s(t)
-    base = w.phi(np.asarray(x, dtype=float))
-    up = np.exp(-s * (w.phi(x + h) - base))
-    down = np.exp(-s * (w.phi(x - h) - base))
-    return (up - 2.0 + down) / h**2
-
-
-def probe_gradient_coupling(w: CarlemanWeights, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """r^2 * (double average of rho) * (averaged difference of rho); expected O(s)."""
-    avg = [(0.25, -h), (0.5, 0.0), (0.25, h)]
-    dif = [(-0.5 / h, -h), (0.5 / h, h)]
-    terms = [(ca * cd, a, d) for ca, a in avg for cd, d in dif]
-    return weighted_stencil_product(w, t, x, terms)
 
 
 def theta_bound_margins(w: CarlemanWeights) -> dict[str, float]:

@@ -4,7 +4,7 @@ import pytest
 from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.errors import ConfigurationError
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion, forward_step,
-                                      solve_forward)
+                                      sampled_levels, solve_forward)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, random_levels, tree_inner
 
@@ -263,9 +263,9 @@ class TestSolveForward:
         mesh = build_mesh(8)
         tree = build_tree(6, 1.0)
         rng = np.random.default_rng(2)
-        coeffs = Coefficients.from_functions(tree, mesh,
-                                             lambda x, t: 0.5 * np.sin(np.pi * x),
-                                             lambda x, t: np.zeros_like(x))
+        coeffs = Coefficients(tree, mesh,
+                              sampled_levels(tree, mesh, lambda x, t: 0.5 * np.sin(np.pi * x)),
+                              sampled_levels(tree, mesh, lambda x, t: np.zeros_like(x)))
         region = OmegaRegion(mesh, (0.3, 0.7))
         v = random_levels(mesh, rng, (), tree.depth)
         controls = ControlPair(u=zero_field(tree, mesh), v=v, region=region)
@@ -325,8 +325,9 @@ class TestSolveForward:
         shared = Coefficients.constant(tree, mesh, 0.5, 0.5).step_operators()
         assert all(op is shared[0] for op in shared)
         # a1 changes at every level: one operator each
-        sinusoidal = Coefficients.from_functions(tree, mesh, lambda x, t: np.sin(3 * t) + x,
-                                                 lambda x, t: 0 * x).step_operators()
+        sinusoidal = Coefficients(tree, mesh,
+                                  sampled_levels(tree, mesh, lambda x, t: np.sin(3 * t) + x),
+                                  sampled_levels(tree, mesh, lambda x, t: 0 * x)).step_operators()
         assert len({id(op) for op in sinusoidal}) == tree.depth
         adapted = Coefficients.adapted_random(tree, mesh, np.random.default_rng(4),
                                               0.5, 0.5).step_operators()

@@ -243,6 +243,7 @@ class TestCli:
 
     @pytest.mark.parametrize("section, value, name", [
         ("carleman", {"depth": 0}, "carleman.depth"),
+        ("carleman", {"depth": 1}, "carleman.depth"),
         ("carleman", {"depth": 17}, "carleman.depth"),
         ("hum", {"cg_maxiter": 0}, "hum.cg_maxiter"),
         ("sweep", {"obs_train": 0}, "sweep.obs_train"),

@@ -7,7 +7,7 @@ import pytest
 from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.errors import ConfigurationError, ConvergenceError
 from sdcontrol.backward_solver import solve_backward
-from sdcontrol.forward_solver import Coefficients, OmegaRegion, solve_forward
+from sdcontrol.forward_solver import Coefficients, OmegaRegion, sampled_levels, solve_forward
 from sdcontrol.hum import (HumProblem, conjugate_gradient, epsilon_from_mesh,
                            evaluate_functional, gramian_apply, report_bounds,
                            riccati_levels, riccati_preconditioner, solve_hum)
@@ -221,6 +221,17 @@ class TestConjugateGradient:
             conjugate_gradient(lambda z: diag * z, b, 1e-14, 3)
         assert len(err.value.residuals) == 3
 
+    def test_stall_names_the_best_residual(self):
+        # the CG residual is not monotone: this history's last entry is not its smallest
+        diag = np.logspace(0, 4, 20)
+        b = np.random.default_rng(4).standard_normal(20)
+        with pytest.raises(ConvergenceError) as err:
+            conjugate_gradient(lambda z: diag * z, b, 1e-14, 4)
+        residuals = err.value.residuals
+        best = int(np.argmin(residuals))
+        assert residuals[best] < residuals[-1]
+        assert f"the best was {residuals[best]:.3e} at iteration {best + 1}" in str(err.value)
+
     def test_indefinite_operator_raises_with_history(self):
         diag = np.array([1.0, 2.0, 3.0, 4.0, -1.0])
         with pytest.raises(ConvergenceError, match=r"iteration 2: p\.Ap = -") as err:
@@ -251,8 +262,9 @@ class TestRiccatiPreconditioner:
         # from another level's factors cannot pass; the windows take the
         # middle, the first and all of the grid points
         mesh, tree = build_mesh(5), build_tree(3, 1.0)
-        coeffs = Coefficients.from_functions(tree, mesh, lambda x, t: np.cos(3 * t) - x,
-                                             lambda x, t: 0.5 + t * np.sin(4 * x))
+        coeffs = Coefficients(tree, mesh,
+                              sampled_levels(tree, mesh, lambda x, t: np.cos(3 * t) - x),
+                              sampled_levels(tree, mesh, lambda x, t: 0.5 + t * np.sin(4 * x)))
         problem = HumProblem(y0=np.ones(5), coeffs=coeffs, region=OmegaRegion(mesh, interval),
                              tree=tree, mesh=mesh, epsilon=1e-2)
         inverse = np.linalg.inv(dense_gramian(problem) + problem.epsilon * np.eye(40))

@@ -40,6 +40,22 @@ def raised_within(call, seconds=20.0):
     return raised[0] if raised else None
 
 
+class FixedSamples:
+    """Generator stand-in for the observability fit: ``standard_normal(out=...)``
+    copies the given samples into ``out`` in order, so a fit of chosen
+    terminal data still draws through ``_draw_ahead``."""
+
+    def __init__(self, samples):
+        self.samples, self.taken = list(samples), 0
+
+    def standard_normal(self, out):
+        stop = self.taken + len(out)
+        assert stop <= len(self.samples), "the fit drew more samples than were given"
+        out[...] = self.samples[self.taken:stop]
+        self.taken = stop
+        return out
+
+
 def zero_sources(tree, mesh):
     levels = [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)]
     return SourcePair(f=levels, g=levels)
@@ -266,8 +282,8 @@ class TestObservability:
         leaves = tree.num_nodes(tree.depth)
         data = [np.zeros((leaves, mesh.N))] + [rng.standard_normal((leaves, mesh.N))
                                                for _ in range(3)]
-        fit = observability_sample(coeffs, weights, tree, mesh, region, rng,
-                                   2, 2, 1.0, terminal_data=data)
+        fit = observability_sample(coeffs, weights, tree, mesh, region, FixedSamples(data),
+                                   2, 2, 1.0)
         assert fit.excluded == 1
         assert fit.samples == 4
 
@@ -281,8 +297,8 @@ class TestObservability:
         data = [np.tile(terminal_scale * np.sin(np.pi * mesh.interior), (leaves, 1)),
                 rng.standard_normal((leaves, mesh.N))]
         with np.errstate(over="ignore", invalid="ignore"):
-            fit = observability_sample(coeffs, weights, tree, mesh, region, rng,
-                                       2, 0, 1.0, terminal_data=data)
+            fit = observability_sample(coeffs, weights, tree, mesh, region,
+                                       FixedSamples(data), 2, 0, 1.0)
         assert fit.excluded == 0
         assert not np.isfinite(fit.fitted_C)
 
@@ -290,8 +306,8 @@ class TestObservability:
         mesh, tree, region, coeffs, weights, rng = self._setup()
         leaves = tree.num_nodes(tree.depth)
         zT = rng.standard_normal((leaves, mesh.N))
-        fit = observability_sample(coeffs, weights, tree, mesh, region, rng,
-                                   1, 1, 1.0, terminal_data=[zT, 7.0 * zT])
+        fit = observability_sample(coeffs, weights, tree, mesh, region,
+                                   FixedSamples([zT, 7.0 * zT]), 1, 1, 1.0)
         ratio_a = fit.train_ratios[0]
         ratio_b = fit.holdout_ratios[0]
         assert abs(ratio_a - ratio_b) <= 1e-13 * max(ratio_a, 1e-30)
@@ -304,8 +320,8 @@ class TestObservability:
             omega=(0.0, 1.0), a2=0.0)
         leaves = tree.num_nodes(tree.depth)
         zT = np.tile(np.sin(np.pi * mesh.interior), (leaves, 1))
-        fit = observability_sample(coeffs, weights, tree, mesh, region, rng,
-                                   1, 1, 1.0, terminal_data=[zT, 2.0 * zT])
+        fit = observability_sample(coeffs, weights, tree, mesh, region,
+                                   FixedSamples([zT, 2.0 * zT]), 1, 1, 1.0)
         assert fit.rhs_terms["diffusion"][0] <= 1e-20
         assert np.isfinite(fit.fitted_C) and fit.fitted_C > 0
 
@@ -321,11 +337,9 @@ class TestObservability:
         leaves = tree.num_nodes(tree.depth)
         data = [rng.standard_normal((leaves, mesh.N)) for _ in range(2)]
         plain = observability_sample(coeffs, weights, tree, mesh, region,
-                                     np.random.default_rng(0), 1, 1, 1.0,
-                                     terminal_data=data)
+                                     FixedSamples(data), 1, 1, 1.0)
         scaled = observability_sample(coeffs, weights, tree, mesh, region,
-                                      np.random.default_rng(0), 1, 1, 1.0,
-                                      terminal_data=data, terminal_h_scaling=True)
+                                      FixedSamples(data), 1, 1, 1.0, terminal_h_scaling=True)
         np.testing.assert_allclose(scaled.rhs_terms["terminal"],
                                    plain.rhs_terms["terminal"] / mesh.h**2, rtol=1e-12)
 
@@ -359,8 +373,8 @@ class TestObservability:
             np.testing.assert_allclose(fit.rhs_terms[name], ref, rtol=1e-12)
         assert fit.fitted_C == pytest.approx(fitted, rel=1e-12)
         assert fit.holdout_violations == int((ratios[train:] > 2.0 * fitted).sum())
-        from_data = observability_sample(coeffs, weights, tree, mesh, region, None, train,
-                                         holdout, 1.0, terminal_data=data)
+        from_data = observability_sample(coeffs, weights, tree, mesh, region,
+                                         FixedSamples(data), train, holdout, 1.0)
         np.testing.assert_array_equal(from_data.lhs, fit.lhs)
         assert from_data.fitted_C == fit.fitted_C
         assert from_data.holdout_violations == fit.holdout_violations
@@ -404,8 +418,9 @@ class TestObservability:
                                        np.random.default_rng(12), 6, 6, 1.0)
         finally:
             sys.setswitchinterval(interval)
-        from_data = observability_sample(coeffs, weights, tree, mesh, region, None, 6, 6, 1.0,
-                                         terminal_data=data)
+        # the same samples, at the default switch interval
+        from_data = observability_sample(coeffs, weights, tree, mesh, region,
+                                         FixedSamples(data), 6, 6, 1.0)
         np.testing.assert_array_equal(fit.lhs, from_data.lhs)
         for name, terms in from_data.rhs_terms.items():
             np.testing.assert_array_equal(fit.rhs_terms[name], terms)
@@ -511,6 +526,15 @@ class TestGridChecks:
         }
         with pytest.raises(ConfigurationError, match="N=9 cannot act on a mesh with N=8"):
             calls[entry]()
+
+    @pytest.mark.parametrize("T", [0.5, 2.0])
+    def test_carleman_tree_of_another_horizon_rejected(self, T):
+        # the weights have T = 1: a shorter tree would read them early, a longer one past T
+        tree, mesh = build_tree(4, T), build_mesh(8)
+        sources = SourcePair.random(tree, mesh, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match=f"tree horizon T={T:g} differs"):
+            carleman_terms(solve_w_equation(sources, tree, mesh), sources, mild_weights(),
+                           tree, mesh, OmegaRegion(mesh, (0.3, 0.7)))
 
 
 class TestSweep:

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdcontrol.errors import WeightConfigError
 from sdcontrol.mesh import build_mesh
-from sdcontrol.weights import (WeightParams, build_weights,
-                               delta_schedule, probe_gradient_coupling,
-                               probe_second_difference, schedule_h1,
+from sdcontrol.weights import (WeightParams, build_weights, delta_schedule, schedule_h1,
                                theta_bound_margins, validate_regime, weight_problems)
 
 
@@ -217,6 +215,40 @@ class TestSchedule:
             delta_schedule(0.2, 0.1, 0.25)
         with pytest.raises(ValueError):
             delta_schedule(0.05, 0.1, 0.6)
+
+
+def weighted_stencil_product(w, t, x, terms):
+    """Sum of c * exp(-s*(phi(x+a) + phi(x+b) - 2*phi(x))) over (c, a, b) terms.
+
+    Evaluates stencil products of the form r^2 * (shifted rho)(shifted rho)
+    without ever forming the factors separately, which keeps the exponents
+    O(s*h) instead of O(s).
+    """
+    x = np.asarray(x, dtype=float)
+    s = w.s(t)
+    base = w.phi(x)
+    out = np.zeros_like(base)
+    for c, a, b in terms:
+        expo = -s * (w.phi(x + a) + w.phi(x + b) - 2.0 * base)
+        out = out + c * np.exp(expo)
+    return out
+
+
+def probe_second_difference(w, t, x, h):
+    """r * (second difference of rho), exponent-factored; expected O(s^2)."""
+    s = w.s(t)
+    base = w.phi(np.asarray(x, dtype=float))
+    up = np.exp(-s * (w.phi(x + h) - base))
+    down = np.exp(-s * (w.phi(x - h) - base))
+    return (up - 2.0 + down) / h**2
+
+
+def probe_gradient_coupling(w, t, x, h):
+    """r^2 * (double average of rho) * (averaged difference of rho); expected O(s)."""
+    avg = [(0.25, -h), (0.5, 0.0), (0.25, h)]
+    dif = [(-0.5 / h, -h), (0.5 / h, h)]
+    terms = [(ca * cd, a, d) for ca, a in avg for cd, d in dif]
+    return weighted_stencil_product(w, t, x, terms)
 
 
 class TestScalingProbes:
