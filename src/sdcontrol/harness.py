@@ -589,9 +589,8 @@ def cli(argv=None) -> int:
         p.add_argument("--out", default=None, help="output file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; it starts no workers "
-                            "and never changes results (an observability fit always "
-                            "draws its samples one batch ahead on one helper thread)")
+                       help="accepted for compatibility; sdcontrol starts no threads "
+                            "and the flag never changes results")
     args = parser.parse_args(argv)
 
     try:

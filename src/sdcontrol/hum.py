@@ -242,9 +242,10 @@ def riccati_levels(coeffs: Coefficients, region: OmegaRegion, epsilon: float):
     s y A2 K_v M, is 2 Bq^T (M, Q and K_u are symmetric), so the state
     weighted by its node probability, 2^-k y, steps by Bq^T and Be alone.
 
-    On shared coefficients the levels use ``coeffs``' cached step
-    operators; otherwise each level factors an operator of its node means
-    and drops it once its maps are built (P_0 is then the mean path's).
+    Every level takes the node means of its coefficients (P_0 is then the
+    mean path's).  A level with one shared step matrix uses ``coeffs``'
+    cached operator; a level with one matrix per node factors an operator
+    of its mean a1 and drops it once its maps are built.
     K_u is nonzero only on the window, an interval of grid points, so only
     its window block is inverted.  A level-0 a2 that overflows P_0 leaves
     it non-finite and the levels intact.  Costs O(depth N^3) and keeps
@@ -252,8 +253,7 @@ def riccati_levels(coeffs: Coefficients, region: OmegaRegion, epsilon: float):
     """
     tree, mesh = coeffs.tree, coeffs.mesh
     n, dt, s = mesh.N, tree.dt, np.sqrt(tree.dt)
-    adapted = any(a.shape[0] > 1 for a in coeffs.a1_levels + coeffs.a2_levels)
-    steps = None if adapted else coeffs.step_operators()
+    steps = coeffs.step_operators()
     eye = np.eye(n)
     # K_u's window block is (I + dt Q_ww)^-1, so K_u Q is K_w Q_w on rows w.
     inside = np.flatnonzero(region.mask)
@@ -261,11 +261,9 @@ def riccati_levels(coeffs: Coefficients, region: OmegaRegion, epsilon: float):
     eye_w = np.eye(len(inside))
     levels, P, last = [None] * tree.depth, eye / epsilon, None
     for k in range(tree.depth - 1, -1, -1):
-        a1, a2 = coeffs.a1_levels[k], coeffs.a2_levels[k]
-        if adapted:
-            step, a2 = StepOperator.drift_implicit(mesh, dt, a1.mean(axis=0)), a2.mean(axis=0)
-        else:
-            step, a2 = steps[k], a2[0]
+        step, a2 = steps[k], coeffs.a2_levels[k].mean(axis=0)
+        if step.nodes > 1:
+            step = StepOperator.drift_implicit(mesh, dt, coeffs.a1_levels[k].mean(axis=0))
         if step is not last:
             last, M = step, step.solve(eye)
         Q = M @ P @ M

@@ -10,8 +10,6 @@ cancels in all ratios and keeps the arithmetic inside double range.
 
 from __future__ import annotations
 
-import threading
-from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,9 +28,9 @@ from .weights import CarlemanWeights, WeightParams, build_weights, validate_regi
 # The estimators sweep their samples in batches of at most this many leaf
 # values (samples * 2^depth * N), and at least one sample.  Memory sets the
 # cap: one batch for a whole 400-sample fit nearly doubled peak memory; this
-# cap is about 12 % faster than 2^14 for 2 MiB more peak memory, and with
-# the draws made ahead it is faster than 2^16 on the benchmark
-# (measurements in README.md, "Sample batching").
+# cap is about 12 % faster than 2^14 for 2 MiB more peak memory, and 2^16
+# is 4-9 % faster on a fit alone for twice the batch memory (measurements
+# in README.md, "Sample batching").
 _BATCH_LEAF_VALUES = 1 << 15
 
 
@@ -40,52 +38,6 @@ def _batches(total: int, tree: ScenarioTree, mesh: Mesh) -> list[tuple[int, int]
     """Consecutive sample ranges [start, stop) of at most _BATCH_LEAF_VALUES leaf values."""
     size = max(1, _BATCH_LEAF_VALUES // (tree.num_nodes(tree.depth) * mesh.N))
     return [(start, min(start + size, total)) for start in range(0, total, size)]
-
-
-def _draw_ahead(rng: np.random.Generator, sizes: list[int], shape: tuple[int, ...]):
-    """Yield ``rng.standard_normal((n,) + shape)`` for each n in ``sizes``,
-    each drawn on one helper thread while the caller works on the one before.
-
-    The helper is the only caller of ``rng`` until the generator is closed,
-    and it draws the batches in order, so every value and the generator's
-    final state are those of one plain call per batch.  It fills two reused
-    buffers (``standard_normal(out=...)`` releases the GIL), so a yielded
-    batch is valid only until the next one is asked for.  A failed draw is
-    re-raised here; closing the generator stops the helper and joins it.
-    """
-    buffers = [np.empty((max(sizes),) + shape) for _ in range(2)]
-    free = [threading.Semaphore(1) for _ in buffers]
-    ready = [threading.Semaphore(0) for _ in buffers]
-    stop, failure = False, []
-
-    def draw():
-        for i, n in enumerate(sizes):
-            free[i % 2].acquire()
-            if stop:
-                return
-            try:
-                rng.standard_normal(out=buffers[i % 2][:n])
-            except BaseException as exc:  # re-raised in the caller
-                failure.append(exc)
-            ready[i % 2].release()
-            if failure:
-                return
-
-    # a daemon, so that a fit that hangs cannot also hang interpreter exit
-    helper = threading.Thread(target=draw, name="sdcontrol-draw-ahead", daemon=True)
-    helper.start()
-    try:
-        for i, n in enumerate(sizes):
-            ready[i % 2].acquire()
-            if failure:
-                raise failure[0]
-            yield buffers[i % 2][:n]
-            free[i % 2].release()
-    finally:
-        stop = True
-        for sem in free:
-            sem.release()
-        helper.join()
 
 
 @dataclass
@@ -285,11 +237,9 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     per-sample sums as it is produced, so only one level of the backward
     solution is held at a time.
 
-    The samples come from ``_draw_ahead``: one helper thread draws batch
-    i+1 while this thread sweeps batch i, and is joined before the fit
-    returns or raises.  The draws are about half of a fit's time; one
-    400-sample fit at N = 8, depth 8 (25 batches) took 17.6-19.5 ms against
-    22.0-34.4 ms drawn in line (2 vCPUs, in-process medians).
+    The batches are drawn in line, in order, into one reused buffer the
+    size of the first (largest) batch, so the draws, the values and the
+    generator's final state are those of one plain call per batch.
     """
     if train < 1 or holdout < 0:
         raise ValueError(f"need train >= 1 and holdout >= 0, got {train} and {holdout}")
@@ -310,19 +260,19 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     rhs_window = np.empty(total)
     rhs_terminal = np.empty(total)
     batches = _batches(total, tree, mesh)
-    data = _draw_ahead(rng, [stop - start for start, stop in batches],
-                       (tree.num_nodes(tree.depth), mesh.N))
-    with closing(data):
-        for (start, stop), zT in zip(batches, data):
-            z, diffusion, window = zT, 0.0, 0.0
-            for k in range(tree.depth - 1, -1, -1):
-                z, Z, _ = backward_step(steps[k], tree.dt, z, coeffs.a2_levels[k])
-                diffusion += level_pairing(tree, mesh, k, Z, Z)
-                window += level_pairing(tree, mesh, k, z, z, region.indicator)
-            lhs[start:stop] = tree_inner(tree, mesh, 0, z, z)
-            rhs_diffusion[start:stop] = diffusion
-            rhs_window[start:stop] = window
-            rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
+    buf = np.empty((batches[0][1], tree.num_nodes(tree.depth), mesh.N))
+    for start, stop in batches:
+        zT = buf[:stop - start]
+        rng.standard_normal(out=zT)
+        z, diffusion, window = zT, 0.0, 0.0
+        for k in range(tree.depth - 1, -1, -1):
+            z, Z, _ = backward_step(steps[k], tree.dt, z, coeffs.a2_levels[k])
+            diffusion += level_pairing(tree, mesh, k, Z, Z)
+            window += level_pairing(tree, mesh, k, z, z, region.indicator)
+        lhs[start:stop] = tree_inner(tree, mesh, 0, z, z)
+        rhs_diffusion[start:stop] = diffusion
+        rhs_window[start:stop] = window
+        rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
 
     rhs = rhs_diffusion + rhs_window + rhs_terminal
     keep = rhs != 0.0  # all-zero samples only: an overflowed one must fit as NaN

@@ -86,7 +86,10 @@ def weight_problems(T: float, lam: float, mu: float, delta: float, x0: float,
         problems.append(f"omega0={tuple(omega0)} must be strictly inside omega={tuple(omega)}")
     if not a0 < x0 < b0:
         problems.append(f"x0={x0} must lie inside omega0={tuple(omega0)}")
-    psi_min = K - max((EXTENDED_LO - x0) ** 2, (EXTENDED_HI - x0) ** 2)
+    # squared as products: a float's ** 2 goes through libm pow, which can
+    # round one ulp above the correctly rounded d * d
+    lo, hi = EXTENDED_LO - x0, EXTENDED_HI - x0
+    psi_min = K - max(lo * lo, hi * hi)
     if psi_min <= 0:
         problems.append(f"profile must stay positive on ({EXTENDED_LO}, {EXTENDED_HI}); "
                         f"min={psi_min:.6g} (raise K or move x0)")
@@ -98,7 +101,6 @@ class CarlemanWeights:
     """Evaluators for the space profile and time factor of the weight."""
 
     params: WeightParams
-    psi_sup: float
 
     def psi(self, x):
         p = self.params
@@ -108,7 +110,10 @@ class CarlemanWeights:
         return np.exp(self.params.mu * self.psi(x))
 
     def phi(self, x):
-        return self.varphi(x) - np.exp(2.0 * self.params.mu * self.psi_sup)
+        # K is the profile's sup-norm on the extended interval: the profile
+        # is positive there (a rule of ``weight_problems``), so it is its
+        # peak psi(x0) = K
+        return self.varphi(x) - np.exp(2.0 * self.params.mu * self.params.K)
 
     def theta(self, t) -> float | np.ndarray:
         """Time factor 1/((t + delta*T)(T + delta*T - t)) on [0, T]."""
@@ -136,11 +141,8 @@ class CarlemanWeights:
 
 
 def build_weights(params: WeightParams) -> CarlemanWeights:
-    """The evaluators of an admissible family (``WeightParams`` checked it),
-    with the profile's sup-norm on the extended interval: the profile is
-    positive there (a rule of ``weight_problems``), so it is its peak
-    psi(x0) = K."""
-    return CarlemanWeights(params=params, psi_sup=float(params.K))
+    """The evaluators of an admissible family (``WeightParams`` checked it)."""
+    return CarlemanWeights(params=params)
 
 
 def validate_regime(w: CarlemanWeights, h: float) -> tuple[bool, float]:

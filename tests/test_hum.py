@@ -283,13 +283,17 @@ class TestRiccatiPreconditioner:
         applied = preconditioner_matrix(problem)
         assert np.abs(applied - inverse).max() <= 1e-12 * np.abs(inverse).max()
 
-    @pytest.mark.parametrize("adapted", [False, True])
-    def test_factors_only_the_mean_path_operators(self, adapted, monkeypatch):
-        # shared levels reuse the sweeps' own cached operators; adapted ones
-        # need one mean-path operator per level
+    @pytest.mark.parametrize("a1_adapted, a2_adapted", [(False, False), (True, True),
+                                                         (False, True)])
+    def test_factors_only_the_mean_path_operators(self, a1_adapted, a2_adapted, monkeypatch):
+        # levels with one shared step matrix reuse the sweeps' own cached
+        # operators; a level with one per node needs a mean-path operator,
+        # which level 0 (one node) never has
         mesh, tree = build_mesh(5), build_tree(4, 1.0)
-        coeffs = (Coefficients.adapted_random(tree, mesh, np.random.default_rng(3), 0.5, 0.5)
-                  if adapted else Coefficients.constant(tree, mesh, 0.5, 0.5))
+        adapted = Coefficients.adapted_random(tree, mesh, np.random.default_rng(3), 0.5, 0.5)
+        constant = Coefficients.constant(tree, mesh, 0.5, 0.5)
+        coeffs = Coefficients(tree, mesh, (adapted if a1_adapted else constant).a1_levels,
+                              (adapted if a2_adapted else constant).a2_levels)
         problem = HumProblem(y0=np.ones(5), coeffs=coeffs, region=OmegaRegion(mesh, (0.3, 0.7)),
                              tree=tree, mesh=mesh, epsilon=1e-2)
         coeffs.step_operators()
@@ -301,7 +305,7 @@ class TestRiccatiPreconditioner:
             original(self, *args)
         monkeypatch.setattr(StepOperator, "__init__", counted)
         riccati_preconditioner(problem)
-        assert len(built) == (tree.depth if adapted else 0)
+        assert len(built) == (tree.depth - 1 if a1_adapted else 0)
 
     def test_adapted_coefficients_pcg_matches_dense_oracle(self):
         # criterion 8's problem and tolerance, with the mean-path preconditioner

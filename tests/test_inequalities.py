@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -22,28 +21,10 @@ TERM_NAMES = ("lhs_state", "lhs_gradient", "rhs_window", "rhs_diffusion", "rhs_d
               "rhs_initial", "rhs_terminal")
 
 
-def raised_within(call, seconds=20.0):
-    """Run ``call`` on a daemon thread and return the exception it raised
-    (None if it returned), failing if it has not finished in ``seconds``."""
-    raised = []
-
-    def run():
-        try:
-            call()
-        except BaseException as exc:  # handed to the test
-            raised.append(exc)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(seconds)
-    assert not runner.is_alive(), f"the call did not finish in {seconds} s"
-    return raised[0] if raised else None
-
-
 class FixedSamples:
     """Generator stand-in for the observability fit: ``standard_normal(out=...)``
     copies the given samples into ``out`` in order, so a fit of chosen
-    terminal data still draws through ``_draw_ahead``."""
+    terminal data takes the same path as a seeded one."""
 
     def __init__(self, samples):
         self.samples, self.taken = list(samples), 0
@@ -394,36 +375,30 @@ class TestObservability:
         (3, 2),     # one batch
         (100, 60),  # a batch of 128 at N=8, depth 5, then a short one of 32
     ])
-    def test_drawn_ahead_fit_leaves_the_generator_as_plain_draws(self, train, holdout):
+    def test_fit_leaves_the_generator_as_plain_draws(self, train, holdout):
         mesh, tree, region, coeffs, weights, _ = self._setup()
-        threads = threading.active_count()
         rng = np.random.default_rng(11)
         observability_sample(coeffs, weights, tree, mesh, region, rng, train, holdout, 1.0)
-        assert threading.active_count() == threads
         plain = np.random.default_rng(11)
         for start, stop in _batches(train + holdout, tree, mesh):
             plain.standard_normal((stop - start, tree.num_nodes(tree.depth), mesh.N))
         assert rng.bit_generator.state == plain.bit_generator.state
 
-    def test_drawn_ahead_values_survive_frequent_thread_switches(self):
-        # one sample per batch at N=8, depth 11: twelve hand-offs between the
-        # helper and the sweep, with the interpreter switching threads often
-        mesh, tree, region, coeffs, weights, _ = self._setup(depth=11)
-        plain = np.random.default_rng(12)
-        data = [plain.standard_normal((tree.num_nodes(tree.depth), mesh.N)) for _ in range(12)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            fit = observability_sample(coeffs, weights, tree, mesh, region,
-                                       np.random.default_rng(12), 6, 6, 1.0)
-        finally:
-            sys.setswitchinterval(interval)
-        # the same samples, at the default switch interval
-        from_data = observability_sample(coeffs, weights, tree, mesh, region,
-                                         FixedSamples(data), 6, 6, 1.0)
-        np.testing.assert_array_equal(fit.lhs, from_data.lhs)
-        for name, terms in from_data.rhs_terms.items():
-            np.testing.assert_array_equal(fit.rhs_terms[name], terms)
+    def test_every_draw_runs_on_the_calling_thread(self):
+        # four batches of 16 at N=8, depth 8
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=8)
+
+        class RecordingGenerator:
+            def __init__(self):
+                self.rng, self.threads = np.random.default_rng(0), []
+
+            def standard_normal(self, out):
+                self.threads.append(threading.current_thread())
+                return self.rng.standard_normal(out=out)
+
+        rng = RecordingGenerator()
+        observability_sample(coeffs, weights, tree, mesh, region, rng, 40, 24, 1.0)
+        assert rng.threads == [threading.current_thread()] * 4
 
     @pytest.mark.parametrize("failing", [0, 1, 3])
     def test_failed_draw_is_raised_by_the_fit(self, failing):
@@ -443,16 +418,15 @@ class TestObservability:
                     raise DrawFailed(self.calls)
                 return self.rng.standard_normal(out=out)
 
-        threads = threading.active_count()
-        raised = raised_within(lambda: observability_sample(
-            coeffs, weights, tree, mesh, region, FailingGenerator(), 40, 24, 1.0))
-        assert isinstance(raised, DrawFailed)
-        assert threading.active_count() == threads
+        with pytest.raises(DrawFailed):
+            observability_sample(coeffs, weights, tree, mesh, region, FailingGenerator(),
+                                 40, 24, 1.0)
 
     @pytest.mark.parametrize("failing", [0, 1, 3])
     def test_failed_sweep_stops_the_draws(self, failing, monkeypatch):
-        # the first backward step of batch `failing` of four raises
-        mesh, tree, region, coeffs, weights, rng = self._setup(depth=8)
+        # the first backward step of batch `failing` of four raises; no batch
+        # after it is drawn
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=8)
         calls = []
 
         def failing_step(*args):
@@ -461,12 +435,20 @@ class TestObservability:
                 raise FloatingPointError(len(calls))
             return backward_step(*args)
 
+        class CountingGenerator:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(0), 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                return self.rng.standard_normal(out=out)
+
         monkeypatch.setattr(inequalities, "backward_step", failing_step)
-        threads = threading.active_count()
-        raised = raised_within(lambda: observability_sample(
-            coeffs, weights, tree, mesh, region, rng, 40, 24, 1.0))
-        assert isinstance(raised, FloatingPointError)
-        assert threading.active_count() == threads
+        rng = CountingGenerator()
+        with pytest.raises(FloatingPointError):
+            observability_sample(coeffs, weights, tree, mesh, region, rng, 40, 24, 1.0)
+        assert rng.calls == failing + 1
+        assert len(calls) == failing * tree.depth + 1
 
     @pytest.mark.parametrize("train, holdout", [(0, 5), (5, -1)])
     def test_sample_counts_out_of_range_rejected(self, train, holdout):

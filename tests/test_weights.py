@@ -27,7 +27,9 @@ class TestProfileValidation:
         # the profile is positive on the extended interval, so its sup-norm
         # is psi(x0) = K exactly, also for a peak between grid points
         w = default_weights(x0=x0, K=1.7)
-        assert w.psi_sup == 1.7 == w.psi(x0)
+        mu = w.params.mu
+        assert w.psi(x0) == 1.7
+        assert w.phi(x0) == np.exp(mu * 1.7) - np.exp(2.0 * mu * 1.7)
 
     def test_peak_at_zero_rejected(self):
         # the slope at x=0 would vanish with the peak on the boundary, which
@@ -68,7 +70,8 @@ def _flags_positivity(x0, K):
 
 def _near_boundary(x0, steps):
     """The boundary value of K, the larger (end - x0)^2, moved ``steps`` ulps up."""
-    K = max((-0.1 - x0) ** 2, (1.1 - x0) ** 2)
+    lo, hi = -0.1 - x0, 1.1 - x0
+    K = max(lo * lo, hi * hi)
     for _ in range(abs(steps)):
         K = np.nextafter(K, np.inf if steps > 0 else -np.inf)
     return float(K)
