@@ -361,37 +361,16 @@ def _prefix_factors(mult, piv):
 
 
 def solve_tridiagonal(off, diag, rhs) -> np.ndarray:
-    """One-off symmetric tridiagonal solve, vectorized over batch rows.
-
-    ``off``/``diag`` may be 1-D (shared matrix) or carry leading batch axes
-    matching ``rhs``.  Factors a fresh StepOperator per call; code that
-    solves with the same matrix repeatedly should keep the operator.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    bands = [np.asarray(b, dtype=float) for b in (off, diag)]
-    if any(b.ndim > 1 for b in bands):
-        rows = rhs.shape[:-1]
-        bands = [np.broadcast_to(b, rows + b.shape[-1:]).reshape(-1, b.shape[-1]) for b in bands]
-    rows = rhs.reshape(-1, rhs.shape[-1])
-    return StepOperator(*bands).solve(rows).reshape(rhs.shape)
+    """One-off symmetric tridiagonal solve: one StepOperator build and one
+    ``solve``, so the bands and ``rhs`` take that class's shapes.  Code that
+    solves with the same matrix repeatedly should keep the operator."""
+    return StepOperator(off, diag).solve(rhs)
 
 
 def solve_drift_implicit(mesh: Mesh, dt: float, a1, rhs) -> np.ndarray:
-    """Solve (I - dt*(second difference + a1*)) x = rhs on the interior.
-
-    ``a1`` is the interior reaction coefficient (length N, or batched like
-    ``rhs``).  dt = 0 degenerates to the identity.  Factors a fresh
-    StepOperator per call.
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[-1] != mesh.N:
-        raise ValueError(f"rhs must have {mesh.N} interior values, got {rhs.shape[-1]}")
-    if dt == 0.0:
-        return rhs.copy()
-    a1 = np.asarray(a1, dtype=float)
-    if a1.size != mesh.N:
-        a1 = np.broadcast_to(a1, rhs.shape).reshape(-1, mesh.N)
-    rows = rhs.reshape(-1, mesh.N)
-    return StepOperator.drift_implicit(mesh, dt, a1).solve(rows).reshape(rhs.shape)
+    """Solve (I - dt*(second difference + a1*)) x = rhs on the interior with
+    one ``StepOperator.drift_implicit`` build and one ``solve``; ``a1`` and
+    ``rhs`` take that method's shapes.  Needs dt > 0."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return StepOperator.drift_implicit(mesh, dt, a1).solve(rhs)

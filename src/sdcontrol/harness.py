@@ -437,9 +437,13 @@ def emit_csv(rows: list[ineq.SweepRow], path: str) -> None:
 def _cmd_identities(cfg: ExperimentConfig, args) -> int:
     results = run_identity_checks(cfg.seed)
     passed = sum(1 for _, ok, _ in results if ok)
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
-    print(f"{passed}/{len(results)} checks passed")
+    report = "".join(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]\n"
+                     for name, ok, detail in results)
+    report += f"{passed}/{len(results)} checks passed\n"
+    print(report, end="")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report)
     return EXIT_OK if passed == len(results) else EXIT_NUMERICAL
 
 
@@ -499,6 +503,14 @@ def _cmd_hum(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+def _check(failure: str) -> int:
+    """Exit status of an estimator check, naming a nonempty ``failure`` on stderr."""
+    if not failure:
+        return EXIT_OK
+    print(f"check failed: {failure}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def _cmd_observability(cfg: ExperimentConfig, args) -> int:
     weights = build_weights(scheduled_weights(cfg))
     mesh, tree, region, coeffs, rng_plain = _seeded_setup(cfg)
@@ -519,7 +531,10 @@ def _cmd_observability(cfg: ExperimentConfig, args) -> int:
             "excluded": fit.excluded, "samples": fit.samples,
         }
     _emit_payload(payload, args.out)
-    return EXIT_OK if all(p["holdout_violations"] == 0 for p in payload.values()) else EXIT_NUMERICAL
+    failed = [f"the {label} fit has {p['holdout_violations']} holdout violations "
+              f"(holdout max ratio {p['holdout_max_ratio']} > bound_C {p['bound_C']})"
+              for label, p in payload.items() if p["holdout_violations"]]
+    return _check("; ".join(failed))
 
 
 def _cmd_carleman(cfg: ExperimentConfig, args) -> int:
@@ -539,10 +554,13 @@ def _cmd_carleman(cfg: ExperimentConfig, args) -> int:
         payload[label] = {"N": N, "max_ratio": maxima[-1],
                           "median_ratio": float(np.median(ratios)),
                           "finite": bool(np.isfinite(ratios).all())}
-    payload["stability_factor"] = max(maxima) / min(maxima)
+    factor = payload["stability_factor"] = max(maxima) / min(maxima)
     _emit_payload(payload, args.out)
-    ok = all(p["finite"] for p in (payload["base"], payload["refined"]))
-    return EXIT_OK if ok and payload["stability_factor"] <= 5.0 else EXIT_NUMERICAL
+    failed = [f"the {label} study has a non-finite ratio"
+              for label in ("base", "refined") if not payload[label]["finite"]]
+    if not (failed or factor <= 5.0):
+        failed.append(f"stability factor {factor} is not at most 5")
+    return _check("; ".join(failed))
 
 
 def sweep_settings_from_config(cfg: ExperimentConfig) -> ineq.SweepSettings:

@@ -121,15 +121,16 @@ def leaf_norm(problem: HumProblem, a: np.ndarray) -> float:
     return float(np.sqrt(tree_inner(problem.tree, problem.mesh, problem.tree.depth, a, a)))
 
 
-def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precondition=None):
+def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precondition):
     """Conjugate gradient on a symmetric positive definite operator,
-    preconditioned by the SPD map ``precondition`` when given.
+    preconditioned by the SPD map ``precondition`` (``np.copy`` gives the
+    plain CG iterates).
 
     Works in the Euclidean inner product, which equals the weighted one up
     to a constant factor and therefore produces identical iterates.  Stops
-    when the unpreconditioned relative residual ||r|| / ||b|| reaches
-    ``tol``; with a preconditioner that is checked on the true residual
-    b - Ax once the recursive one gets there (one more operator apply).
+    one way: once the recursive relative residual ||r|| / ||b|| reaches
+    ``tol``, the true residual b - Ax is computed (one more operator apply)
+    and replaces it, and the solve ends when that one is at ``tol`` too.
     Returns (solution, relative-residual history).  Raises
     ConvergenceError with the history when the operator shows a
     nonpositive curvature p.Ap <= 0, the preconditioner a nonpositive
@@ -155,9 +156,7 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precon
     b_norm = float(np.linalg.norm(r))
     residuals = []
 
-    def preconditioned(r, rr):
-        if precondition is None:
-            return r, rr
+    def preconditioned(r):
         z = np.asarray(precondition(r), dtype=float)
         rz = float(r.ravel() @ z.ravel())
         if not (rz > 0 and np.isfinite(rz)):
@@ -167,7 +166,7 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precon
                 f"definite or not finite)", residuals)
         return z, rz
 
-    z, rz = preconditioned(r, float(r.ravel() @ r.ravel()))
+    z, rz = preconditioned(r)
     p = z.copy() if np.may_share_memory(z, r) else z
     del z
     for _ in range(maxiter):
@@ -188,7 +187,7 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precon
         del ap
         rr = float(r.ravel() @ r.ravel())
         rel = float(np.sqrt(rr) / b_norm)
-        if rel <= tol and precondition is not None:
+        if rel <= tol:
             # A near-exact preconditioner can cut the recursive residual far
             # below the roundoff floor of the true one in a single step, so
             # convergence is confirmed on the true residual b - Ax, which
@@ -204,7 +203,7 @@ def conjugate_gradient(apply_op, b: np.ndarray, tol: float, maxiter: int, precon
                 f"{len(residuals)}", residuals)
         if rel <= tol:
             return np.ldexp(x, e, out=x), residuals
-        z, rz_new = preconditioned(r, rr)
+        z, rz_new = preconditioned(r)
         p *= rz_new / rz
         p += z
         del z

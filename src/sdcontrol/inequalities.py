@@ -1,11 +1,13 @@
 """Numeric evaluation of the weighted energy estimate and the observability
 inequality, with empirical constant fitting.
 
-Both estimates are checked the same way: sample admissible solutions,
-evaluate each side, and fit the constant as the max ratio over a training
-half.  All integrands carry the decaying weight linearly, so one common
-normalizing factor exp(-2*max exponent) is applied to every term; it
-cancels in all ratios and keeps the arithmetic inside double range.
+Both estimates sample admissible solutions and evaluate each side.  The
+observability fit takes its constant as the max ratio over a training
+half and checks it on a holdout half; the Carleman study returns every
+sample's ratio.  All integrands carry the decaying weight linearly, so
+one common normalizing factor exp(-2*max exponent) is applied to every
+term; it cancels in all ratios and keeps the arithmetic inside double
+range.
 """
 
 from __future__ import annotations
@@ -194,9 +196,10 @@ def carleman_ratio_study(weights: CarlemanWeights, tree: ScenarioTree, mesh: Mes
 class FittedConstant:
     """Empirical constant of a uniform inequality, fitted by max ratio.
 
-    ``fitted_C`` is the sharp max over the training half; the holdout check
-    uses ``safety * fitted_C`` because a fresh sample's max is equally
-    likely to land above the sharp training max.
+    ``fitted_C`` is the sampled max over the training half, far below the
+    sharp constant (ROADMAP item 2); the holdout check uses
+    ``safety * fitted_C`` because a fresh sample's max is equally likely
+    to land above the sampled training max.
     """
 
     samples: int
@@ -250,7 +253,7 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
 
-    eps_factor = np.exp(-c_eps / mesh.h)
+    eps_factor = hum_mod.epsilon_from_mesh(c_eps, mesh.h)
     if terminal_h_scaling:
         eps_factor /= mesh.h**2
 

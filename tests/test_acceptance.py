@@ -17,7 +17,7 @@ from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
                                       solve_forward)
 from sdcontrol.harness import (ExperimentConfig, cli, sweep_settings_from_config)
 from sdcontrol.hum import (HumProblem, conjugate_gradient, evaluate_functional,
-                           gramian_apply, solve_hum)
+                           gramian_apply, riccati_preconditioner, solve_hum)
 from sdcontrol.inequalities import (carleman_ratio_study, h_sweep,
                                     observability_sample)
 from sdcontrol.mesh import build_mesh
@@ -184,9 +184,9 @@ def test_criterion_08_cg_vs_dense_oracle():
     x_dense = np.linalg.solve(mat, b)
     x_cg, _ = conjugate_gradient(
         lambda z: gramian_apply(z.reshape(16, 4), problem).ravel() + problem.epsilon * z,
-        b, 1e-12, 1000)
+        b, 1e-12, 1000, riccati_preconditioner(problem))
     rel = np.linalg.norm(x_cg - x_dense) / np.linalg.norm(x_dense)
-    report(8, rel <= 1e-8, f"CG vs dense relative error {rel:.3e} (tol 1e-8)", started, 10.0)
+    report(8, rel <= 1e-8, f"PCG vs dense relative error {rel:.3e} (tol 1e-8)", started, 10.0)
 
 
 def test_criterion_09_gradient_check():

@@ -176,19 +176,23 @@ class TestDriftImplicitSolve:
         out = solve_drift_implicit(mesh, dt, a1, rhs)
         np.testing.assert_allclose(out, w, rtol=1e-12)
 
-    def test_zero_dt_is_identity(self):
+    def test_nonpositive_dt_rejected(self):
+        # at dt = 0 the shared operator's split would divide by sqrt(0)
         mesh = build_mesh(5)
-        rhs = np.arange(5.0)
-        np.testing.assert_allclose(solve_drift_implicit(mesh, 0.0, np.zeros(5), rhs), rhs)
+        for dt in (0.0, -0.01):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                solve_drift_implicit(mesh, dt, np.zeros(5), np.arange(5.0))
 
     def test_batched_rhs(self):
+        # one shared a1 for every row, then one a1 per row (one matrix per node)
         mesh = build_mesh(6)
         rng = np.random.default_rng(8)
         rhs = rng.standard_normal((4, mesh.N))
-        a1 = np.zeros(mesh.N)
-        batched = solve_drift_implicit(mesh, 0.02, a1, rhs)
-        for i in range(4):
-            np.testing.assert_allclose(batched[i], solve_drift_implicit(mesh, 0.02, a1, rhs[i]))
+        for a1 in (np.zeros(mesh.N), rng.uniform(-1, 1, (4, mesh.N))):
+            batched = solve_drift_implicit(mesh, 0.02, a1, rhs)
+            for i in range(4):
+                row = solve_drift_implicit(mesh, 0.02, a1[i] if a1.ndim > 1 else a1, rhs[i])
+                np.testing.assert_allclose(batched[i], row)
 
 
 class TestTridiagonal:

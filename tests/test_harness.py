@@ -369,16 +369,42 @@ class TestCli:
         assert "numerical failure: the plain observability fit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_holdout_violations_exit_3_naming_the_fit(self, tmp_path, capsys):
+        path = self._write_config(tmp_path,
+                                  observability={"train": 4, "holdout": 4, "safety": 1e-9})
+        out = tmp_path / "observability.json"
+        assert cli(["observability", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("check failed: the plain fit has 4 holdout")
+        assert "the h_scaled fit has 4 holdout violations" in err[0]
+        assert json.loads(out.read_text())["plain"]["holdout_violations"] == 4
+
     def test_carleman_subcommand(self, tmp_path, capsys):
         path = self._write_config(tmp_path, N=8,
                                   carleman={"samples": 5, "depth": 4, "modes": 2})
         assert cli(["carleman", "--config", path]) == 0
         assert "stability_factor" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("refined, shown", [
+        (10.0, "check failed: stability factor 10.0 is not at most 5"),
+        (np.nan, "check failed: the refined study has a non-finite ratio"),
+    ], ids=["factor", "non_finite"])
+    def test_failed_carleman_check_exits_3_naming_it(self, monkeypatch, capsys, refined, shown):
+        studies = iter([np.array([1.0]), np.array([refined])])
+        monkeypatch.setattr("sdcontrol.inequalities.carleman_ratio_study",
+                            lambda *args, **kwargs: next(studies))
+        assert cli(["carleman"]) == 3
+        assert capsys.readouterr().err.splitlines() == [shown]
+
     def test_identities_subcommand(self, capsys):
         assert cli(["identities"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_identities_out_holds_its_stdout(self, tmp_path, capsys):
+        out = tmp_path / "identities.out"
+        assert cli(["identities", "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_runs_as_a_module_without_warnings(self):
         src = str(Path(sdcontrol.__file__).resolve().parents[1])

@@ -102,29 +102,6 @@ class TestGramian:
             np.testing.assert_array_equal(batch[s], gramian_apply(z[s], problem))
 
 
-def reference_cg(apply_op, b, tol, maxiter):
-    """Unpreconditioned CG loop as it ran before preconditioning was added,
-    kept as the reference for ``precondition=None`` (histories only)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    b_norm = float(np.linalg.norm(b))
-    p = r.copy()
-    rs = float(r.ravel() @ r.ravel())
-    residuals = []
-    for _ in range(maxiter):
-        ap = apply_op(p)
-        alpha = rs / float(p.ravel() @ ap.ravel())
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r.ravel() @ r.ravel())
-        residuals.append(float(np.sqrt(rs_new) / b_norm))
-        if residuals[-1] <= tol:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, residuals
-
-
 def dense_shift_operator(problem):
     shape = (problem.tree.num_nodes(problem.tree.depth), problem.mesh.N)
     return lambda z: (gramian_apply(z.reshape(shape), problem).ravel()
@@ -137,28 +114,9 @@ class TestConjugateGradient:
         mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
         b = rng.standard_normal(64)
         x_dense = np.linalg.solve(mat, b)
-        x_cg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 500)
+        x_cg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 500, np.copy)
         assert np.linalg.norm(x_cg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         assert res[-1] <= 1e-12
-
-    @pytest.mark.parametrize("case", ["gramian", "oracle", "diagonal"])
-    def test_no_preconditioner_keeps_plain_cg_iterates(self, case):
-        if case == "gramian":
-            problem, rng = small_problem(seed=4)
-            op, b, tol = dense_shift_operator(problem), rng.standard_normal(64), 1e-12
-        elif case == "oracle":  # criterion 8's system
-            problem, _ = small_problem(seed=108, eps=2e-4)
-            op, tol = dense_shift_operator(problem), 1e-12
-            b = solve_forward(problem.y0, None, problem.coeffs).ravel()
-        else:
-            rng = np.random.default_rng(5)
-            diag = rng.uniform(1, 100, 50)
-            op, b, tol = (lambda z: diag * z), rng.standard_normal(50), 1e-14
-        x_ref, res_ref = reference_cg(op, b, tol, 500)
-        for x, res in (conjugate_gradient(op, b, tol, 500),
-                       conjugate_gradient(op, b, tol, 500, precondition=None)):
-            np.testing.assert_array_equal(res, res_ref)
-            np.testing.assert_array_equal(x, x_ref)
 
     @pytest.mark.parametrize("preconditioned", [False, True])
     def test_dense_operator_matches_dense_oracle(self, preconditioned):
@@ -170,7 +128,7 @@ class TestConjugateGradient:
         b = rng.standard_normal(64)
         kept = b.copy(), mat.copy(), pre.copy()
         x_cg, res = conjugate_gradient(lambda z: mat @ z, b, 1e-12, 500,
-                                       (lambda r: pre @ r) if preconditioned else None)
+                                       (lambda r: pre @ r) if preconditioned else np.copy)
         x_dense = np.linalg.solve(mat, b)
         assert res[-1] <= 1e-12
         assert np.linalg.norm(x_cg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
@@ -181,7 +139,7 @@ class TestConjugateGradient:
         # the identity may hand back the direction itself, which the in-place
         # updates must not scale
         b = np.array([1.0, -2.0, 3.0])
-        for precondition in (None, lambda r: r):
+        for precondition in (np.copy, lambda r: r):
             x, res = conjugate_gradient(lambda z: z, b, 1e-12, 5, precondition)
             np.testing.assert_array_equal(x, b)
             assert res == [0.0]
@@ -190,7 +148,7 @@ class TestConjugateGradient:
         # ||b||^2 underflows to 0 here; the solve must still scale with b.
         diag = np.linspace(1.0, 10.0, 20)
         b = np.full(20, 1e-200)
-        x, res = conjugate_gradient(lambda z: diag * z, b, 1e-12, 50)
+        x, res = conjugate_gradient(lambda z: diag * z, b, 1e-12, 50, np.copy)
         assert res and res[-1] <= 1e-12
         np.testing.assert_allclose(x, b / diag, rtol=1e-12)
 
@@ -204,21 +162,21 @@ class TestConjugateGradient:
         assert err.value.residuals == []
 
     def test_zero_rhs_short_circuits(self):
-        x, res = conjugate_gradient(lambda z: z, np.zeros(10), 1e-10, 5)
+        x, res = conjugate_gradient(lambda z: z, np.zeros(10), 1e-10, 5, np.copy)
         np.testing.assert_array_equal(x, 0.0)
         assert res == []
 
     @pytest.mark.parametrize("maxiter", [0, -1])
     def test_maxiter_below_one_rejected(self, maxiter):
         with pytest.raises(ValueError, match="maxiter"):
-            conjugate_gradient(lambda z: z, np.ones(5), 1e-10, maxiter)
+            conjugate_gradient(lambda z: z, np.ones(5), 1e-10, maxiter, np.copy)
 
     def test_maxiter_exhaustion_raises_with_history(self):
         rng = np.random.default_rng(5)
         diag = rng.uniform(1, 100, 50)
         b = rng.standard_normal(50)
         with pytest.raises(ConvergenceError) as err:
-            conjugate_gradient(lambda z: diag * z, b, 1e-14, 3)
+            conjugate_gradient(lambda z: diag * z, b, 1e-14, 3, np.copy)
         assert len(err.value.residuals) == 3
 
     def test_stall_names_the_best_residual(self):
@@ -226,7 +184,7 @@ class TestConjugateGradient:
         diag = np.logspace(0, 4, 20)
         b = np.random.default_rng(4).standard_normal(20)
         with pytest.raises(ConvergenceError) as err:
-            conjugate_gradient(lambda z: diag * z, b, 1e-14, 4)
+            conjugate_gradient(lambda z: diag * z, b, 1e-14, 4, np.copy)
         residuals = err.value.residuals
         best = int(np.argmin(residuals))
         assert residuals[best] < residuals[-1]
@@ -235,12 +193,12 @@ class TestConjugateGradient:
     def test_indefinite_operator_raises_with_history(self):
         diag = np.array([1.0, 2.0, 3.0, 4.0, -1.0])
         with pytest.raises(ConvergenceError, match=r"iteration 2: p\.Ap = -") as err:
-            conjugate_gradient(lambda z: diag * z, np.ones(5), 1e-12, 50)
+            conjugate_gradient(lambda z: diag * z, np.ones(5), 1e-12, 50, np.copy)
         assert len(err.value.residuals) == 1
 
     def test_non_finite_operator_raises(self):
         with pytest.raises(ConvergenceError, match="p.Ap = nan") as err:
-            conjugate_gradient(lambda z: np.full_like(z, np.nan), np.ones(5), 1e-12, 50)
+            conjugate_gradient(lambda z: np.full_like(z, np.nan), np.ones(5), 1e-12, 50, np.copy)
         assert err.value.residuals == []
 
 
@@ -316,7 +274,7 @@ class TestRiccatiPreconditioner:
         precondition = riccati_preconditioner(problem)
         x_pcg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000,
                                         lambda r: precondition(r.reshape(16, 4)).ravel())
-        _, res_cg = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000)
+        _, res_cg = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000, np.copy)
         assert np.linalg.norm(x_pcg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         assert len(res) < len(res_cg)
 
@@ -335,9 +293,15 @@ class TestRiccatiLevels:
         coeffs, region, eps = self._shared(depth, N, a1, a2)
         y0 = np.random.default_rng(depth * N).standard_normal(N)
         _, P0 = riccati_levels(coeffs, region, eps)
-        sol = solve_hum(HumProblem(y0=y0, coeffs=coeffs, region=region, tree=coeffs.tree,
-                                   mesh=coeffs.mesh, epsilon=eps))
-        np.testing.assert_allclose(-0.5 * coeffs.mesh.h * y0 @ P0 @ y0, sol.functional_value,
+        problem = HumProblem(y0=y0, coeffs=coeffs, region=region, tree=coeffs.tree,
+                             mesh=coeffs.mesh, epsilon=eps)
+        sol = solve_hum(problem)
+        optimum = coeffs.mesh.h * y0 @ P0 @ y0
+        np.testing.assert_allclose(-0.5 * optimum, sol.functional_value, rtol=1e-9)
+        # strong duality: the priced controls plus the penalised terminal
+        # state of the controlled forward sweep reach the same optimum
+        report = report_bounds(sol, problem)
+        np.testing.assert_allclose(sol.control_cost + report.terminal_energy / eps, optimum,
                                    rtol=1e-9)
 
     @pytest.mark.parametrize("depth, N", [(4, 7), (8, 11)])
