@@ -79,8 +79,10 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     BLAS takes a single row through its vector path, whose roundoff
     differs from the same row inside a batch, so a lone pair row (level 0
     of an unbatched sweep or of a batch of one) is multiplied as a
-    stride-0 batch of two: a sample's adjoint then has the same bits in
-    any batch and without a sample axis.
+    stride-0 batch of two.  A sample's adjoint then has the same bits
+    with and without a sample axis, and in any batch at the widths where
+    BLAS rounds a row of a product alike for every row count, which
+    depends on N (not at N = 9 to 12; see README, Determinism).
     ``forward_step`` is not fused: its (2N x 2N) map
     doubles the matmul flops, and at N = 63, depth 10 it has measured both
     slower (3.3-4.3 against 2.7 ms per sweep) and faster (2.1-2.5 against

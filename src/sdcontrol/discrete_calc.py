@@ -16,7 +16,7 @@ from .mesh import Mesh, integrate
 from .noise_tree import EDGE_SIGNS
 
 _PIVOT_RTOL = 1e-13
-# Magnitudes allowed for the prefix products of the per-node substitution.
+# Magnitudes allowed for the prefix products of the two-row factors.
 _PREFIX_RANGE = (1e-150, 1e150)
 
 
@@ -176,14 +176,18 @@ class StepOperator:
       transpose exactly, so a batched solve is a single matmul.  A shared
       drift-implicit matrix also keeps ``split`` for the backward step (see
       ``drift_implicit``); every other operator has ``split`` None.
-    * Per-node matrices keep the prefix-product form of the substitution
-      (Stone, J. ACM 20, 1973), node-major with shape (P, 1, n), applied to
+    * Per-node matrices keep the elimination as two rows per node (Stone,
+      J. ACM 20, 1973), node-major with shape (P, 1, n), applied to
       right-hand sides grouped by node, (..., P*C, n): five whole-array
-      calls per solve.  It needs every prefix product of the negated
-      multipliers to lie in [1e-150, 1e150]; otherwise (a zero off-diagonal
-      entry, or multipliers decaying or growing too fast over many rows)
-      the multipliers and reciprocal pivots are kept space-major, (n, P),
-      and the Thomas substitution runs row by row.
+      calls per solve.  With the pivots piv and pf[i] = prod(-mult[:i])
+      the prefix products of the negated multipliers mult = off/piv, the
+      rows are u = 1/pf and w = pf**2/piv, and a solve is
+      x = u * revcumsum(w * cumsum(u * r)).  They are kept when every
+      prefix product lies in [1e-150, 1e150] in magnitude and every w is
+      finite and normal; otherwise (a zero off-diagonal entry, or
+      multipliers decaying or growing too fast over many rows) the
+      multipliers and reciprocal pivots are kept space-major, (n, P), and
+      the Thomas substitution runs row by row.
 
     Raises SingularSystemError when a pivot falls below the dominance
     threshold, which the drift-implicit steppers rule out up front but the
@@ -194,47 +198,23 @@ class StepOperator:
         diag = np.atleast_2d(np.asarray(diag, dtype=float))
         nodes, n = diag.shape
         off = np.broadcast_to(np.asarray(off, dtype=float), (nodes, n - 1))
-
-        scale = np.abs(diag).max(axis=1)
-        vanishing = None  # (row, scale) of the first vanishing pivot
-        # Past a vanishing pivot the values are meaningless (NaN counts as
-        # vanishing); only the first is reported.
-        if nodes == 1:
-            # The same recurrence on plain floats, which gives the same
-            # pivots without one numpy call per row on (1,)-arrays.
-            d, o, tol = diag[0].tolist(), off[0].tolist(), _PIVOT_RTOL * float(scale[0])
-            p = d[0]
-            for i in range(n):
-                if i:
-                    p = d[i] - o[i - 1] / p * o[i - 1]
-                if not abs(p) > tol:
-                    vanishing = i, scale[0]
-                    break
-        else:
-            piv = diag.copy()
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for i in range(1, n):
-                    piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
-            small = ~(np.abs(piv) > _PIVOT_RTOL * scale[:, np.newaxis])
-            if small.any():
-                i = int(small.any(axis=0).argmax())
-                vanishing = i, scale[small[:, i]][0]
-        if vanishing is not None:
-            row, row_scale = vanishing
-            raise SingularSystemError(
-                f"vanishing pivot at row {row} (|pivot| <= {_PIVOT_RTOL:g} * {row_scale:g})"
-            )
         self.nodes, self.n = nodes, n
-        self._inverse = self._prefix = self.split = None
+        self._inverse = self._rows = self.split = None
         if nodes == 1:
+            _pivots_in_place(off, diag.copy())
             inv = np.linalg.inv(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
             self._inverse = 0.5 * (inv + inv.T)
             return
-        mult = off / piv[:, :-1]
-        self._prefix = _prefix_factors(mult, piv)
-        if self._prefix is None:
-            self._mult = mult.T.copy()
-            self._inv_piv = (1.0 / piv).T.copy()
+        rows = np.empty((2, nodes, n))
+        rows[1] = diag
+        _pivots_in_place(off, rows[1])
+        if _two_rows(off, rows):
+            self._rows = rows[:, :, np.newaxis, :]
+            return
+        piv = diag.copy()
+        _pivots_in_place(off, piv)
+        self._mult = (off / piv[:, :-1]).T.copy()
+        self._inv_piv = (1.0 / piv).T.copy()
 
     @classmethod
     def drift_implicit(cls, mesh: Mesh, dt: float, a1) -> "StepOperator":
@@ -243,8 +223,8 @@ class StepOperator:
         ``a1`` of shape (N,) or (1, N) gives one shared matrix, (P, N) one per node.
         With dt*a1 < 1 the off-diagonal is -dt/h^2 and the pivots lie above
         dt/h^2, so every negated multiplier lies in (0, 1) and the prefix
-        products only decay; per-node operators take the prefix form unless
-        they fall below 1e-150, which needs dt below about 3e-5.
+        products only decay; per-node operators keep their two rows unless
+        the products fall below 1e-150, which needs dt below about 3e-5.
 
         A shared matrix, with inverse M, also gets ``split``: the (2N, N)
         matrices kron(EDGE_SIGNS, M)/(2 sqrt(dt)) = [-M; M]/(2 sqrt(dt))
@@ -274,8 +254,8 @@ class StepOperator:
 
     @property
     def prefix_form(self) -> bool:
-        """Whether per-node solves use the prefix-product substitution."""
-        return self._prefix is not None
+        """Whether per-node solves use the two-row substitution."""
+        return self._rows is not None
 
     def solve(self, rhs, out=None) -> np.ndarray:
         """Solve every row of ``rhs`` (last axis is space).
@@ -284,7 +264,7 @@ class StepOperator:
         row axis the rows are grouped by node, row r using node r // C, and
         any leading axes (samples) share the factors.  ``out``, a
         C-contiguous float array of ``rhs``'s shape, receives the solution
-        and is returned; it may be ``rhs`` itself, and the prefix-product
+        and is returned; it may be ``rhs`` itself, and the two-row
         substitution then runs in place with no temporary.
         """
         rhs = np.asarray(rhs, dtype=float)
@@ -301,16 +281,16 @@ class StepOperator:
             raise ValueError(
                 f"rhs rows must be grouped by node, a multiple of {self.nodes}, got shape {rhs.shape}"
             )
-        if self._prefix is None:
+        if self._rows is None:
             return self._eliminate(rhs, out)
-        inv_pf, mid, pb = self._prefix
+        u, w = self._rows
         grouped = (-1, self.nodes, rhs.shape[-2] // self.nodes, self.n)
-        y = np.multiply(rhs.reshape(grouped), inv_pf, out=out.reshape(grouped))
+        y = np.multiply(rhs.reshape(grouped), u, out=out.reshape(grouped))
         np.cumsum(y, axis=-1, out=y)
-        y *= mid
+        y *= w
         rev = y[..., ::-1]
         np.cumsum(rev, axis=-1, out=rev)
-        y *= pb
+        y *= u
         return out
 
     def _eliminate(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -336,28 +316,70 @@ class StepOperator:
         return out
 
 
-def _prefix_factors(mult, piv):
-    """Prefix-product factors of the substitution, or None.
+def _pivots_in_place(off, piv):
+    """Overwrite the diagonals ``piv`` (nodes, n) with the pivots of
+    elimination without pivoting, ``off`` broadcast to (nodes, n - 1).
 
-    With pf[i] = prod(-mult[:i]) and pb[i] = prod(-mult[i:]), the forward
-    sweep y[i] = r[i] - mult[i-1]*y[i-1] is y = pf * cumsum(r / pf) and the
-    back substitution x[i] = y[i]/piv[i] - mult[i]*x[i+1] is
-    x = pb * revcumsum(y / (piv*pb)).  Stored as (1/pf, pf/(piv*pb), pb)
-    with shape (nodes, 1, n).  None when a product is zero, non-finite or
-    outside _PREFIX_RANGE.
+    Raises SingularSystemError at the first pivot at or below _PIVOT_RTOL
+    times its node's max|diag|.  Past a vanishing pivot the values are
+    meaningless (NaN counts as vanishing); only the first is reported.
     """
-    ones = np.ones((len(piv), 1))
-    pf = np.hstack([ones, np.cumprod(-mult, axis=1)])
-    pb = np.hstack([np.cumprod(-mult[:, ::-1], axis=1)[:, ::-1], ones])
-    size = np.abs(np.hstack([pf, pb]))
+    nodes, n = piv.shape
+    scale = np.maximum(piv.max(axis=1), -piv.min(axis=1))
+    vanishing = None  # (row, scale) of the first vanishing pivot
+    if nodes == 1:
+        # The same recurrence on plain floats, which gives the same
+        # pivots without one numpy call per row on (1,)-arrays.
+        d, o, tol = piv[0].tolist(), off[0].tolist(), _PIVOT_RTOL * float(scale[0])
+        for i in range(n):
+            if i:
+                d[i] -= o[i - 1] / d[i - 1] * o[i - 1]
+            if not abs(d[i]) > tol:
+                vanishing = i, scale[0]
+                break
+        piv[0] = d
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(1, n):
+                piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
+        tol = _PIVOT_RTOL * scale
+        if not (piv.min(axis=1) > tol).all():
+            small = ~(np.abs(piv) > tol[:, np.newaxis])
+            if small.any():
+                i = int(small.any(axis=0).argmax())
+                vanishing = i, scale[small[:, i]][0]
+    if vanishing is not None:
+        row, row_scale = vanishing
+        raise SingularSystemError(
+            f"vanishing pivot at row {row} (|pivot| <= {_PIVOT_RTOL:g} * {row_scale:g})"
+        )
+
+
+def _two_rows(off, rows) -> bool:
+    """Turn the pivots in rows[1], shape (nodes, n), into the two rows
+    (u, w) = ``rows`` in place, ``off`` broadcast to (nodes, n - 1); no
+    temporary is larger than one value per node.  Returns whether the
+    rows hold: every |pf| within _PREFIX_RANGE and every |w| finite and
+    normal.
+    """
+    u, w = rows
+    pf = u[:, 1:]
+    u[:, 0] = 1.0
+    # Values out of range are caught below.
+    with np.errstate(all="ignore"):
+        np.divide(off, w[:, :-1], out=pf)
+        np.negative(pf, out=pf)
+        np.cumprod(pf, axis=1, out=pf)
+        np.divide(u, w, out=w)
+        w *= u
+        np.reciprocal(u, out=u)
+    # The range is symmetric about 1, so |u| = 1/|pf| may be checked in its place.
     lo, hi = _PREFIX_RANGE
-    # Comparisons with NaN are false, so a non-finite product also fails here.
-    if not (lo <= size.min() and size.max() <= hi):
-        return None
-    mid = pf / (piv * pb)
-    if not np.isfinite(mid).all():
-        return None
-    return tuple(f[:, np.newaxis, :] for f in (1.0 / pf, mid, pb))
+    u_mag = u if u.min() >= 0 else np.abs(u)
+    w_mag = w if w.min() >= 0 else np.abs(w)
+    # Comparisons with NaN are false, so a non-finite value also fails here.
+    return bool(lo <= u_mag.min() and u_mag.max() <= hi
+                and np.finfo(float).tiny <= w_mag.min() and w_mag.max() <= np.finfo(float).max)
 
 
 def solve_tridiagonal(off, diag, rhs) -> np.ndarray:

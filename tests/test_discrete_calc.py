@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,13 @@ def _bands_with_zero_entry(rng, nodes, n):
     return off, diag
 
 
+def _indefinite_bands(rng, nodes, n):
+    """Dominant bands whose diagonal changes sign along each node: indefinite
+    matrices, whose pivots take both signs."""
+    off, diag = _dominant_bands(rng, nodes, n)
+    return off, np.abs(diag) * rng.choice([-1.0, 1.0], (nodes, n))
+
+
 def _tiny_multiplier_bands(rng, nodes, n):
     """Dominant bands whose multipliers are near 1e-20, so prefix products underflow."""
     off, diag = _dominant_bands(rng, nodes, n)
@@ -247,9 +256,10 @@ def _assert_matches_dense(got, rhs, bands):
                                    rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-# (smallest n, band builder, whether per-node operators take the prefix form)
+# (smallest n, band builder, whether per-node operators take the two-row form)
 _BAND_KINDS = {
     "dominant": (2, _dominant_bands, True),
+    "indefinite": (2, _indefinite_bands, True),
     "zero_entry": (2, _bands_with_zero_entry, False),
     "tiny_multipliers": (16, _tiny_multiplier_bands, False),
 }
@@ -262,7 +272,7 @@ class TestStepOperator:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_solve(self, kind, extra, nodes, per_node, samples, seed):
         # nodes == 1 is the shared matrix (inverse + matmul); nodes > 1 the
-        # per-node factors, prefix form or Thomas substitution by the band
+        # per-node factors, two rows or Thomas substitution by the band
         # kind, applied to rows grouped by node, for every sample along the
         # leading axis.
         n_min, build, prefix = _BAND_KINDS[kind]
@@ -403,3 +413,23 @@ class TestStepOperator:
         c = dt / mesh.h**2
         with pytest.raises(SingularSystemError, match=r"dt=0\.1, h=0\.333333, max\|a1\|=19"):
             StepOperator.drift_implicit(mesh, dt, np.full((1, 2), (1 + c) / dt))
+
+    def test_a_per_node_operator_keeps_two_values_per_node_and_row(self):
+        mesh = build_mesh(63)
+        nodes = 512
+        a1 = np.random.default_rng(22).uniform(-1, 1, (nodes, mesh.N))
+        rows = 2 * nodes * mesh.N * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op = StepOperator.drift_implicit(mesh, 0.01, a1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.prefix_form
+        # the two rows and the object itself; the rows are built in place
+        # from the pivots, and the diagonal and its one temporary are the
+        # build's only other arrays of that size
+        assert rows <= kept - before <= rows + 4096
+        assert peak - before <= 2 * rows

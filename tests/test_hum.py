@@ -265,17 +265,16 @@ class TestRiccatiPreconditioner:
         riccati_preconditioner(problem)
         assert len(built) == (tree.depth - 1 if a1_adapted else 0)
 
-    def test_adapted_coefficients_pcg_matches_dense_oracle(self):
-        # criterion 8's problem and tolerance, with the mean-path preconditioner
+    def test_adapted_coefficients_pcg_beats_plain_cg(self):
+        # criterion 8's problem: the mean-path preconditioner takes fewer
+        # iterations than plain CG (criterion 8 checks the PCG solution
+        # against the dense oracle)
         problem, rng = small_problem(seed=108, eps=2e-4)
-        mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
         b = solve_forward(problem.y0, None, problem.coeffs).ravel()
-        x_dense = np.linalg.solve(mat, b)
         precondition = riccati_preconditioner(problem)
-        x_pcg, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000,
-                                        lambda r: precondition(r.reshape(16, 4)).ravel())
+        _, res = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000,
+                                    lambda r: precondition(r.reshape(16, 4)).ravel())
         _, res_cg = conjugate_gradient(dense_shift_operator(problem), b, 1e-12, 1000, np.copy)
-        assert np.linalg.norm(x_pcg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         assert len(res) < len(res_cg)
 
 
