@@ -172,8 +172,8 @@ class StepOperator:
     each node's own max|diag|, runs here, once; ``solve`` serves any number
     of batches.
 
-    * One shared matrix keeps its inverse, symmetrized to equal its
-      transpose exactly, so a batched solve is a single matmul.  A shared
+    * One shared matrix keeps its ``symmetric_inverse``, taken after the
+      pivot check, so a batched solve is a single matmul.  A shared
       drift-implicit matrix also keeps ``split`` for the backward step (see
       ``drift_implicit``); every other operator has ``split`` None.
     * Per-node matrices keep the elimination as two rows per node (Stone,
@@ -202,8 +202,7 @@ class StepOperator:
         self._inverse = self._rows = self.split = None
         if nodes == 1:
             _pivots_in_place(off, diag.copy())
-            inv = np.linalg.inv(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
-            self._inverse = 0.5 * (inv + inv.T)
+            self._inverse = symmetric_inverse(off[0], diag[0])
             return
         rows = np.empty((2, nodes, n))
         rows[1] = diag
@@ -238,10 +237,9 @@ class StepOperator:
         and one HUM solve with adapted coefficients (N = 63, depth 10) took
         9726 minor page faults instead of 3745.
         """
-        N, h = mesh.N, mesh.h
         a1 = np.asarray(a1, dtype=float)
         try:
-            op = cls(np.full(N - 1, -dt / h**2), 1.0 + 2.0 * dt / h**2 - dt * a1)
+            op = cls(*drift_implicit_bands(mesh, dt, a1))
         except SingularSystemError as exc:
             bound = float(np.abs(a1).max()) if a1.size else 0.0
             raise SingularSystemError(
@@ -316,6 +314,20 @@ class StepOperator:
         return out
 
 
+def drift_implicit_bands(mesh: Mesh, dt: float, a1) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (off, diag) of ``StepOperator.drift_implicit``'s matrix: -dt/h^2,
+    N - 1 values, and 1 + 2 dt/h^2 - dt*a1 in the shape of ``a1``."""
+    h2 = mesh.h**2
+    return np.full(mesh.N - 1, -dt / h2), 1.0 + 2.0 * dt / h2 - dt * np.asarray(a1, dtype=float)
+
+
+def symmetric_inverse(off, diag) -> np.ndarray:
+    """Inverse of one symmetric tridiagonal matrix, bands ``off`` and ``diag``,
+    symmetrized to equal its transpose exactly; checks no pivot."""
+    inv = np.linalg.inv(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (inv + inv.T)
+
+
 def _pivots_in_place(off, piv):
     """Overwrite the diagonals ``piv`` (nodes, n) with the pivots of
     elimination without pivoting, ``off`` broadcast to (nodes, n - 1).
@@ -324,34 +336,18 @@ def _pivots_in_place(off, piv):
     times its node's max|diag|.  Past a vanishing pivot the values are
     meaningless (NaN counts as vanishing); only the first is reported.
     """
-    nodes, n = piv.shape
     scale = np.maximum(piv.max(axis=1), -piv.min(axis=1))
-    vanishing = None  # (row, scale) of the first vanishing pivot
-    if nodes == 1:
-        # The same recurrence on plain floats, which gives the same
-        # pivots without one numpy call per row on (1,)-arrays.
-        d, o, tol = piv[0].tolist(), off[0].tolist(), _PIVOT_RTOL * float(scale[0])
-        for i in range(n):
-            if i:
-                d[i] -= o[i - 1] / d[i - 1] * o[i - 1]
-            if not abs(d[i]) > tol:
-                vanishing = i, scale[0]
-                break
-        piv[0] = d
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, n):
-                piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
-        tol = _PIVOT_RTOL * scale
-        if not (piv.min(axis=1) > tol).all():
-            small = ~(np.abs(piv) > tol[:, np.newaxis])
-            if small.any():
-                i = int(small.any(axis=0).argmax())
-                vanishing = i, scale[small[:, i]][0]
-    if vanishing is not None:
-        row, row_scale = vanishing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, piv.shape[1]):
+            piv[:, i] -= off[:, i - 1] / piv[:, i - 1] * off[:, i - 1]
+    tol = _PIVOT_RTOL * scale
+    if (piv.min(axis=1) > tol).all():
+        return
+    small = ~(np.abs(piv) > tol[:, np.newaxis])
+    if small.any():
+        row = int(small.any(axis=0).argmax())
         raise SingularSystemError(
-            f"vanishing pivot at row {row} (|pivot| <= {_PIVOT_RTOL:g} * {row_scale:g})"
+            f"vanishing pivot at row {row} (|pivot| <= {_PIVOT_RTOL:g} * {scale[small[:, row]][0]:g})"
         )
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward_solver import BackwardSolution, solve_backward
-from .discrete_calc import StepOperator
+from .discrete_calc import drift_implicit_bands, symmetric_inverse
 from .errors import ConfigurationError, ConvergenceError
 from .forward_solver import Coefficients, ControlPair, OmegaRegion, solve_forward
 from .mesh import Mesh
@@ -242,29 +242,27 @@ def riccati_levels(coeffs: Coefficients, region: OmegaRegion, epsilon: float):
     weighted by its node probability, 2^-k y, steps by Bq^T and Be alone.
 
     Every level takes the node means of its coefficients (P_0 is then the
-    mean path's).  A level with one shared step matrix uses ``coeffs``'
-    cached operator; a level with one matrix per node factors an operator
-    of its mean a1 and drops it once its maps are built.
+    mean path's); M is the ``symmetric_inverse`` of the mean a1's
+    ``drift_implicit_bands``, once per run of equal means.  Raises
+    ConfigurationError when dt*max|a1| >= 1.
     K_u is nonzero only on the window, an interval of grid points, so only
     its window block is inverted.  A level-0 a2 that overflows P_0 leaves
     it non-finite and the levels intact.  Costs O(depth N^3) and keeps
     6 N^2 values per level.
     """
+    coeffs.validate_dominance()
     tree, mesh = coeffs.tree, coeffs.mesh
     n, dt, s = mesh.N, tree.dt, np.sqrt(tree.dt)
-    steps = coeffs.step_operators()
     eye = np.eye(n)
     # K_u's window block is (I + dt Q_ww)^-1, so K_u Q is K_w Q_w on rows w.
     inside = np.flatnonzero(region.mask)
     w = slice(inside[0], inside[-1] + 1)
     eye_w = np.eye(len(inside))
-    levels, P, last = [None] * tree.depth, eye / epsilon, None
+    levels, P, M_a1 = [None] * tree.depth, eye / epsilon, None
     for k in range(tree.depth - 1, -1, -1):
-        step, a2 = steps[k], coeffs.a2_levels[k].mean(axis=0)
-        if step.nodes > 1:
-            step = StepOperator.drift_implicit(mesh, dt, coeffs.a1_levels[k].mean(axis=0))
-        if step is not last:
-            last, M = step, step.solve(eye)
+        a1, a2 = coeffs.a1_levels[k].mean(axis=0), coeffs.a2_levels[k].mean(axis=0)
+        if not np.array_equal(a1, M_a1):
+            M, M_a1 = symmetric_inverse(*drift_implicit_bands(mesh, dt, a1)), a1
         Q = M @ P @ M
         K_w = np.linalg.inv(eye_w + dt * Q[w, w])
         K_v = np.linalg.inv(eye + Q)

@@ -27,8 +27,10 @@ from .mesh import Mesh
 DEPTH_CAP = 16
 
 # Increment signs of a node's two children, as a column: child 2n takes
-# -sqrt(dt) and child 2n+1 takes +sqrt(dt).  The forward step, its exact
-# transpose and the tree's own checks all read the child order from here.
+# -sqrt(dt) and child 2n+1 takes +sqrt(dt).  The forward step, the shared
+# backward ``split`` and ``ScenarioTree.edge_signs`` read the signs here;
+# ``martingale_coeff`` (row 0 of a pair is c_-) and ``hum.riccati_levels``
+# (Bq[:N] maps c_-) hard-code the order.
 EDGE_SIGNS = np.array([[-1.0], [1.0]])
 EDGE_SIGNS.flags.writeable = False
 

@@ -22,7 +22,9 @@ from sdcontrol.inequalities import (carleman_ratio_study, h_sweep,
                                     observability_sample)
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, martingale_coeff, random_levels, tree_inner
-from sdcontrol.weights import WeightParams, build_weights, validate_regime
+from sdcontrol.weights import validate_regime
+
+from oracles import dense_gramian, scheduled_weights, small_problem
 
 
 def report(criterion, ok, detail, started, limit):
@@ -31,11 +33,6 @@ def report(criterion, ok, detail, started, limit):
           f"({elapsed:.2f}s / limit {limit:.0f}s) {detail}")
     assert ok, detail
     assert elapsed < limit, f"criterion {criterion} exceeded its runtime limit"
-
-
-def scheduled(mesh, lam=2.0, mu=1.2, delta0=0.25, eps0=1.0, T=1.0):
-    return build_weights(WeightParams(
-        T=T, lam=lam, mu=mu, delta=delta0, x0=0.5, eps0=eps0).at_mesh(mesh.h))
 
 
 def test_criterion_01_product_identities():
@@ -116,31 +113,10 @@ def test_criterion_05_duality_identity():
            "(tol 1e-10)", started, 30.0)
 
 
-def _dense_problem(seed, eps=1e-3):
-    mesh = build_mesh(4)
-    tree = build_tree(4, 1.0)
-    rng = np.random.default_rng(seed)
-    coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.5, 0.5)
-    region = OmegaRegion(mesh, (0.3, 0.7))
-    problem = HumProblem(y0=rng.standard_normal(4), coeffs=coeffs, region=region,
-                         tree=tree, mesh=mesh, epsilon=eps)
-    return problem, rng
-
-
-def _assemble(problem):
-    dim = 16 * 4
-    mat = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        mat[:, j] = gramian_apply(e.reshape(16, 4), problem).ravel()
-    return mat
-
-
 def test_criterion_06_gramian_symmetry_psd():
     started = time.time()
-    problem, rng = _dense_problem(106)
-    mat = _assemble(problem)
+    problem, rng = small_problem(seed=106)
+    mat = dense_gramian(problem)
     sym = np.abs(mat - mat.T).max() / max(np.abs(mat).max(), 1e-300)
     min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()
     z = rng.standard_normal(64)
@@ -178,8 +154,8 @@ def test_criterion_07_hum_closure():
 
 def test_criterion_08_cg_vs_dense_oracle():
     started = time.time()
-    problem, rng = _dense_problem(108, eps=2e-4)
-    mat = _assemble(problem) + problem.epsilon * np.eye(64)
+    problem, rng = small_problem(seed=108, eps=2e-4)
+    mat = dense_gramian(problem) + problem.epsilon * np.eye(64)
     b = solve_forward(problem.y0, None, problem.coeffs).ravel()
     x_dense = np.linalg.solve(mat, b)
     x_cg, _ = conjugate_gradient(
@@ -191,7 +167,7 @@ def test_criterion_08_cg_vs_dense_oracle():
 
 def test_criterion_09_gradient_check():
     started = time.time()
-    problem, rng = _dense_problem(109)
+    problem, rng = small_problem(seed=109)
     z = rng.standard_normal((16, 4))
     b = solve_forward(problem.y0, None, problem.coeffs)
     grad = gramian_apply(z, problem) + problem.epsilon * z - b
@@ -229,7 +205,7 @@ def test_criterion_11_observability_fit():
     tree = build_tree(8, 1.0)
     region = OmegaRegion(mesh, (0.3, 0.7))
     coeffs = Coefficients.adapted_random(tree, mesh, np.random.default_rng(1111), 0.5, 0.5)
-    weights = scheduled(mesh)
+    weights = scheduled_weights(mesh)
     fit = observability_sample(coeffs, weights, tree, mesh, region,
                                np.random.default_rng(111), 200, 200, c_eps=1.0)
     fit_h = observability_sample(coeffs, weights, tree, mesh, region,
@@ -250,7 +226,7 @@ def test_criterion_12_carleman_ratio_stability():
         mesh = build_mesh(N)
         tree = build_tree(6, 1.0)
         region = OmegaRegion(mesh, (0.3, 0.7))
-        weights = scheduled(mesh)
+        weights = scheduled_weights(mesh)
         ok_regime, _ = validate_regime(weights, mesh.h)
         assert ok_regime
         ratios = carleman_ratio_study(weights, tree, mesh, region, rng, 100)

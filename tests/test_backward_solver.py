@@ -7,14 +7,9 @@ from sdcontrol.discrete_calc import StepOperator
 from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion,
                                       solve_forward)
 from sdcontrol.mesh import build_mesh
-from sdcontrol.noise_tree import build_tree, random_levels
+from sdcontrol.noise_tree import build_tree
 
-
-def dense_step(mesh, dt, a1):
-    """I - dt*(second difference + a1) as a dense matrix on the interior."""
-    ones = np.ones(mesh.N - 1)
-    lap = (np.diag(ones, -1) - 2 * np.eye(mesh.N) + np.diag(ones, 1)) / mesh.h**2
-    return np.eye(mesh.N) - dt * (lap + np.diag(a1))
+from oracles import dense_step, random_controls
 
 
 def adjoint_levels(sol, coeffs):
@@ -28,12 +23,6 @@ def adjoint_levels(sol, coeffs):
 def solution_fields(sol, coeffs):
     """The rebuilt adjoint and both pairings of a sweep, by name."""
     return {"z": adjoint_levels(sol, coeffs), "zeta": sol.zeta, "Z": sol.Z}
-
-
-def random_controls(tree, mesh, region, rng):
-    u = random_levels(mesh, rng, (), tree.depth)
-    v = random_levels(mesh, rng, (), tree.depth)
-    return ControlPair(u=u, v=v, region=region)
 
 
 class TestBackwardStep:

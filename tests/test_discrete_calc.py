@@ -13,6 +13,8 @@ from sdcontrol.errors import SingularSystemError
 from sdcontrol.mesh import build_mesh, integrate
 from sdcontrol.noise_tree import ScenarioTree
 
+from oracles import dense_step
+
 
 def grid(mesh, f):
     return GridFunction(mesh, f(mesh.closure))
@@ -170,11 +172,7 @@ class TestDriftImplicitSolve:
         w = rng.standard_normal(mesh.N)
         dt = 0.01
         # apply M = I - dt*(D2 + a1) explicitly, then solve back
-        lap = np.zeros(mesh.N)
-        lap[:-1] += w[1:]
-        lap[1:] += w[:-1]
-        lap -= 2 * w
-        rhs = w - dt * (lap / mesh.h**2 + a1 * w)
+        rhs = dense_step(mesh, dt, a1) @ w
         out = solve_drift_implicit(mesh, dt, a1, rhs)
         np.testing.assert_allclose(out, w, rtol=1e-12)
 
@@ -358,15 +356,13 @@ class TestStepOperator:
         mesh = build_mesh(11)
         rng = np.random.default_rng(10)
         dt = 0.05
-        ones = np.ones(mesh.N - 1)
-        lap = (np.diag(ones, -1) - 2 * np.eye(mesh.N) + np.diag(ones, 1)) / mesh.h**2
         for a1 in (rng.uniform(-1, 1, (1, mesh.N)), rng.uniform(-1, 1, (4, mesh.N))):
             op = StepOperator.drift_implicit(mesh, dt, a1)
             rhs = rng.standard_normal((8, mesh.N))
             got = op.solve(rhs)
             # row r of the right-hand side uses node r // (8 / nodes)
             for row, a in enumerate(np.repeat(a1, 8 // a1.shape[0], axis=0)):
-                mat = np.eye(mesh.N) - dt * (lap + np.diag(a))
+                mat = dense_step(mesh, dt, a)
                 np.testing.assert_allclose(got[row], np.linalg.solve(mat, rhs[row]), rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -386,10 +382,10 @@ class TestStepOperator:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_shared_matrix_reports_the_pivot_of_its_per_node_copies(self, n, data, seed):
-        # One shared matrix runs the pivot recurrence on plain floats, per-node
-        # matrices run it on arrays; both must name the same row and scale,
-        # a NaN pivot (here from the off-diagonal entry above row k) counting
-        # as vanishing.
+        # One shared matrix and its per-node copies run the same pivot
+        # recurrence; both must name the same row and scale, a NaN pivot
+        # (here from the off-diagonal entry above row k) counting as
+        # vanishing.
         k = data.draw(st.integers(0, n - 1))
         rng = np.random.default_rng(seed)
         piv = rng.uniform(1, 2, n) * rng.choice([-1.0, 1.0], n)

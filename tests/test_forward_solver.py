@@ -8,11 +8,7 @@ from sdcontrol.forward_solver import (Coefficients, ControlPair, OmegaRegion, fo
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, random_levels, tree_inner
 
-
-def region_controls(tree, mesh, region, rng):
-    u = random_levels(mesh, rng, (), tree.depth)
-    v = random_levels(mesh, rng, (), tree.depth)
-    return ControlPair(u=u, v=v, region=region)
+from oracles import dense_step, random_controls
 
 
 def zero_field(tree, mesh):
@@ -25,13 +21,6 @@ def first_mode(mesh):
 
 def first_eigenvalue(h):
     return (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
-
-
-def dense_step(mesh, dt, a1):
-    """I - dt*(second difference + a1) as a dense matrix on the interior."""
-    ones = np.ones(mesh.N - 1)
-    lap = (np.diag(ones, -1) - 2 * np.eye(mesh.N) + np.diag(ones, 1)) / mesh.h**2
-    return np.eye(mesh.N) - dt * (lap + np.diag(a1))
 
 
 def state_levels(y0, controls, coeffs):
@@ -176,7 +165,7 @@ class TestSolveForward:
         steps = coeffs.step_operators()
         assert [op.prefix_form for op in steps] == prefix
         assert [op.nodes for op in steps] == ([1, 2, 4, 8] if adapted else [1] * 4)
-        controls = (region_controls(tree, mesh, OmegaRegion(mesh, (0.3, 0.7)), rng)
+        controls = (random_controls(tree, mesh, OmegaRegion(mesh, (0.3, 0.7)), rng)
                     if controlled else None)
         y0 = rng.standard_normal(N)
         kept = y0.copy()
@@ -194,7 +183,7 @@ class TestSolveForward:
         rng = np.random.default_rng(23)
         coeffs = (Coefficients.adapted_random(tree, mesh, rng, 0.5, 0.5) if adapted
                   else Coefficients.constant(tree, mesh, 0.5, 0.5))
-        controls = region_controls(tree, mesh, OmegaRegion(mesh, (0.3, 0.7)), rng)
+        controls = random_controls(tree, mesh, OmegaRegion(mesh, (0.3, 0.7)), rng)
         u_list, v_list = controls.u, controls.v
         kept_u, kept_v = [a.copy() for a in u_list], [a.copy() for a in v_list]
         y0 = rng.standard_normal(mesh.N)
@@ -220,7 +209,7 @@ class TestSolveForward:
         rng = np.random.default_rng(1)
         coeffs = Coefficients.adapted_random(tree, mesh, rng, 0.7, 0.9)
         region = OmegaRegion(mesh, (0.3, 0.7))
-        controls = region_controls(tree, mesh, region, rng)
+        controls = random_controls(tree, mesh, region, rng)
         y0 = rng.standard_normal(mesh.N)
 
         full = state_levels(y0, controls, coeffs)
@@ -286,7 +275,7 @@ class TestSolveForward:
         rng = np.random.default_rng(3)
         coeffs = Coefficients.constant(tree, mesh, 0.4, 0.6)
         region = OmegaRegion(mesh, (0.3, 0.7))
-        controls = region_controls(tree, mesh, region, rng)
+        controls = random_controls(tree, mesh, region, rng)
         base = state_levels(first_mode(mesh), controls, coeffs)
 
         late_v = [a.copy() for a in controls.v]

@@ -14,27 +14,7 @@ from sdcontrol.hum import (HumProblem, conjugate_gradient, epsilon_from_mesh,
 from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, time_pairing, tree_inner
 
-
-def small_problem(N=4, depth=4, eps=1e-3, seed=0, coeff_mag=(0.5, 0.5), **kwargs):
-    mesh = build_mesh(N)
-    tree = build_tree(depth, 1.0)
-    rng = np.random.default_rng(seed)
-    coeffs = Coefficients.adapted_random(tree, mesh, rng, *coeff_mag)
-    region = OmegaRegion(mesh, (0.3, 0.7))
-    y0 = rng.standard_normal(mesh.N)
-    return HumProblem(y0=y0, coeffs=coeffs, region=region, tree=tree, mesh=mesh,
-                      epsilon=eps, **kwargs), rng
-
-
-def dense_gramian(problem):
-    dim = problem.tree.num_nodes(problem.tree.depth) * problem.mesh.N
-    mat = np.empty((dim, dim))
-    shape = (problem.tree.num_nodes(problem.tree.depth), problem.mesh.N)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        mat[:, j] = gramian_apply(e.reshape(shape), problem).ravel()
-    return mat
+from oracles import dense_gramian, small_problem
 
 
 def preconditioner_matrix(problem):
@@ -243,10 +223,10 @@ class TestRiccatiPreconditioner:
 
     @pytest.mark.parametrize("a1_adapted, a2_adapted", [(False, False), (True, True),
                                                          (False, True)])
-    def test_factors_only_the_mean_path_operators(self, a1_adapted, a2_adapted, monkeypatch):
-        # levels with one shared step matrix reuse the sweeps' own cached
-        # operators; a level with one per node needs a mean-path operator,
-        # which level 0 (one node) never has
+    def test_builds_no_step_operator(self, a1_adapted, a2_adapted, monkeypatch):
+        # every level's M is the dense inverse of its mean a1's bands: no
+        # operator is factored, shared or per node, and the sweeps' cached
+        # operators are neither read nor built
         mesh, tree = build_mesh(5), build_tree(4, 1.0)
         adapted = Coefficients.adapted_random(tree, mesh, np.random.default_rng(3), 0.5, 0.5)
         constant = Coefficients.constant(tree, mesh, 0.5, 0.5)
@@ -254,7 +234,6 @@ class TestRiccatiPreconditioner:
                               (adapted if a2_adapted else constant).a2_levels)
         problem = HumProblem(y0=np.ones(5), coeffs=coeffs, region=OmegaRegion(mesh, (0.3, 0.7)),
                              tree=tree, mesh=mesh, epsilon=1e-2)
-        coeffs.step_operators()
         built = []
         original = StepOperator.__init__
 
@@ -262,8 +241,9 @@ class TestRiccatiPreconditioner:
             built.append(self)
             original(self, *args)
         monkeypatch.setattr(StepOperator, "__init__", counted)
+        monkeypatch.setattr(Coefficients, "step_operators", None)
         riccati_preconditioner(problem)
-        assert len(built) == (tree.depth - 1 if a1_adapted else 0)
+        assert built == []
 
     def test_adapted_coefficients_pcg_beats_plain_cg(self):
         # criterion 8's problem: the mean-path preconditioner takes fewer
@@ -302,6 +282,20 @@ class TestRiccatiLevels:
         report = report_bounds(sol, problem)
         np.testing.assert_allclose(sol.control_cost + report.terminal_energy / eps, optimum,
                                    rtol=1e-9)
+
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_rejects_a1_that_breaks_diagonal_dominance(self, adapted):
+        # dt*max|a1| = 1 exactly; adapted, two nodes at -+1/dt have mean 0,
+        # so the mean path alone would pass
+        mesh, tree = build_mesh(5), build_tree(4, 1.0)
+        if adapted:
+            a1 = [np.zeros((1 << k, mesh.N)) for k in range(tree.depth)]
+            a1[1][:, 2] = [-1.0 / tree.dt, 1.0 / tree.dt]
+        else:
+            a1 = [np.full((1, mesh.N), 1.0 / tree.dt)] * tree.depth
+        coeffs = Coefficients(tree, mesh, a1, [np.zeros((1, mesh.N))] * tree.depth)
+        with pytest.raises(ConfigurationError, match="breaks diagonal dominance"):
+            riccati_levels(coeffs, OmegaRegion(mesh, (0.3, 0.7)), 1e-2)
 
     @pytest.mark.parametrize("depth, N", [(4, 7), (8, 11)])
     def test_P0_symmetric_positive_semidefinite(self, depth, N):

@@ -16,6 +16,8 @@ from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, time_pairing, tree_inner
 from sdcontrol.weights import WeightParams, build_weights
 
+from oracles import scheduled_weights
+
 # The seven integrals of the weighted estimate, as CarlemanTerms fields.
 TERM_NAMES = ("lhs_state", "lhs_gradient", "rhs_window", "rhs_diffusion", "rhs_drift",
               "rhs_initial", "rhs_terminal")
@@ -47,11 +49,6 @@ def mild_weights(**overrides):
     kwargs = dict(T=1.0, lam=1.1, mu=1.01, delta=0.45, x0=0.5, K=0.5)
     kwargs.update(overrides)
     return build_weights(WeightParams(**kwargs))
-
-
-def scheduled_weights(mesh, lam=2.0, mu=1.2, delta0=0.25, eps0=1.0, T=1.0):
-    return build_weights(WeightParams(T=T, lam=lam, mu=mu, delta=delta0, x0=0.5,
-                                      eps0=eps0).at_mesh(mesh.h))
 
 
 class TestSourceSolve:
