@@ -84,9 +84,11 @@ def backward_step(step: StepOperator, dt: float, z_children: np.ndarray,
     BLAS rounds a row of a product alike for every row count, which
     depends on N (not at N = 9 to 12; see README, Determinism).
     ``forward_step`` is not fused: its (2N x 2N) map
-    doubles the matmul flops, and at N = 63, depth 10 it has measured both
-    slower (3.3-4.3 against 2.7 ms per sweep) and faster (2.1-2.5 against
-    2.7-2.8 ms) on 2 vCPUs, so it stays a solve after the edge map.
+    doubles the matmul flops, and a fused shared forward step measured no
+    end-to-end gain (README, Sample batching), so it stays a solve after
+    the edge map.  The observability fit steps its shared levels with its
+    own two matmuls (``inequalities._shared_step``), which give z without
+    zeta.
     """
     if step.split is not None:
         diff, mean = step.split

@@ -22,8 +22,7 @@ from .backward_solver import backward_step
 from .errors import ConfigurationError, ConvergenceError, RegimeError
 from .forward_solver import Coefficients, OmegaRegion, forward_step
 from .mesh import Mesh, build_mesh
-from .noise_tree import (ScenarioTree, build_tree, level_pairing, random_levels, time_pairing,
-                         tree_inner)
+from .noise_tree import ScenarioTree, build_tree, random_levels, tree_inner
 from .discrete_calc import StepOperator
 from .weights import CarlemanWeights, WeightParams, build_weights, validate_regime
 
@@ -122,18 +121,23 @@ class CarlemanTerms:
         return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def _gradient(level_values: np.ndarray, h: float) -> np.ndarray:
-    """Staggered differences with Dirichlet padding, per node (star points)."""
-    return np.diff(level_values, axis=-1, prepend=0.0, append=0.0) / h
+def _contract(table: np.ndarray, weight: np.ndarray):
+    """Sum of table (..., depth, M) times weight (depth, M) over levels and points."""
+    total = np.einsum("...kj,kj->...", table, weight)
+    return float(total) if total.ndim == 0 else total
 
 
 def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWeights,
                    tree: ScenarioTree, mesh: Mesh, region: OmegaRegion) -> CarlemanTerms:
     """Tree-weighted left-endpoint quadrature of every term in the estimate.
 
-    ``w`` and ``sources`` may carry leading sample axes; the terms are then
-    arrays over the samples.  Raises ConfigurationError unless the tree and
-    the weights share the horizon T.
+    The squares of w, g, f and of w's neighbour differences (the gradient
+    at the N+1 star points, Dirichlet ends) are summed over each level's
+    nodes into per-point tables (..., depth, points), and each term is one
+    contraction of a table with its weight table.  ``w`` and ``sources``
+    may carry leading sample axes; the terms are then arrays over the
+    samples.  Raises ConfigurationError unless the tree and the weights
+    share the horizon T.
     """
     region.check_mesh(mesh)
     if tree.T != weights.params.T:
@@ -143,7 +147,8 @@ def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWe
     if not ok:
         raise RegimeError(ratio, weights.params.eps0)
 
-    times = np.arange(tree.depth) * tree.dt
+    depth, N, h = tree.depth, mesh.N, mesh.h
+    times = np.arange(depth) * tree.dt
     phi_int = weights.phi(mesh.interior)
     phi_star = weights.phi(mesh.star)
     s_quad = weights.s(times)
@@ -153,24 +158,38 @@ def carleman_terms(w: list[np.ndarray], sources: SourcePair, weights: CarlemanWe
     exp_ends = np.outer(s_ends, phi_int)
     log_shift = max(float(exp_int.max()), float(exp_star.max()), float(exp_ends.max()))
 
-    # one row per level: the squared weight, times each term's power of s
+    # one row per level: the level weight dt*h/2^k times the squared
+    # weight, times each term's power of s
     w2_int = np.exp(2.0 * (exp_int - log_shift))
     w2_star = np.exp(2.0 * (exp_star - log_shift))
     w2_t0, w2_tT = np.exp(2.0 * (exp_ends - log_shift))
     s = s_quad[:, np.newaxis]
-    state, gradient, diffusion = s**3 * w2_int, s * w2_star, s**2 * w2_int
-    window = s**3 * region.indicator * w2_int
+    level = (tree.dt * h / 2.0 ** np.arange(depth))[:, np.newaxis]
+    state = level * s**3 * w2_int
+    gradient = level * s * w2_star / h**2
 
-    grads = [_gradient(wk, mesh.h) for wk in w[:tree.depth]]
-    leaves = w[tree.depth]
+    lead = np.shape(w[0])[:-2]
+    w_sq, g_sq, f_sq = (np.empty(lead + (depth, N)) for _ in range(3))
+    step_sq = np.empty(lead + (depth, N + 1))
+    per_point = "...nj,...nj->...j"
+    for k in range(depth):
+        step = w[k][..., 1:] - w[k][..., :-1]
+        np.einsum(per_point, w[k], w[k], out=w_sq[..., k, :])
+        np.einsum(per_point, step, step, out=step_sq[..., k, 1:N])
+        np.einsum(per_point, sources.g[k], sources.g[k], out=g_sq[..., k, :])
+        np.einsum(per_point, sources.f[k], sources.f[k], out=f_sq[..., k, :])
+    step_sq[..., 0] = w_sq[..., 0]  # the Dirichlet ends: +-w at the end points
+    step_sq[..., N] = w_sq[..., N - 1]
+
+    leaves = w[depth]
     return CarlemanTerms(
-        lhs_state=time_pairing(tree, mesh, w, w, state),
-        lhs_gradient=time_pairing(tree, mesh, grads, grads, gradient),
-        rhs_window=time_pairing(tree, mesh, w, w, window),
-        rhs_diffusion=time_pairing(tree, mesh, sources.g, sources.g, diffusion),
-        rhs_drift=time_pairing(tree, mesh, sources.f, sources.f, w2_int),
-        rhs_initial=tree_inner(tree, mesh, 0, w[0], w[0], w2_t0) / mesh.h**2,
-        rhs_terminal=tree_inner(tree, mesh, tree.depth, leaves, leaves, w2_tT) / mesh.h**2,
+        lhs_state=_contract(w_sq, state),
+        lhs_gradient=_contract(step_sq, gradient),
+        rhs_window=_contract(w_sq, state * region.indicator),
+        rhs_diffusion=_contract(g_sq, level * s**2 * w2_int),
+        rhs_drift=_contract(f_sq, level * w2_int),
+        rhs_initial=tree_inner(tree, mesh, 0, w[0], w[0], w2_t0) / h**2,
+        rhs_terminal=tree_inner(tree, mesh, depth, leaves, leaves, w2_tT) / h**2,
         log_shift=float(log_shift),
         regime_ratio=float(ratio),
     )
@@ -218,6 +237,38 @@ class FittedConstant:
         return self.safety * self.fitted_C
 
 
+def _adjoint_maps(steps: list[StepOperator], a2_levels, dt: float) -> list:
+    """Per level, the matrices (diff, adj) of ``_shared_step``, or None where
+    a matrix or a2 row per node leaves the level to ``backward_step``.
+
+    adj = mean + diff*(dt*a2) folds the adjoint's noise term into the
+    operator's ``split`` (diff, mean): a child-pair row times it is
+    z = zeta + dt*a2*Z.  A run of equal levels shares one pair."""
+    maps = []
+    for k, (step, a2) in enumerate(zip(steps, a2_levels)):
+        if step.split is None or a2.shape[0] != 1:
+            maps.append(None)
+        elif k and step is steps[k - 1] and np.array_equal(a2, a2_levels[k - 1]):
+            maps.append(maps[-1])
+        else:
+            diff, mean = step.split
+            maps.append((diff, mean + diff * (dt * a2)))
+    return maps
+
+
+def _shared_step(children: np.ndarray, diff: np.ndarray, adj: np.ndarray):
+    """Z and z at the parents of children (S, 2B, N): two matmuls on the rows
+    [child 2n | child 2n+1].  A lone row is multiplied as a stride-0 batch
+    of two, as in ``backward_step``."""
+    samples, nodes, n = children.shape
+    rows = children.reshape(-1, 2 * n)
+    count = len(rows)
+    if count == 1:
+        rows = np.broadcast_to(rows, (2, 2 * n))
+    parents = (samples, nodes // 2, n)
+    return (rows @ diff)[:count].reshape(parents), (rows @ adj)[:count].reshape(parents)
+
+
 def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
                          tree: ScenarioTree, mesh: Mesh, region: OmegaRegion,
                          rng: np.random.Generator, train: int, holdout: int,
@@ -235,10 +286,13 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     as one sample at a time.  ``rng`` is used only through
     ``standard_normal(out=...)``.
 
-    Each batch steps ``backward_step`` from the leaves down and adds every
-    level's diffusion and windowed terms (``level_pairing``) to the
-    per-sample sums as it is produced, so only one level of the backward
-    solution is held at a time.
+    Each batch steps from the leaves down, holding one level at a time,
+    and writes each level's unweighted squares Z.Z and windowed z.z (the
+    window is the contiguous slice of ``region.mask``) into per-sample
+    tables; the level weights dt*h/2^k are applied once, at the end.  A
+    shared level with one a2 row (constant, zero and sinusoid
+    coefficients) steps with ``_shared_step``, any other with
+    ``backward_step``.
 
     The batches are drawn in line, in order, into one reused buffer the
     size of the first (largest) batch, so the draws, the values and the
@@ -257,26 +311,38 @@ def observability_sample(coeffs: Coefficients, weights: CarlemanWeights,
     if terminal_h_scaling:
         eps_factor /= mesh.h**2
 
+    depth, dt = tree.depth, tree.dt
     steps = coeffs.step_operators()
+    maps = _adjoint_maps(steps, coeffs.a2_levels, dt)
+    inside = np.flatnonzero(region.mask)
+    window = slice(inside[0], inside[-1] + 1)  # the mask of an interval is contiguous
     lhs = np.empty(total)
-    rhs_diffusion = np.empty(total)
-    rhs_window = np.empty(total)
     rhs_terminal = np.empty(total)
+    squares = np.empty((2, depth, total))  # Z.Z and windowed z.z per level and sample
     batches = _batches(total, tree, mesh)
-    buf = np.empty((batches[0][1], tree.num_nodes(tree.depth), mesh.N))
+    buf = np.empty((batches[0][1], tree.num_nodes(depth), mesh.N))
     for start, stop in batches:
         zT = buf[:stop - start]
         rng.standard_normal(out=zT)
-        z, diffusion, window = zT, 0.0, 0.0
-        for k in range(tree.depth - 1, -1, -1):
-            z, Z, _ = backward_step(steps[k], tree.dt, z, coeffs.a2_levels[k])
-            diffusion += level_pairing(tree, mesh, k, Z, Z)
-            window += level_pairing(tree, mesh, k, z, z, region.indicator)
+        z = zT
+        for k in range(depth - 1, -1, -1):
+            if maps[k] is None:
+                z, Z, _ = backward_step(steps[k], dt, z, coeffs.a2_levels[k])
+            else:
+                Z, z = _shared_step(z, *maps[k])
+            # Einsum adds a lone sample of more than 8192 contiguous values
+            # in blocks, a sample of a batch in one pass.  Under the 2^15
+            # cap a level that large comes only in batches of one sample,
+            # all of them, so a sample's sums do not depend on its batch.
+            np.einsum("...ij,...ij->...", Z, Z, out=squares[0, k, start:stop])
+            zw = z[..., window]
+            np.einsum("...ij,...ij->...", zw, zw, out=squares[1, k, start:stop])
         lhs[start:stop] = tree_inner(tree, mesh, 0, z, z)
-        rhs_diffusion[start:stop] = diffusion
-        rhs_window[start:stop] = window
-        rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, tree.depth, zT, zT)
+        rhs_terminal[start:stop] = eps_factor * tree_inner(tree, mesh, depth, zT, zT)
 
+    level_weights = dt * mesh.h / 2.0 ** np.arange(depth)
+    rhs_diffusion, rhs_window = (sum(w * sq for w, sq in zip(level_weights, table))
+                                 for table in squares)
     rhs = rhs_diffusion + rhs_window + rhs_terminal
     keep = rhs != 0.0  # all-zero samples only: an overflowed one must fit as NaN
     ratios = np.where(keep, lhs / np.where(keep, rhs, 1.0), 0.0)

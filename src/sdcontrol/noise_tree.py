@@ -161,30 +161,21 @@ def tree_inner(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.
     return _scalar_or_array((mesh.h / count) * _level_sum(a, b, weight))
 
 
-def level_pairing(tree: ScenarioTree, mesh: Mesh, level: int, a: np.ndarray, b: np.ndarray,
-                  weight=None):
-    """Level k's term dt * 2^-k * h * sum(weight*a*b) of ``time_pairing``,
-    over the sample axes of node arrays (..., 2^k, M); unchecked, so that a
-    sweep can pair each level as it produces it."""
-    return (tree.dt * mesh.h / (1 << level)) * _level_sum(a, b, weight)
-
-
 def time_pairing(tree: ScenarioTree, mesh: Mesh, a, b, weight=None):
-    """Left-endpoint tree-time quadrature sum_k dt * E[h * sum(weight_k*a_k*b_k)]
-    over levels 0..depth-1, one ``level_pairing`` per level.
+    """Left-endpoint tree-time quadrature sum_k dt * E[h * sum(weight*a_k*b_k)]
+    over levels 0..depth-1.
 
     ``a`` and ``b`` are tree fields, lists of level arrays (2^k, M), where
     M need not be N (staggered values work too); leading sample axes,
     (..., 2^k, M), give an array over them instead of a float.  ``weight``
-    is None, a scalar or pointwise array used at every level, or a
-    (depth, M) array with one row per level.  Each operand needs at least
-    ``depth`` levels; a leaf level beyond them is not summed.
+    is None, a scalar or a pointwise (M,) array used at every level.  Each
+    operand needs at least ``depth`` levels; a leaf level beyond them is
+    not summed.
     """
     if min(len(a), len(b)) < tree.depth:
         raise ValueError(f"time_pairing needs {tree.depth} levels of each operand, "
                          f"got {len(a)} and {len(b)}")
-    per_level = np.ndim(weight) == 2
     total = 0.0
     for k in range(tree.depth):
-        total += level_pairing(tree, mesh, k, a[k], b[k], weight[k] if per_level else weight)
+        total += (tree.dt * mesh.h / (1 << k)) * _level_sum(a[k], b[k], weight)
     return _scalar_or_array(total)

@@ -47,3 +47,38 @@ def dense_gramian(problem):
         e[j] = 1.0
         mat[:, j] = gramian_apply(e.reshape(shape), problem).ravel()
     return mat
+
+
+def carleman_quadrature(w, sources, weights, tree, mesh, region):
+    """The seven integrals of the weighted estimate as the level-by-level sums
+    sum_k dt * 2^-k * h * sum(weight_k * a_k**2) they stand for, by
+    ``CarlemanTerms`` field, with the same normalizing shift; the oracle
+    for ``carleman_terms``.  The gradient is the padded staggered
+    difference of each node's values."""
+    h, depth = mesh.h, tree.depth
+    times = np.arange(depth) * tree.dt
+    exp_int = np.outer(weights.s(times), weights.phi(mesh.interior))
+    exp_star = np.outer(weights.s(times), weights.phi(mesh.star))
+    exp_ends = np.outer([weights.s(0.0), weights.s(weights.params.T)],
+                        weights.phi(mesh.interior))
+    shift = max(exp_int.max(), exp_star.max(), exp_ends.max())
+    w2_int = np.exp(2.0 * (exp_int - shift))
+    w2_star = np.exp(2.0 * (exp_star - shift))
+    w2_t0, w2_tT = np.exp(2.0 * (exp_ends - shift))
+    s = weights.s(times)[:, np.newaxis]
+    grads = [np.diff(wk, axis=-1, prepend=0.0, append=0.0) / h for wk in w[:depth]]
+
+    def pairing(field, weight):
+        return sum(tree.dt * h / 2**k * (weight[k] * field[k]**2).sum(axis=(-2, -1))
+                   for k in range(depth))
+
+    leaves = w[depth]
+    return {
+        "lhs_state": pairing(w, s**3 * w2_int),
+        "lhs_gradient": pairing(grads, s * w2_star),
+        "rhs_window": pairing(w, s**3 * region.indicator * w2_int),
+        "rhs_diffusion": pairing(sources.g, s**2 * w2_int),
+        "rhs_drift": pairing(sources.f, w2_int),
+        "rhs_initial": h * (w2_t0 * w[0]**2).sum(axis=(-2, -1)) / h**2,
+        "rhs_terminal": h / 2**depth * (w2_tT * leaves**2).sum(axis=(-2, -1)) / h**2,
+    }

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sdcontrol import inequalities
-from sdcontrol.backward_solver import backward_step, solve_backward
+from sdcontrol.backward_solver import solve_backward
 from sdcontrol.errors import ConfigurationError, RegimeError, SingularSystemError
-from sdcontrol.forward_solver import Coefficients, OmegaRegion
+from sdcontrol.forward_solver import Coefficients, OmegaRegion, sampled_levels, uniform_levels
 from sdcontrol.harness import emit_csv
 from sdcontrol.hum import HumProblem
 from sdcontrol.inequalities import (SourcePair, SweepSettings, _batches, carleman_ratio_study,
@@ -16,7 +16,7 @@ from sdcontrol.mesh import build_mesh
 from sdcontrol.noise_tree import build_tree, time_pairing, tree_inner
 from sdcontrol.weights import WeightParams, build_weights
 
-from oracles import scheduled_weights
+from oracles import carleman_quadrature, scheduled_weights
 
 # The seven integrals of the weighted estimate, as CarlemanTerms fields.
 TERM_NAMES = ("lhs_state", "lhs_gradient", "rhs_window", "rhs_diffusion", "rhs_drift",
@@ -225,6 +225,21 @@ class TestCarlemanTerms:
             ref.append(carleman_terms(w, sources, weights, tree, mesh, region).ratio)
         np.testing.assert_allclose(ratios, ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("N", [8, 17])
+    def test_terms_match_the_level_by_level_quadrature(self, N):
+        mesh = build_mesh(N)
+        tree = build_tree(6, 1.0)
+        region = OmegaRegion(mesh, (0.3, 0.7))
+        weights = scheduled_weights(mesh)
+        sources = SourcePair.random(tree, mesh, np.random.default_rng(13), shape=(5,))
+        w = solve_w_equation(sources, tree, mesh)
+        terms = carleman_terms(w, sources, weights, tree, mesh, region)
+        oracle = carleman_quadrature(w, sources, weights, tree, mesh, region)
+        for name in TERM_NAMES:
+            assert getattr(terms, name).shape == (5,), name
+            np.testing.assert_allclose(getattr(terms, name), oracle[name], rtol=1e-12,
+                                       err_msg=name)
+
     def test_batched_terms_match_single_terms(self):
         mesh = build_mesh(6)
         tree = build_tree(3, 1.0)
@@ -245,12 +260,30 @@ class TestCarlemanTerms:
             assert terms.ratio[i] == pytest.approx(single.ratio, rel=1e-12)
 
 
+def fit_coefficients(kind, tree, mesh, a2=0.5):
+    """Constant coefficients, or the other kinds the fit steps differently:
+    time-dependent sinusoids (a shared operator and a2 row per level),
+    adapted a2 on constant a1 (shared operators, a2 per node) and adapted
+    a1 and a2 (an operator per node)."""
+    if kind == "constant":
+        return Coefficients.constant(tree, mesh, 0.5, a2)
+    if kind == "sinusoid":
+        return Coefficients(
+            tree, mesh, sampled_levels(tree, mesh, lambda x, t: 0.5 * np.sin(np.pi * x + t)),
+            sampled_levels(tree, mesh, lambda x, t: a2 * np.cos(2 * np.pi * x - t)))
+    rng = np.random.default_rng(17)
+    if kind == "adapted_a2":
+        return Coefficients(tree, mesh, [np.full((1, mesh.N), 0.5)] * tree.depth,
+                            uniform_levels(tree, mesh, rng, a2))
+    return Coefficients.adapted_random(tree, mesh, rng, 0.5, a2)
+
+
 class TestObservability:
-    def _setup(self, N=8, depth=5, omega=(0.3, 0.7), a2=0.5, seed=0):
+    def _setup(self, N=8, depth=5, omega=(0.3, 0.7), a2=0.5, seed=0, kind="constant"):
         mesh = build_mesh(N)
         tree = build_tree(depth, 1.0)
         region = OmegaRegion(mesh, omega)
-        coeffs = Coefficients.constant(tree, mesh, 0.5, a2)
+        coeffs = fit_coefficients(kind, tree, mesh, a2)
         weights = scheduled_weights(mesh)
         rng = np.random.default_rng(seed)
         return mesh, tree, region, coeffs, weights, rng
@@ -328,7 +361,16 @@ class TestObservability:
         (11, 2, 1),    # one sample fills a batch at N=8, depth 11
     ])
     def test_batched_fit_equals_per_sample_loop(self, depth, train, holdout):
-        mesh, tree, region, coeffs, weights, _ = self._setup(depth=depth)
+        self._check_fit_against_per_sample_loop(depth, train, holdout, "constant")
+
+    @pytest.mark.parametrize("kind", ["sinusoid", "adapted_a2", "adapted"])
+    @pytest.mark.parametrize("depth, train, holdout", [(5, 1, 1), (5, 32, 33), (11, 2, 1)])
+    def test_fit_on_other_coefficients_equals_per_sample_loop(self, depth, train, holdout,
+                                                              kind):
+        self._check_fit_against_per_sample_loop(depth, train, holdout, kind)
+
+    def _check_fit_against_per_sample_loop(self, depth, train, holdout, kind):
+        mesh, tree, region, coeffs, weights, _ = self._setup(depth=depth, kind=kind)
         total = train + holdout
         fit = observability_sample(coeffs, weights, tree, mesh, region,
                                    np.random.default_rng(6), train, holdout, 1.0)
@@ -422,15 +464,17 @@ class TestObservability:
     @pytest.mark.parametrize("failing", [0, 1, 3])
     def test_failed_sweep_stops_the_draws(self, failing, monkeypatch):
         # the first backward step of batch `failing` of four raises; no batch
-        # after it is drawn
+        # after it is drawn.  Constant coefficients step every level with
+        # the fit's shared-level step.
         mesh, tree, region, coeffs, weights, _ = self._setup(depth=8)
         calls = []
+        shared_step = inequalities._shared_step
 
         def failing_step(*args):
             calls.append(None)
             if len(calls) > failing * tree.depth:
                 raise FloatingPointError(len(calls))
-            return backward_step(*args)
+            return shared_step(*args)
 
         class CountingGenerator:
             def __init__(self):
@@ -440,7 +484,7 @@ class TestObservability:
                 self.calls += 1
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(inequalities, "backward_step", failing_step)
+        monkeypatch.setattr(inequalities, "_shared_step", failing_step)
         rng = CountingGenerator()
         with pytest.raises(FloatingPointError):
             observability_sample(coeffs, weights, tree, mesh, region, rng, 40, 24, 1.0)

@@ -139,15 +139,6 @@ class TestQuadrature:
         got = time_pairing(self.tree, self.mesh, self.a, self.b, mask)
         assert got == pytest.approx(by_hand, rel=1e-14)
 
-    def test_time_pairing_per_level_weight_on_level_lists(self):
-        a, b, w, h, dt = self.a, self.b, self.w, self.mesh.h, self.tree.dt
-        by_hand = sum(dt * h * w[k, i] * a[k][n, i] * b[k][n, i] / 2**k
-                      for k in range(2) for n in range(2**k) for i in range(3))
-        got = time_pairing(self.tree, self.mesh, a, b, w)
-        assert got == pytest.approx(by_hand, rel=1e-14)
-        # the leaf level lies beyond the left-endpoint sum
-        assert time_pairing(self.tree, self.mesh, a[:2], b[:2], w) == got
-
     def test_time_pairing_rejects_missing_levels(self):
         # Fewer levels than the depth would leave out late terms of the sum.
         tree = build_tree(6, 1.0)
@@ -162,13 +153,13 @@ class TestQuadrature:
         rng = np.random.default_rng(5)
         a = [rng.standard_normal((2, 3, 1 << k, self.mesh.N)) for k in range(3)]
         b = [rng.standard_normal((2, 3, 1 << k, self.mesh.N)) for k in range(3)]
-        paired = time_pairing(self.tree, self.mesh, a, b, self.w)
+        paired = time_pairing(self.tree, self.mesh, a, b, self.w[0])
         inner = tree_inner(self.tree, self.mesh, 2, a[2], b[2], self.w[1])
         assert paired.shape == inner.shape == (2, 3)
         for i in range(2):
             for j in range(3):
                 assert paired[i, j] == pytest.approx(time_pairing(
-                    self.tree, self.mesh, [x[i, j] for x in a], [x[i, j] for x in b], self.w),
+                    self.tree, self.mesh, [x[i, j] for x in a], [x[i, j] for x in b], self.w[0]),
                     rel=1e-14)
                 assert inner[i, j] == pytest.approx(tree_inner(
                     self.tree, self.mesh, 2, a[2][i, j], b[2][i, j], self.w[1]), rel=1e-14)
@@ -185,7 +176,7 @@ class TestLevelKernel:
 
     @given(depth=st.integers(1, 4), N=st.integers(2, 6), staggered=st.booleans(),
            lead=st.sampled_from([(), (3,), (2, 3)]),
-           weight_kind=st.sampled_from(["none", "scalar", "pointwise", "per_level"]),
+           weight_kind=st.sampled_from(["none", "scalar", "pointwise"]),
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_naive_sums(self, depth, N, staggered, lead, weight_kind, seed):
@@ -195,20 +186,17 @@ class TestLevelKernel:
         # positive operands: no cancellation, so rtol bounds the reordering alone
         a = [rng.uniform(0.5, 2.0, lead + (1 << k, M)) for k in range(depth + 1)]
         b = [rng.uniform(0.5, 2.0, lead + (1 << k, M)) for k in range(depth + 1)]
-        weight = {"none": None, "scalar": 1.5, "pointwise": rng.uniform(0.5, 2.0, M),
-                  "per_level": rng.uniform(0.5, 2.0, (depth, M))}[weight_kind]
-        rows = [1.0 if weight is None else (weight[k] if weight_kind == "per_level" else weight)
-                for k in range(depth)]
-        naive = sum(tree.dt * mesh.h * 2.0**-k * _naive_level(a[k], b[k], rows[k])
+        weight = {"none": None, "scalar": 1.5, "pointwise": rng.uniform(0.5, 2.0, M)}[weight_kind]
+        w = 1.0 if weight is None else weight
+        naive = sum(tree.dt * mesh.h * 2.0**-k * _naive_level(a[k], b[k], w)
                     for k in range(depth))
         got = time_pairing(tree, mesh, a, b, weight)
         assert np.shape(got) == lead
         np.testing.assert_allclose(got, naive, rtol=1e-13)
-        if staggered or weight_kind == "per_level":
+        if staggered:
             return
         for k in range(depth + 1):
             inner = tree_inner(tree, mesh, k, a[k], b[k], weight)
-            w = 1.0 if weight is None else weight
             np.testing.assert_allclose(inner, mesh.h * 2.0**-k * _naive_level(a[k], b[k], w),
                                        rtol=1e-13)
         if lead == ():
